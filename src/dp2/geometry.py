@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 import sympy as sp
 
@@ -542,6 +543,8 @@ def phi_domain(S: SurfaceDP2, P: PointDP2, Q: PointDP2) -> PhiDomainVerdict:
 # ---------------------------------------------------------------------------
 # all 28 bitangents
 
+_U, _V = sp.symbols("_u _v")
+
 
 def count_all_bitangents(S: SurfaceDP2, attempts: int = 6) -> int:
     """Total number of bitangent lines of B over the algebraic closure,
@@ -563,56 +566,142 @@ def count_all_bitangents(S: SurfaceDP2, attempts: int = 6) -> int:
 
 
 def _count_all_bitangents_frame(Bf: TernForm) -> int:
-    u, v, xs, ys = sp.symbols("_u _v _x _y")
-    expr = sp.Integer(0)
-    for (i, j, k), val in Bf.c.items():
-        expr += sp.Rational(val) * xs**i * ys**j * (u * xs + v * ys) ** k
-    poly = sp.Poly(sp.expand(expr), xs, ys)
-    a = [poly.coeff_monomial(xs ** (4 - i) * ys**i) for i in range(5)]
-    a = [sp.expand(t) for t in a]
-    c1 = sp.expand(8 * a[4] ** 2 * a[1] - 4 * a[4] * a[2] * a[3] + a[3] ** 3)
-    c2 = sp.expand(64 * a[4] ** 3 * a[0] - (4 * a[4] * a[2] - a[3] ** 2) ** 2)
-    if c1 == 0 or c2 == 0:
-        raise EliminationDegenerate("chart conditions vanish identically")
-    R = sp.resultant(sp.Poly(c1, v), sp.Poly(c2, v))
-    Rp = sp.Poly(R, u)
-    if Rp.is_zero:
+    """Bitangents of B in one frame: the common zeros (u, v) of the chart
+    conditions c1, c2 (lines z = u x + v y), corrected for spurious zeros
+    with a4 = a3 = 0, plus the bitangents through (0:0:1).
+
+    The common zeros are counted over each irreducible factor d of
+    R = Res_v(P, Q), where P, Q are c1, c2 with deg_v P >= deg_v Q: d adds
+    deg d times the number of distinct common roots v of P(alpha, v) and
+    Q(alpha, v) at one root alpha of d (all roots of d are conjugate).  That
+    number is read from the subresultant PRS of P, Q whenever the certificate
+    below applies, else from the gcd over Q(alpha) (`_common_roots_by_gcd`).
+
+    Soundness of the certificate.  Write S_j for the j-th subresultant of P
+    and Q in v (the determinant polynomial of the j-th Sylvester submatrix)
+    and psc_j for its coefficient of v^j; psc_0 = S_0 = R.
+
+    1. Specialisation.  If d is coprime to lc_v(P) * lc_v(Q), then at every
+       root alpha of d both leading coefficients are nonzero, so P(alpha, v)
+       and Q(alpha, v) keep their degrees, every Sylvester submatrix keeps
+       its shape, and S_j(alpha, v) = S_j(P(alpha, v), Q(alpha, v)).
+    2. Gcd.  Over the field Q(alpha), the gcd of two polynomials has degree
+       the least j with psc_j(alpha) != 0, and S_j(alpha, v) is that gcd.
+       As d is irreducible, psc_j(alpha) = 0 exactly when d | psc_j; d | R,
+       so j >= 1.  In sympy's subresultant PRS P, Q, F_3, ... each F_i, and
+       Q too if deg_v P = deg_v Q + 1, is S_(k-1) up to a nonzero rational
+       factor, k the degree of the element before it (the tests check this
+       against Sylvester determinants).  So an element of degree 1 after
+       one of degree 2 is S_1, and one of degree 2 after one of degree 3 is
+       S_2: psc_1, psc_2 are their leading coefficients in v.  If d does not
+       divide psc_1, then j = 1: the gcd is linear, one common root.
+    3. j = 2: the gcd is the quadratic S_2(alpha, v) with leading
+       coefficient psc_2(alpha) != 0.  It has one double root when
+       disc_v(S_2)(alpha) = 0, i.e. when d | disc_v(S_2), and two distinct
+       roots otherwise.
+
+    Every other case (a PRS that does not end in degrees 2, 1, 0, or in
+    3, 2, 1, 0 for j = 2; d | lc_v(P) lc_v(Q); or j > 2) takes the gcd over
+    Q(alpha)."""
+    a, P, Q = _chart_conditions(Bf)
+    R, prs = sp.resultant(P, Q, includePRS=True)
+    if R.is_zero:
         raise EliminationDegenerate("resultant in the dual chart vanishes")
+    lc_PQ = _lc_v(P) * _lc_v(Q)
     count = 0
-    for d_expr, _mult in Rp.factor_list()[1]:
-        if d_expr.degree() == 0:
+    for d, _mult in R.factor_list()[1]:
+        if d.degree() == 0:
             continue
-        dQ = _poly_from_sympy(d_expr)
-        K = QuotientField(dQ)
-        c1K = _bivar_eval_u(K, c1, u, v)
-        c2K = _bivar_eval_u(K, c2, u, v)
-        gK = quotient_gcd(c1K, c2K)
-        if gK.degree <= 0:
-            continue
-        rad = gK // quotient_gcd(gK, gK.derivative())
-        count += dQ.degree * rad.degree
+        cert = _subresultant_certificate(d, lc_PQ, prs)
+        roots = cert[1] if cert is not None else _common_roots_by_gcd(d, P, Q)
+        count += d.degree() * roots
     # correction: spurious solutions with a4 = a3 = 0 but the residual
     # quadratic a0 x^2 + a1 x y + a2 y^2 not a perfect square
-    a4p = sp.Poly(a[4], v)
-    if a4p.is_zero:
+    if a[4].is_zero:
         raise EliminationDegenerate("a4 vanishes identically")
-    disc2 = sp.expand(a[1] ** 2 - 4 * a[0] * a[2])
+    # a4 = B(0, 1, v) involves v only
+    a4p = sp.Poly.from_dict({(i,): c for (i, _j), c in a[4].terms()}, _V, domain=sp.QQ)
+    disc2 = a[1] ** 2 - 4 * a[0] * a[2]
     for e_expr, _mult in a4p.factor_list()[1]:
         if e_expr.degree() == 0:
             continue
         eQ = _poly_from_sympy(e_expr)
         Ke = QuotientField(eQ)
-        a3K = _bivar_eval_v(Ke, a[3], u, v)
+        a3K = _bivar_eval(Ke, a[3], _V)
         if a3K.is_zero():
             raise EliminationDegenerate("a3 vanishes along a root of a4")
         if a3K.degree == 0:
             continue
         rad3 = a3K.monic() // poly_gcd(a3K, a3K.derivative())
-        d2K = _bivar_eval_v(Ke, disc2, u, v)
+        d2K = _bivar_eval(Ke, disc2, _V)
         s_common = poly_gcd(rad3, d2K) if not d2K.is_zero() else rad3
         count -= eQ.degree * (rad3.degree - s_common.degree)
     n_e3, _cert = _count_bitangents_core(QQ, Bf, (0, 0, 1))
     return count + n_e3
+
+
+def _chart_conditions(Bf: TernForm):
+    """The coefficients a0..a4 of B(x, y, u x + v y) = sum a_i x^(4-i) y^i
+    as polynomials in (v, u) over QQ, and the conditions c1, c2 for that
+    quartic to be a square up to scalar (given a4 != 0), as (P, Q): c1 and
+    c2 with integer coefficients, ordered so that deg_v P >= deg_v Q."""
+    a = [{} for _ in range(5)]
+    for (i, j, k), val in Bf.c.items():
+        # x^i y^j (u x + v y)^k contributes C(k, l) u^(k-l) v^l to a_(j+l)
+        c = sp.QQ(val.numerator, val.denominator)
+        for l in range(k + 1):
+            key = (l, k - l)
+            a[j + l][key] = a[j + l].get(key, sp.QQ.zero) + c * comb(k, l)
+    a = [sp.Poly.from_dict(t, _V, _U, domain=sp.QQ) for t in a]
+    c1 = 8 * a[4] ** 2 * a[1] - 4 * a[4] * a[2] * a[3] + a[3] ** 3
+    c2 = 64 * a[4] ** 3 * a[0] - (4 * a[4] * a[2] - a[3] ** 2) ** 2
+    if c1.is_zero or c2.is_zero:
+        raise EliminationDegenerate("chart conditions vanish identically")
+    P, Q = sorted((c1, c2), key=lambda p: p.degree(), reverse=True)
+    return a, P.clear_denoms(convert=True)[1], Q.clear_denoms(convert=True)[1]
+
+
+def _coeff_v(p: sp.Poly, n: int) -> sp.Poly:
+    """Coefficient of v^n in p, a polynomial in (v, u), as a polynomial in u."""
+    return sp.Poly.from_dict({(j,): c for (i, j), c in p.terms() if i == n}, _U, domain=p.domain)
+
+
+def _lc_v(p: sp.Poly) -> sp.Poly:
+    return _coeff_v(p, p.degree())
+
+
+def _divides(d: sp.Poly, X: sp.Poly) -> bool:
+    """d | X for d irreducible over Q."""
+    return d.gcd(X).degree() > 0
+
+
+def _subresultant_certificate(d: sp.Poly, lc_PQ: sp.Poly, prs) -> tuple[int, int] | None:
+    """(j, r): at a root alpha of d, gcd(P(alpha, v), Q(alpha, v)) is
+    S_j(alpha, v) and has r distinct roots; None where the certificate does
+    not apply.  `prs` is the subresultant PRS of P, Q in v and lc_PQ the
+    product of their leading coefficients in v; see
+    `_count_all_bitangents_frame` for the argument."""
+    degs = [p.degree() for p in prs]
+    if degs[-3:] != [2, 1, 0] or _divides(d, lc_PQ):
+        return None
+    if not _divides(d, _lc_v(prs[-2])):
+        return 1, 1
+    if degs[-4:] != [3, 2, 1, 0]:
+        return None
+    s2, s1, s0 = (_coeff_v(prs[-3], n) for n in (2, 1, 0))
+    if _divides(d, s2):
+        return None
+    return 2, 1 if _divides(d, s1**2 - 4 * s2 * s0) else 2
+
+
+def _common_roots_by_gcd(d: sp.Poly, P: sp.Poly, Q: sp.Poly) -> int:
+    """Distinct common roots v of P(alpha, v), Q(alpha, v) at a root alpha
+    of the irreducible d, from their gcd over K = Q(alpha)."""
+    K = QuotientField(_poly_from_sympy(d))
+    gK = quotient_gcd(_bivar_eval(K, P, _U), _bivar_eval(K, Q, _U))
+    if gK.degree <= 0:
+        return 0
+    return (gK // quotient_gcd(gK, gK.derivative())).degree
 
 
 def _poly_from_sympy(expr_poly) -> Poly:
@@ -620,31 +709,15 @@ def _poly_from_sympy(expr_poly) -> Poly:
     return Poly(QQ, coeffs).monic()
 
 
-def _bivar_eval_u(K: QuotientField, expr, u, v) -> Poly:
-    """expr(u = alpha, v) as a Poly in v over K = Q[u]/(d)."""
-    p = sp.Poly(expr, v)
-    alpha = K.gen
-    out = []
-    for c in reversed(p.all_coeffs()):
-        cu = sp.Poly(c, u)
-        acc = K.zero
-        for j, cc in enumerate(reversed(cu.all_coeffs())):
-            r = sp.Rational(cc)
-            acc = acc + K.from_base(Fraction(r.p, r.q)) * alpha**j
-        out.append(acc)
-    return Poly(K, out)
-
-
-def _bivar_eval_v(K: QuotientField, expr, u, v) -> Poly:
-    """expr(u, v = beta) as a Poly in u over K = Q[v]/(e)."""
-    p = sp.Poly(expr, u)
-    beta = K.gen
-    out = []
-    for c in reversed(p.all_coeffs()):
-        cv = sp.Poly(c, v)
-        acc = K.zero
-        for j, cc in enumerate(reversed(cv.all_coeffs())):
-            r = sp.Rational(cc)
-            acc = acc + K.from_base(Fraction(r.p, r.q)) * beta**j
-        out.append(acc)
+def _bivar_eval(K: QuotientField, p: sp.Poly, var) -> Poly:
+    """p(var = generator of K, other) as a Poly in the other generator of
+    the bivariate p, over K = Q[var]/(m).  Each coefficient, a polynomial in
+    var, is evaluated at the generator by one reduction mod m."""
+    spec = p.gens.index(var)
+    rows: dict[int, dict[int, Fraction]] = {}
+    for monom, c in p.terms():
+        rows.setdefault(monom[1 - spec], {})[monom[spec]] = Fraction(int(c.numerator), int(c.denominator))
+    out = [K.zero] * (max(rows) + 1)
+    for e, row in rows.items():
+        out[e] = K.from_poly(Poly(QQ, [row.get(i, QQ.zero) for i in range(max(row) + 1)]))
     return Poly(K, out)

@@ -5,9 +5,17 @@ base-locus oracle at several good primes, then pinned.
 """
 
 import pytest
+import sympy as sp
+from conftest import seeded_random_surface
 
 from dp2.errors import NotVeryGeneral, SameImage
 from dp2.geometry import (
+    _U,
+    _V,
+    _chart_conditions,
+    _common_roots_by_gcd,
+    _lc_v,
+    _subresultant_certificate,
     c_p_point,
     classify_point,
     count_all_bitangents,
@@ -145,3 +153,108 @@ class TestAllBitangents:
 
     def test_sk(self, sk):
         assert count_all_bitangents(sk) == 28
+
+    @pytest.mark.parametrize("seed", [7, 12, 20, 33])
+    def test_seeded_random_surfaces(self, seed):
+        assert count_all_bitangents(seeded_random_surface(seed)) == 28
+
+
+def _chart_factors(S):
+    """P, Q, their subresultant PRS, lc_v(P) lc_v(Q) and the nonconstant
+    irreducible factors of the resultant, as _count_all_bitangents_frame
+    computes them in the first frame."""
+    _a, P, Q = _chart_conditions(S.B)
+    R, prs = sp.resultant(P, Q, includePRS=True)
+    factors = [d for d, _mult in R.factor_list()[1] if d.degree() > 0]
+    return P, Q, prs, _lc_v(P) * _lc_v(Q), factors
+
+
+def _sylvester_subresultant(P, Q, j):
+    """S_j(P, Q) in v from the determinants of the j-th Sylvester submatrix."""
+    m, n = P.degree(), Q.degree()
+    rows = [P * _V**k for k in reversed(range(n - j))] + [Q * _V**k for k in reversed(range(m - j))]
+    width = m + n - j
+    M = [[r.as_expr().coeff(_V, width - 1 - c) for c in range(width)] for r in rows]
+    S = 0
+    for i in range(j + 1):
+        cols = list(range(len(rows) - 1)) + [width - 1 - i]
+        S += sp.Matrix([[row[c] for c in cols] for row in M]).det(method="domain-ge") * _V**i
+    return sp.expand(S)
+
+
+class TestSubresultantCertificate:
+    """The certified count of common roots over each factor of the
+    resultant agrees with the gcd over Q(alpha), and every factor outside
+    the certificate's hypotheses is left to that gcd."""
+
+    def test_s0_falls_back_on_every_factor(self, s0):
+        P, Q, prs, lc, factors = _chart_factors(s0)
+        assert [p.degree() for p in prs][-3:] != [2, 1, 0]
+        assert factors
+        for d in factors:
+            assert _subresultant_certificate(d, lc, prs) is None
+            assert _common_roots_by_gcd(d, P, Q) > 0
+
+    def test_sk_certificate_matches_gcd_on_every_factor(self, sk):
+        P, Q, prs, lc, factors = _chart_factors(sk)
+        branches = set()
+        for d in factors:
+            cert = _subresultant_certificate(d, lc, prs)
+            assert cert is not None
+            assert cert[1] == _common_roots_by_gcd(d, P, Q)
+            branches.add(cert[0])
+        assert branches == {1, 2}
+
+    def test_random2_branches(self, random_surfaces):
+        P, Q, prs, lc, factors = _chart_factors(random_surfaces[0])
+        by_degree = {d.degree(): d for d in factors}
+        assert sorted(by_degree) == [4, 28]
+        # the 28 bitangents' Galois orbit: one common root per root of d
+        assert _subresultant_certificate(by_degree[28], lc, prs) == (1, 1)
+        # the degree-4 factor: gcd of degree 2 with a double root
+        assert _subresultant_certificate(by_degree[4], lc, prs) == (2, 1)
+        assert _common_roots_by_gcd(by_degree[4], P, Q) == 1
+
+    def test_leading_coefficient_factor_falls_back(self):
+        # at u = 0, P drops to v^2 - 1 = Q: two common roots
+        P = sp.Poly(_U * _V**3 + _V**2 - 1, _V, _U)
+        Q = sp.Poly(_V**2 - 1, _V, _U)
+        R, prs = sp.resultant(P, Q, includePRS=True)
+        assert [p.degree() for p in prs] == [3, 2, 1, 0]
+        (d, _mult), = R.factor_list()[1]
+        assert d == sp.Poly(_U, _U)
+        assert _subresultant_certificate(d, _lc_v(P) * _lc_v(Q), prs) is None
+        assert _common_roots_by_gcd(d, P, Q) == 2
+
+    def test_non_normal_prs_tail_falls_back(self):
+        P = sp.Poly(_V**3 + _U, _V, _U)
+        Q = sp.Poly(_V, _V, _U)
+        R, prs = sp.resultant(P, Q, includePRS=True)
+        assert [p.degree() for p in prs] == [3, 1, 0]
+        (d, _mult), = R.factor_list()[1]
+        assert _subresultant_certificate(d, _lc_v(P) * _lc_v(Q), prs) is None
+        assert _common_roots_by_gcd(d, P, Q) == 1
+
+    def test_degree_two_element_after_a_gap_is_not_read_as_s2(self):
+        # PRS degrees 4, 2, 1, 0: the element of degree 2 is S_3, not S_2;
+        # at u = 0 the gcd is v^2 + 1
+        P = sp.Poly((_V**2 + 1) * (_V**2 + _V + 2) + _U * _V**3, _V, _U)
+        Q = sp.Poly(_V**2 + 1 + _U * _V, _V, _U)
+        R, prs = sp.resultant(P, Q, includePRS=True)
+        assert [p.degree() for p in prs] == [4, 2, 1, 0]
+        lc = _lc_v(P) * _lc_v(Q)
+        certs = {}
+        for d, _mult in R.factor_list()[1]:
+            certs[d.as_expr()] = (_subresultant_certificate(d, lc, prs), _common_roots_by_gcd(d, P, Q))
+        assert certs == {_U: (None, 2), 2 * _U - 5: ((1, 1), 1)}
+
+    def test_prs_elements_are_sylvester_subresultants(self):
+        # a degree gap after P, as in the chart conditions (12, 9, 8, ...)
+        P = sp.Poly(_V**5 + _U * _V**3 - 2 * _V**2 + (_U - 1) * _V + 3, _V, _U)
+        Q = sp.Poly((_U + 2) * _V**3 + _V**2 - _U * _V + 1, _V, _U)
+        R, prs = sp.resultant(P, Q, includePRS=True)
+        assert [p.degree() for p in prs] == [5, 3, 2, 1, 0]
+        for j, F in ((2, prs[-3]), (1, prs[-2]), (0, prs[-1])):
+            ratio = sp.cancel(_sylvester_subresultant(P, Q, j) / F.as_expr())
+            assert ratio.is_Rational and ratio != 0
+        assert R.as_expr() == _sylvester_subresultant(P, Q, 0)
