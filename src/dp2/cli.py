@@ -28,7 +28,7 @@ from .geometry import (
     phi,
     phi_domain,
 )
-from .surface import PointDP2, SurfaceDP2, on_surface
+from .surface import PointDP2, SurfaceDP2, on_surface, parse_surface
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -52,7 +52,6 @@ def build_parser() -> _Parser:
     def common(p):
         p.add_argument("--surface", required=True, help="surface JSON file")
         p.add_argument("--format", choices=["jsonl", "pretty"], default="jsonl")
-        p.add_argument("--jobs", type=int, default=1)
 
     p = sub.add_parser("classify", help="classify a rational point")
     common(p)
@@ -112,12 +111,11 @@ def _load_surface(path: str) -> SurfaceDP2:
     except OSError as exc:
         raise _UsageError(f"cannot read surface file: {exc}") from exc
     try:
-        json.loads(text)
+        return parse_surface(text)
     except json.JSONDecodeError as exc:
         raise _UsageError(f"surface file is not valid JSON: {exc}") from exc
-    from .surface import parse_surface
-
-    return parse_surface(text)
+    except ValueError as exc:
+        raise _UsageError(f"bad surface file: {exc}") from exc
 
 
 def _require_on_surface(S: SurfaceDP2, P: PointDP2) -> PointDP2:
@@ -193,7 +191,7 @@ def cmd_generate(args) -> int:
         P0 = _require_on_surface(S, P0)
     ctx = covers.context_for(S, P0)
     points, stats = covers.generate_points_with_stats(
-        ctx, args.cover, args.budget, args.height_bound, args.seed, jobs=args.jobs
+        ctx, args.cover, args.budget, args.height_bound, args.seed
     )
     records = [
         {

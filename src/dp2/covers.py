@@ -9,10 +9,8 @@ evaluates a cover, and returns deduplicated points sorted by height.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd as igcd
 
 from .errors import BadParameter, BitangentLine, DP2Error, NotVeryGeneral, SingularHit
 from .exactalg import QQ
@@ -20,26 +18,17 @@ from .geometry import (
     SEC_MONOMIALS,
     SectionMinus2K,
     _matrix_rank,
+    _u_phi_failure,
     c_p_point,
     classify_point,
     osculating_section,
     phi,
 )
-from .genus1 import ModelClass, classify_model, pullback_generic
-from .surface import PointDP2, PointP2, SurfaceDP2, geiser, kappa, lift
+from .genus1 import _pencil_param
+from .surface import PointDP2, PointP2, SurfaceDP2, kappa, lift
 
 _RNG_NAME = "python-random-mt19937"
-
-
-def _normalize_pair(pair: tuple[int, int]) -> tuple[int, int]:
-    u, v = int(pair[0]), int(pair[1])
-    if u == 0 and v == 0:
-        raise BadParameter("parameter (0:0) is not a point of P^1")
-    g = igcd(u, v)
-    u, v = u // g, v // g
-    if u < 0 or (u == 0 and v < 0):
-        u, v = -u, -v
-    return u, v
+_SEARCH_HEIGHT = 24  # height bound of the search for a very general base point
 
 
 @dataclass(frozen=True)
@@ -50,7 +39,7 @@ class ParamTuple:
 
     @classmethod
     def make(cls, pairs) -> "ParamTuple":
-        return cls(tuple(_normalize_pair(p) for p in pairs))
+        return cls(tuple(_pencil_param(p) for p in pairs))
 
     @property
     def n(self) -> int:
@@ -84,7 +73,7 @@ class CoverContext:
         return cls(surface=S, P0=P0, section=osculating_section(S, P0))
 
 
-def find_very_general_point(S: SurfaceDP2, height_bound: int = 24) -> PointDP2:
+def find_very_general_point(S: SurfaceDP2, height_bound: int = _SEARCH_HEIGHT) -> PointDP2:
     """Bounded search for a very general rational point via small-height
     lifts; the very-general hypothesis is an input requirement, so failure
     is a hard error."""
@@ -104,13 +93,13 @@ def find_very_general_point(S: SurfaceDP2, height_bound: int = 24) -> PointDP2:
     raise NotVeryGeneral(f"no very general point of height <= {height_bound} found")
 
 
-def context_for(S: SurfaceDP2, P0: PointDP2 | None = None, search_bound: int = 24) -> CoverContext:
+def context_for(S: SurfaceDP2, P0: PointDP2 | None = None) -> CoverContext:
     """Context at P0 if very general, else at the first very general point
     found by bounded search."""
     if P0 is not None:
         if classify_point(S, P0).is_very_general:
             return CoverContext.create(S, P0)
-    return CoverContext.create(S, find_very_general_point(S, search_bound))
+    return CoverContext.create(S, find_very_general_point(S))
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +109,7 @@ def context_for(S: SurfaceDP2, P0: PointDP2 | None = None, search_bound: int = 2
 def f1(ctx: CoverContext, pair: tuple[int, int]) -> PointDP2:
     """P^1 -> C_{P0}: the residual negation point on the selected pencil
     member (pointwise model of the desingularization)."""
-    pair = _normalize_pair(pair)
+    pair = _pencil_param(pair)
     try:
         return c_p_point(ctx.surface, ctx.P0, pair)
     except (BitangentLine, SingularHit) as exc:
@@ -165,18 +154,9 @@ def point_height(P: PointDP2) -> int:
 
 
 def in_u_inv(ctx: CoverContext, Q: PointDP2) -> bool:
-    """Whether (P0, Q) lies in U_inv, using the cached classification and
-    osculating section of P0."""
-    S, P0 = ctx.surface, ctx.P0
-    if kappa(P0) == kappa(Q):
-        return False
-    model = pullback_generic(QQ, S.f, S.g, P0.xyz(), Q.xyz())
-    if classify_model(model) is ModelClass.Reducible:
-        return False
-    iota_P = geiser(S, P0)
-    O = model.point(QQ.one, QQ.zero, Fraction(iota_P.w))
-    Qc = model.point(QQ.zero, QQ.one, Fraction(Q.w))
-    if not (model.is_smooth_at(O) and model.is_smooth_at(Qc)):
+    """Whether (P0, Q) lies in U_inv: phi_domain's verdict, with P0 known to
+    be very general and its cached osculating section."""
+    if _u_phi_failure(ctx.surface, ctx.P0, Q) is not None:
         return False
     return ctx.section.evaluate(Q) != 0
 
@@ -218,29 +198,18 @@ def generate_points_with_stats(
     budget: int,
     height_bound: int,
     seed: int,
-    jobs: int = 1,
 ) -> tuple[list[GeneratedPoint], GenerationStats]:
     if budget <= 0 or height_bound <= 0 or seed <= 0:
         raise BadParameter("budget, height_bound and seed must be positive")
     arity = cover_arity(cover)
     params = _sample_params(random.Random(seed), budget, arity)
 
-    def attempt(pt: ParamTuple):
-        try:
-            return evaluate_cover(ctx, cover, pt)
-        except DP2Error:
-            return None
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(attempt, params))
-    else:
-        results = [attempt(pt) for pt in params]
-
     seen: dict[PointDP2, GeneratedPoint] = {}
     succeeded = filtered = 0
-    for pt, P in zip(params, results):
-        if P is None:
+    for pt in params:
+        try:
+            P = evaluate_cover(ctx, cover, pt)
+        except DP2Error:
             continue
         succeeded += 1
         if P in seen:
@@ -267,10 +236,9 @@ def generate_points(
     budget: int,
     height_bound: int,
     seed: int,
-    jobs: int = 1,
 ) -> list[GeneratedPoint]:
     """Deterministic function of (ctx, cover, budget, height_bound, seed)."""
-    return generate_points_with_stats(ctx, cover, budget, height_bound, seed, jobs)[0]
+    return generate_points_with_stats(ctx, cover, budget, height_bound, seed)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -67,9 +67,3 @@ class UnexpectedDimension(DP2Error):
 
 class EliminationDegenerate(DP2Error):
     pass
-
-
-class PointOnBranchCurve(DP2Error):
-    # never raised by bitangent counting (the count stays defined); kept for
-    # callers that want to flag branch-curve inputs themselves
-    pass

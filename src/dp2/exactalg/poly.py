@@ -126,15 +126,6 @@ class Poly:
             acc = acc * t + a
         return acc
 
-    def compose_linear(self, a, b):
-        """self(a*t + b)."""
-        F = self.field
-        out = Poly(F, [])
-        lin = Poly(F, [b, a])
-        for coeff in reversed(self.c):
-            out = out * lin + Poly(F, [coeff])
-        return out
-
     def __eq__(self, other):
         return isinstance(other, Poly) and self.c == other.c
 
@@ -159,20 +150,6 @@ class Poly:
 
 # ---------------------------------------------------------------------------
 # GCD and squarefree machinery
-
-
-def _int_clear(p: Poly) -> list[int]:
-    """Primitive integer coefficient list of a rational polynomial."""
-    den = 1
-    for a in p.c:
-        den = den * a.denominator // igcd(den, a.denominator)
-    ints = [int(a * den) for a in p.c]
-    g = 0
-    for n in ints:
-        g = igcd(g, n)
-    if g > 1:
-        ints = [n // g for n in ints]
-    return ints
 
 
 def _prem(a: list[int], b: list[int]) -> list[int]:
@@ -227,7 +204,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     if b.is_zero():
         return a.monic()
     if isinstance(a.field, RationalField):
-        g = _subresultant_gcd_int(_int_clear(a), _int_clear(b))
+        g = _subresultant_gcd_int(content_primitive_ints(a.c)[0], content_primitive_ints(b.c)[0])
         return Poly.from_ints(a.field, g).monic()
     while not b.is_zero():
         a, b = b, a % b
@@ -307,8 +284,6 @@ class BinForm:
 
     def evaluate(self, s, t):
         acc = self.field.zero
-        spow = self.field.one
-        # Horner in t, then multiply back the s powers
         for i, a in enumerate(self.c):
             term = a
             for _ in range(self.degree - i):
@@ -347,9 +322,7 @@ class BinForm:
         cc, d = m[1][0], m[1][1]
         cc = F.from_int(cc) if isinstance(cc, int) else cc
         d = F.from_int(d) if isinstance(d, int) else d
-        u = Poly(F, [b, a])   # first new coordinate as polynomial in s (t=1 later)? no:
-        # work with pairs of Poly in (s) after homogenizing via convolution
-        # represent u = a*s + b*t, v = cc*s + d*t as binary linear forms
+        # u = a*s + b*t, v = cc*s + d*t as binary linear forms
         lin_u = [a, b]
         lin_v = [cc, d]
         # accumulate sum c[i] * u^(d-i) * v^i as binary form of degree d
@@ -414,14 +387,9 @@ def disc_binary_quartic(q: BinForm):
     return (F.from_int(4) * I * I * I - J * J) / F.from_int(27)
 
 
-def is_square_binform(q: BinForm, up_to_scalar: bool = False) -> bool:
-    """Whether q = c * h^2 with h a binary form.
-
-    With up_to_scalar=False (the default), c must additionally be a square in
-    the coefficient field, i.e. q is the square of a form over that field.
-    With up_to_scalar=True the test is geometric: all roots of q in an
-    algebraic closure have even multiplicity.
-    """
+def is_square_binform(q: BinForm) -> bool:
+    """Whether q = c * h^2 with c a scalar and h a binary form over the
+    algebraic closure: all roots of q there have even multiplicity."""
     if q.degree % 2 != 0:
         raise OddDegree("square test needs even degree")
     F = q.field
@@ -436,20 +404,7 @@ def is_square_binform(q: BinForm, up_to_scalar: bool = False) -> bool:
     if inf_mult % 2 != 0:
         return False
     p = Poly(F, list(reversed(c)))  # exact finite part, degree = len(c)-1
-    for _, mult in squarefree_factor(p):
-        if mult % 2 != 0:
-            return False
-    if up_to_scalar:
-        return True
-    return _field_is_square(F, p.lc)
-
-
-def _field_is_square(F, a) -> bool:
-    from .quotient import QuotientField  # local import to avoid a cycle
-
-    if isinstance(F, QuotientField):
-        return F.is_square(a)
-    return F.is_square(a)
+    return all(mult % 2 == 0 for _, mult in squarefree_factor(p))
 
 
 def content_primitive_ints(fracs: list[Fraction]) -> tuple[list[int], Fraction]:

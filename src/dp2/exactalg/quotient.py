@@ -1,19 +1,13 @@
 """Arithmetic in quotient rings k[t]/(d) for k = Q or F_p.
 
 With d irreducible these are fields; inverses are computed by the extended
-Euclidean algorithm.  Squareness of an element over Q(alpha) is decided by a
-Trager-style norm computation (resultant, factorization over Q, then GCDs back
-over the extension), and over F_p(alpha) by the Euler criterion in F_{p^k}.
+Euclidean algorithm.  The geometry only asks whether a form over such a field
+is a square up to scalar, which needs no square test on field elements.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-import sympy as sp
-
-from .field import PrimeField, RationalField
-from .poly import Poly, poly_gcd, poly_xgcd
+from .poly import Poly, poly_xgcd
 
 
 class QuotientElt:
@@ -137,42 +131,6 @@ class QuotientField:
     @property
     def degree(self):
         return self.modulus.degree
-
-    def is_square(self, a: QuotientElt) -> bool:
-        if a.v.is_zero():
-            return True
-        if isinstance(self.base, PrimeField):
-            order = self.base.p**self.degree
-            return a ** ((order - 1) // 2) == self.one
-        if isinstance(self.base, RationalField):
-            return self._is_square_trager(a)
-        raise NotImplementedError("square test over this base field")
-
-    def _is_square_trager(self, a: QuotientElt) -> bool:
-        t, X = sp.symbols("_qt _qX")
-        d_expr = sum(sp.Rational(c) * t**i for i, c in enumerate(self.modulus.c))
-        c_expr = sum(sp.Rational(c) * t**i for i, c in enumerate(a.v.c))
-        for s in range(0, 40):
-            norm = sp.resultant(d_expr, (X - s * t) ** 2 - c_expr, t)
-            norm_poly = sp.Poly(norm, X)
-            if sp.Poly(sp.gcd(norm_poly, norm_poly.diff(X)), X).degree() > 0:
-                continue
-            _, factors = norm_poly.factor_list()
-            f = Poly(self, [-a, self.zero, self.one])  # X^2 - a
-            for h, _mult in factors:
-                h_shift = self._lift_shift(h, s)
-                g = poly_gcd(f, h_shift)
-                if g.degree == 1:
-                    return True
-            return False
-        raise RuntimeError("no squarefree norm shift found")
-
-    def _lift_shift(self, h: sp.Poly, s: int) -> Poly:
-        """h(X + s*alpha) as a polynomial over this field."""
-        coeffs = [Fraction(c.p, c.q) for c in reversed(h.all_coeffs())]
-        hK = Poly(self, [self.from_base(c) for c in coeffs])
-        shift = self.gen * s
-        return hK.compose_linear(self.one, shift)
 
     def __eq__(self, other):
         return isinstance(other, QuotientField) and self.modulus == other.modulus and self.base == other.base

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from math import gcd as igcd
 
-from .errors import ReducibleModel, SingularHit, SingularOrigin
+from .errors import BadParameter, ReducibleModel, SingularHit, SingularOrigin
 from .exactalg import BinForm, RationalField, TernForm, disc_binary_quartic, is_square_binform
 
 
@@ -34,6 +34,15 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
+def _det3(m) -> int:
+    """Determinant of a 3x3 matrix given as a list of rows."""
+    return (
+        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
+    )
+
+
 def complete_unimodular(v: tuple[int, int, int]) -> tuple[tuple, tuple]:
     """Two integer vectors e1, e2 with det[v, e1, e2] = 1 (v primitive)."""
     x, y, z = v
@@ -46,15 +55,22 @@ def complete_unimodular(v: tuple[int, int, int]) -> tuple[tuple, tuple]:
     _, c, d = _ext_gcd(g1, z)
     e1 = (-b, a, 0)
     e2 = (-d * x // g1, -d * y // g1, c)
-    m = [[x, e1[0], e2[0]], [y, e1[1], e2[1]], [z, e1[2], e2[2]]]
-    det = (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    )
+    det = _det3([[x, e1[0], e2[0]], [y, e1[1], e2[1]], [z, e1[2], e2[2]]])
     if det not in (1, -1):
         raise AssertionError(f"completion not unimodular: det = {det}")
     return e1, e2
+
+
+def _pencil_param(pair) -> tuple[int, int]:
+    """Coprime sign-normalized representative (u:v) of a point of P^1."""
+    u, v = int(pair[0]), int(pair[1])
+    if u == 0 and v == 0:
+        raise BadParameter("parameter (0:0) is not a point of P^1")
+    g = igcd(u, v)
+    u, v = u // g, v // g
+    if u < 0 or (u == 0 and v < 0):
+        u, v = -u, -v
+    return u, v
 
 
 @dataclass(frozen=True)
@@ -73,44 +89,7 @@ class LineParam:
     @classmethod
     def pencil_member(cls, base: tuple[int, int, int], param: tuple[int, int]) -> "LineParam":
         e1, e2 = complete_unimodular(base)
-        u, v = param
-        if u == 0 and v == 0:
-            raise ValueError("pencil parameter must be nonzero")
-        g = igcd(u, v)
-        u, v = u // g, v // g
-        if u < 0 or (u == 0 and v < 0):
-            u, v = -u, -v
-        return cls(base=base, aux1=e1, aux2=e2, param=(u, v))
-
-    @classmethod
-    def through_points(cls, base: tuple[int, int, int], other: tuple[int, int, int]) -> tuple["LineParam", int]:
-        """Line through two distinct projective points; returns (L, alpha)
-        where the point `other` sits at parameter (s:t) = (alpha:1) with its
-        exact integer coordinates: other = alpha*base + second."""
-        e1, e2 = complete_unimodular(base)
-        # coordinates of `other` in the unimodular basis [base, e1, e2]
-        m = [[base[i], e1[i], e2[i]] for i in range(3)]
-        det = (
-            m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-        )
-        cof = [[0] * 3 for _ in range(3)]
-        for i in range(3):
-            for j in range(3):
-                sub = [
-                    [m[r][c] for c in range(3) if c != j]
-                    for r in range(3) if r != i
-                ]
-                cof[i][j] = (-1) ** (i + j) * (sub[0][0] * sub[1][1] - sub[0][1] * sub[1][0])
-        coords = [
-            det * sum(cof[i][j] * other[i] for i in range(3))
-            for j in range(3)
-        ]  # det * M^{-1} * other; det in {1,-1} so this is integral
-        alpha, u, v = coords
-        if u == 0 and v == 0:
-            raise ValueError("points have the same kappa-image")
-        return cls(base=base, aux1=e1, aux2=e2, param=(u, v)), alpha
+        return cls(base=base, aux1=e1, aux2=e2, param=_pencil_param(param))
 
     def second(self) -> tuple[int, int, int]:
         u, v = self.param
@@ -165,7 +144,6 @@ class QuarticModel:
 
     a: BinForm  # degree 2
     b: BinForm  # degree 4
-    provenance: LineParam | None = None
 
     @property
     def field(self):
@@ -197,23 +175,21 @@ class QuarticModel:
         return not (F.is_zero(ds) and F.is_zero(dt))
 
 
-def pullback_generic(F, f: TernForm, g: TernForm, A, B, provenance=None) -> QuarticModel:
+def pullback_generic(F, f: TernForm, g: TernForm, A, B) -> QuarticModel:
     """Restrict the surface to the line parametrized by (s:t) |-> sA + tB."""
-    a = f.restrict_line(A, B)
-    b = g.restrict_line(A, B)
-    return QuarticModel(a=a, b=b, provenance=provenance)
+    return QuarticModel(a=f.restrict_line(A, B), b=g.restrict_line(A, B))
 
 
 def pullback_line(S, L: LineParam) -> QuarticModel:
     """E_L for a surface over Q (see geometry for the mod-p mirror)."""
     A, B = L.spanning()
-    return pullback_generic(S.f.field, S.f, S.g, A, B, provenance=L)
+    return pullback_generic(S.f.field, S.f, S.g, A, B)
 
 
 def classify_model(M: QuarticModel) -> ModelClass:
     """Smooth / irreducible-singular / geometrically-reducible trichotomy."""
     q = M.q()
-    if is_square_binform(q, up_to_scalar=True):
+    if is_square_binform(q):
         return ModelClass.Reducible
     if M.field.is_zero(disc_binary_quartic(q)):
         return ModelClass.IrreducibleSingular
@@ -246,7 +222,6 @@ class WeierstrassData:
     case: str  # "zero" (origin over a root of q) or "gen"
     m: list  # 2x2 reparametrization, columns in the field
     a_t: BinForm  # transformed a
-    b_t: BinForm  # transformed b
     qc: tuple  # q4, q3, q2, q1, q0 of the transformed quartic (in u = s/t)
     a2: object
     a4: object
@@ -380,7 +355,7 @@ def to_weierstrass(M: QuarticModel, O: CurvePoint) -> WeierstrassData:
         a6 = q1 * q1 * q4
         minv = _mat2_inv(F, m)
         return WeierstrassData(
-            model=M, origin=O, case="zero", m=m, a_t=a_t, b_t=b_t,
+            model=M, origin=O, case="zero", m=m, a_t=a_t,
             qc=(q4, q3, q2, q1, q0), a2=a2, a4=a4, a6=a6,
             extra={"minv": minv},
         )
@@ -413,7 +388,7 @@ def to_weierstrass(M: QuarticModel, O: CurvePoint) -> WeierstrassData:
     a6 = F.from_int(64) * A * A * d0
     minv = _mat2_inv(F, m)
     return WeierstrassData(
-        model=M, origin=O, case="gen", m=m, a_t=a_t, b_t=b_t,
+        model=M, origin=O, case="gen", m=m, a_t=a_t,
         qc=(q4, q3, q2, q1, q0), a2=a2, a4=a4, a6=a6,
         extra={"minv": minv, "A": A, "cp": cp, "r0": r0, "r1": r1, "r2": r2},
     )

@@ -35,6 +35,7 @@ from .exactalg import (
     is_square_binform,
     poly_gcd,
 )
+from .exactalg.factor import from_sympy_coeffs
 from .exactalg.modgcd import quotient_gcd
 from .genus1 import (
     LineParam,
@@ -450,12 +451,12 @@ def _count_bitangents_core(F, Bform: TernForm, p3):
             for i in range(3)
         )
         q = _restricted_quartic(K, Bform, p3, second)
-        if is_square_binform(q, up_to_scalar=True):
+        if is_square_binform(q):
             count += d.degree
             certificate.append((repr(d), d.degree))
     # the pencil member at t = infinity: line through p3 and e2
     q_inf = Bform.restrict_line(_as_field(F, p3), _as_field(F, e2))
-    if is_square_binform(q_inf, up_to_scalar=True):
+    if is_square_binform(q_inf):
         count += 1
         certificate.append(("t = infinity", 1))
     return count, certificate
@@ -520,17 +521,27 @@ class PhiDomainVerdict:
         }
 
 
-def phi_domain(S: SurfaceDP2, P: PointDP2, Q: PointDP2) -> PhiDomainVerdict:
+def _u_phi_failure(S: SurfaceDP2, P: PointDP2, Q: PointDP2) -> str | None:
+    """Why (P, Q) lies outside U_phi -- "SameImage", "BitangentLine" or
+    "NonSmoothEndpoint" -- or None when it lies in U_phi.  U_inv is the part
+    of U_phi with P in U_0 and Q off C_P."""
     if kappa(P) == kappa(Q):
-        return PhiDomainVerdict(False, False, "SameImage")
+        return "SameImage"
     model = pullback_generic(QQ, S.f, S.g, P.xyz(), Q.xyz())
     if classify_model(model) is ModelClass.Reducible:
-        return PhiDomainVerdict(False, False, "BitangentLine")
+        return "BitangentLine"
     iota_P = geiser(S, P)
     O = model.point(QQ.one, QQ.zero, Fraction(iota_P.w))
     Qc = model.point(QQ.zero, QQ.one, Fraction(Q.w))
     if not (model.is_smooth_at(O) and model.is_smooth_at(Qc)):
-        return PhiDomainVerdict(False, False, "NonSmoothEndpoint")
+        return "NonSmoothEndpoint"
+    return None
+
+
+def phi_domain(S: SurfaceDP2, P: PointDP2, Q: PointDP2) -> PhiDomainVerdict:
+    reason = _u_phi_failure(S, P, Q)
+    if reason is not None:
+        return PhiDomainVerdict(False, False, reason)
     cls = classify_point(S, P)
     if not cls.is_very_general:
         return PhiDomainVerdict(True, False, "FirstNotInU0")
@@ -546,13 +557,16 @@ def phi_domain(S: SurfaceDP2, P: PointDP2, Q: PointDP2) -> PhiDomainVerdict:
 _U, _V = sp.symbols("_u _v")
 
 
-def count_all_bitangents(S: SurfaceDP2, attempts: int = 6) -> int:
+_BITANGENT_FRAMES = 6  # coordinate frames tried before giving up
+
+
+def count_all_bitangents(S: SurfaceDP2) -> int:
     """Total number of bitangent lines of B over the algebraic closure,
     computed by elimination in the chart of lines z = u x + v y plus the
     pencil through (0:0:1); must equal 28 for smooth B."""
     rng = random.Random(1729)
     last_exc = None
-    for attempt in range(attempts):
+    for attempt in range(_BITANGENT_FRAMES):
         if attempt == 0:
             Bf = S.B
         else:
@@ -625,7 +639,7 @@ def _count_all_bitangents_frame(Bf: TernForm) -> int:
     for e_expr, _mult in a4p.factor_list()[1]:
         if e_expr.degree() == 0:
             continue
-        eQ = _poly_from_sympy(e_expr)
+        eQ = from_sympy_coeffs(e_expr.all_coeffs(), QQ).monic()
         Ke = QuotientField(eQ)
         a3K = _bivar_eval(Ke, a[3], _V)
         if a3K.is_zero():
@@ -697,16 +711,11 @@ def _subresultant_certificate(d: sp.Poly, lc_PQ: sp.Poly, prs) -> tuple[int, int
 def _common_roots_by_gcd(d: sp.Poly, P: sp.Poly, Q: sp.Poly) -> int:
     """Distinct common roots v of P(alpha, v), Q(alpha, v) at a root alpha
     of the irreducible d, from their gcd over K = Q(alpha)."""
-    K = QuotientField(_poly_from_sympy(d))
+    K = QuotientField(from_sympy_coeffs(d.all_coeffs(), QQ).monic())
     gK = quotient_gcd(_bivar_eval(K, P, _U), _bivar_eval(K, Q, _U))
     if gK.degree <= 0:
         return 0
     return (gK // quotient_gcd(gK, gK.derivative())).degree
-
-
-def _poly_from_sympy(expr_poly) -> Poly:
-    coeffs = [Fraction(c.p, c.q) for c in reversed(sp.Poly(expr_poly).all_coeffs())]
-    return Poly(QQ, coeffs).monic()
 
 
 def _bivar_eval(K: QuotientField, p: sp.Poly, var) -> Poly:

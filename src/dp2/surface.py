@@ -13,7 +13,6 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd as igcd
 
 from .errors import NotOnSurface, SingularBranchCurve, WrongDegrees
 from .exactalg import (
@@ -21,9 +20,11 @@ from .exactalg import (
     Poly,
     QuotientField,
     TernForm,
+    content_primitive_ints,
     factor_univariate,
     poly_gcd,
 )
+from .genus1 import _det3
 
 
 # ---------------------------------------------------------------------------
@@ -35,14 +36,7 @@ def _normalize_xyz(x: Fraction, y: Fraction, z: Fraction) -> tuple[int, int, int
     with (lam*x, lam*y, lam*z) = result."""
     if x == 0 and y == 0 and z == 0:
         raise ValueError("(0, 0, 0) is not a projective point")
-    den = 1
-    for a in (x, y, z):
-        den = den * a.denominator // igcd(den, a.denominator)
-    ints = [int(a * den) for a in (x, y, z)]
-    g = 0
-    for n in ints:
-        g = igcd(g, n)
-    ints = [n // g for n in ints]
+    ints, _ = content_primitive_ints([x, y, z])
     for n in ints:
         if n != 0:
             if n < 0:
@@ -97,6 +91,8 @@ class PointDP2:
         if len(parts) != 4:
             raise ValueError(f"point must be x:y:z:w, got {text!r}")
         x, y, z, w = (int(p) for p in parts)
+        if x == 0 and y == 0 and z == 0:
+            raise ValueError(f"point {text!r} has x = y = z = 0")
         return cls(x, y, z, w)
 
 
@@ -192,7 +188,10 @@ def _dict_eval_y(F, d, beta, K):
     return Poly(K, coeffs)
 
 
-def _is_smooth_quartic(B: TernForm, attempts: int = 6, rng_seed: int = 11) -> bool:
+_SMOOTH_FRAMES = 6  # coordinate frames tried before giving up
+
+
+def _is_smooth_quartic(B: TernForm) -> bool:
     """Exact smoothness test for a plane quartic over Q or F_p.
 
     A singular point is a common projective zero of the three partials (it
@@ -203,9 +202,9 @@ def _is_smooth_quartic(B: TernForm, attempts: int = 6, rng_seed: int = 11) -> bo
     coordinate frames are escaped by a deterministic random change of basis.
     """
     F = B.field
-    rng = random.Random(rng_seed)
+    rng = random.Random(11)
     form = B
-    for attempt in range(attempts):
+    for attempt in range(_SMOOTH_FRAMES):
         if attempt > 0:
             m = _random_unimodular(rng)
             form = _tern_substitute(B, m)
@@ -218,12 +217,7 @@ def _is_smooth_quartic(B: TernForm, attempts: int = 6, rng_seed: int = 11) -> bo
 def _random_unimodular(rng) -> list[list[int]]:
     while True:
         m = [[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)]
-        det = (
-            m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-        )
-        if det in (1, -1):
+        if _det3(m) in (1, -1):
             return m
 
 
@@ -294,9 +288,8 @@ def _smooth_in_frame(F, form: TernForm):
             if g.degree == 0:
                 break
         if g is not None and g.degree != 0:
-            if g.is_zero():
-                return False  # all partials vanish along y = beta
-            return False  # genuine common root: singular point
+            # a genuine common root, or all partials vanish along y = beta
+            return False
     return True
 
 
@@ -353,29 +346,15 @@ def _normalization_scalar(f: TernForm, g: TernForm) -> Fraction:
                     primes.add(n)
     mu = Fraction(1)
     for ell in sorted(primes):
-        mf = _min_valuation(f, ell) if not f.is_zero() else None
-        mg = _min_valuation(g, ell) if not g.is_zero() else None
-        cands = []
-        if mf is not None:
-            cands.append(-mf)
-        if mg is not None:
-            cands.append(-(mg // 2) if mg % 2 == 0 else -(mg // 2))
-        if not cands:
-            continue
-        # e must satisfy e >= -mf and 2e >= -mg; smallest such integer
-        e = None
-        lo = min(cands) - 2
-        hi = max(cands) + 2
-        for cand in range(lo, hi + 1):
-            ok = True
-            if mf is not None and mf + cand < 0:
-                ok = False
-            if mg is not None and mg + 2 * cand < 0:
-                ok = False
-            if ok:
-                e = cand
-                break
-        mu *= Fraction(ell) ** e
+        # the smallest integer e with e >= -mf and 2e >= -mg, over the
+        # forms that are nonzero; -(mg // 2) is the ceiling of -mg / 2
+        bounds = []
+        if not f.is_zero():
+            bounds.append(-_min_valuation(f, ell))
+        if not g.is_zero():
+            bounds.append(-(_min_valuation(g, ell) // 2))
+        if bounds:
+            mu *= Fraction(ell) ** max(bounds)
     return mu
 
 
@@ -446,15 +425,32 @@ def serialize_surface(S: SurfaceDP2) -> str:
 
 
 def parse_surface(text: str) -> SurfaceDP2:
+    """Surface from the JSON written by serialize_surface; ValueError (or its
+    subclass json.JSONDecodeError) for text not in that format."""
     doc = json.loads(text)
-    def load(entries, degree):
+    if not isinstance(doc, dict):
+        raise ValueError("surface file must hold an object with keys 'f' and 'g'")
+
+    def load(name, degree):
+        entries = doc.get(name, [])
+        if not isinstance(entries, list):
+            raise ValueError(f"'{name}' must be a list of [i, j, k, c] entries")
         out = {}
-        for i, j, k, v in entries:
-            out[(int(i), int(j), int(k))] = Fraction(v)
+        for entry in entries:
+            bad = ValueError(f"'{name}' entry {entry!r} is not [i, j, k, c]")
+            # a JSON float would become its binary fraction, not the decimal
+            if not isinstance(entry, list) or len(entry) != 4 or isinstance(entry[3], float):
+                raise bad
+            try:
+                exps = tuple(int(e) for e in entry[:3])
+                out[exps] = Fraction(entry[3])
+            except (TypeError, ValueError, ZeroDivisionError) as exc:
+                raise bad from exc
+            if min(exps) < 0:
+                raise bad
         return TernForm(QQ, degree, out)
-    f = load(doc.get("f", []), 2)
-    g = load(doc.get("g", []), 4)
-    return validate_surface(f, g)
+
+    return validate_surface(load("f", 2), load("g", 4))
 
 
 def load_surface(path: str) -> SurfaceDP2:

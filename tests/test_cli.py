@@ -3,6 +3,7 @@
 import json
 from pathlib import Path
 
+import pytest
 
 from dp2.cli import main
 
@@ -45,6 +46,26 @@ class TestClassify:
         code, _, _ = run(capsys, "classify", "--surface", "/nonexistent.json", "--point", "1:0:0:1")
         assert code == 1
 
+    def test_zero_point(self, capsys):
+        code, _, err = run(capsys, "classify", "--surface", S0, "--point", "0:0:0:1")
+        assert code == 1
+        assert "x = y = z = 0" in err
+
+    @pytest.mark.parametrize("doc", [
+        {"g": {"4,0,0": 1, "0,4,0": 1, "0,0,4": 1}},
+        {"g": [[4, 0, 0, "1"], [0, 4, 0]]},
+        {"g": [[4, 0, 0, None]]},
+        {"g": [[4, 0, 0, 0.5], [0, 4, 0, "1"], [0, 0, 4, "1"]]},
+        {"g": [[-1, 0, 5, "1"]]},
+        [[4, 0, 0, "1"]],
+    ])
+    def test_surface_file_not_in_list_format(self, capsys, tmp_path, doc):
+        path = tmp_path / "surface.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "classify", "--surface", str(path), "--point", "1:0:0:1")
+        assert code == 1
+        assert "bad surface file" in err
+
     def test_point_off_surface(self, capsys):
         code, _, _ = run(capsys, "classify", "--surface", S0, "--point", "1:1:0:1")
         assert code == 2
@@ -81,6 +102,11 @@ class TestCurve:
         rec = parse_jsonl(out)[0]
         assert rec["section_vanishes_at_point"] is True
         assert rec["section"]["lambda"] == 111284641
+
+    def test_zero_param(self, capsys):
+        code, _, err = run(capsys, "curve", "--surface", S0, "--point", "20:15:12:481", "--param", "0:0")
+        assert code == 2
+        assert "BadParameter" in err
 
     def test_not_very_general(self, capsys):
         code, _, _ = run(capsys, "curve", "--surface", SK, "--point", "0:0:1:0", "--param", "1:2")
@@ -140,6 +166,13 @@ class TestUsage:
         code = main(["frobnicate"])
         capsys.readouterr()
         assert code == 1
+
+    @pytest.mark.parametrize("command", ["classify", "phi", "curve", "generate", "oracle", "verify"])
+    def test_jobs_is_not_an_option(self, capsys, command):
+        point = ("--point", "1:0:0:1") if command in ("classify", "phi", "curve", "generate") else ()
+        code, _, err = run(capsys, command, "--surface", S0, *point, "--jobs", "2")
+        assert code == 1
+        assert "--jobs" in err
 
     def test_no_args(self, capsys):
         code = main([])

@@ -152,11 +152,6 @@ class TestGenerate:
         assert stats.attempted == 60
         assert stats.succeeded + stats.failed == 60
 
-    def test_jobs_do_not_change_output(self, ctx_r):
-        a = generate_points(ctx_r, "f2", 40, 10**500, 5, jobs=1)
-        b = generate_points(ctx_r, "f2", 40, 10**500, 5, jobs=4)
-        assert a == b
-
     def test_bad_arguments(self, ctx_r):
         with pytest.raises(BadParameter):
             generate_points(ctx_r, "f2", 0, 10, 1)

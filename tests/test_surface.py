@@ -54,6 +54,11 @@ class TestValidate:
         )
         S = validate_surface(TernForm(QQ, 2, {}), g)
         assert S.g.c == s0.g.c and S.f.c == s0.f.c
+        # (c f, c^2 g) is the same surface; with f != 0 both f and g bound mu
+        r2 = load_surface(SURFACE_DIR / "random2.json")
+        for c in (Fraction(2, 3), Fraction(12)):
+            S = validate_surface(r2.f.scale(c), r2.g.scale(c * c))
+            assert S.f.c == r2.f.c and S.g.c == r2.g.c
 
     def test_random_surfaces_valid(self, random_surfaces):
         for S in random_surfaces:
@@ -73,6 +78,8 @@ class TestPoints:
         assert PointDP2.parse("1:0:0:-1") == PointDP2(1, 0, 0, -1)
         with pytest.raises(ValueError):
             PointDP2.parse("1:2")
+        with pytest.raises(ValueError):
+            PointDP2.parse("0:0:0:1")
 
     def test_kappa(self, sk):
         assert kappa(PointDP2(0, 0, 1, 0)) == PointP2(0, 0, 1)
