@@ -13,10 +13,6 @@ class WrongDegree(DP2Error):
     pass
 
 
-class OddDegree(DP2Error):
-    pass
-
-
 class WrongDegrees(DP2Error):
     pass
 

@@ -9,9 +9,9 @@ from .poly import (
     content_primitive_ints,
     disc_binary_quartic,
     is_square_binform,
-    is_squarefree,
     poly_gcd,
     poly_xgcd,
+    square_conditions,
     squarefree_factor,
 )
 from .quotient import QuotientElt, QuotientField
@@ -32,8 +32,8 @@ __all__ = [
     "factor_rational",
     "factor_univariate",
     "is_square_binform",
-    "is_squarefree",
     "poly_gcd",
     "poly_xgcd",
+    "square_conditions",
     "squarefree_factor",
 ]

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd as igcd
 
-from ..errors import OddDegree, WrongDegree, ZeroPolynomial
+from ..errors import WrongDegree, ZeroPolynomial
 from .field import RationalField
 
 
@@ -254,10 +254,6 @@ def squarefree_factor(a: Poly) -> list[tuple[Poly, int]]:
     return out
 
 
-def is_squarefree(a: Poly) -> bool:
-    return poly_gcd(a, a.derivative()).degree == 0
-
-
 # ---------------------------------------------------------------------------
 # Binary forms
 
@@ -387,24 +383,31 @@ def disc_binary_quartic(q: BinForm):
     return (F.from_int(4) * I * I * I - J * J) / F.from_int(27)
 
 
+def square_conditions(a0, a1, a2, a3, a4):
+    """(c1, c2) with c1 = c2 = 0 exactly when the quartic sum a_i s^(4-i) t^i
+    with a4 != 0 is c * h^2 over the algebraic closure (characteristic != 2).
+    The coefficients of t^4, s t^3, s^2 t^2 fix c = a4 and h = t^2 + b s t
+    + e s^2 with b = a3 / (2 a4), e = (4 a4 a2 - a3^2) / (8 a4^2); c1 and c2
+    are those of s^3 t and s^4 in q - a4 h^2, times 8 a4^2 and 64 a4^3.
+    Uses only +, - and *, so the a_i may be field elements, `Poly`s or
+    sympy `Poly`s."""
+    c1 = 8 * a4 * a4 * a1 - 4 * a4 * a2 * a3 + a3 * a3 * a3
+    h = 4 * a4 * a2 - a3 * a3
+    return c1, 64 * a4 * a4 * a4 * a0 - h * h
+
+
 def is_square_binform(q: BinForm) -> bool:
-    """Whether q = c * h^2 with c a scalar and h a binary form over the
-    algebraic closure: all roots of q there have even multiplicity."""
-    if q.degree % 2 != 0:
-        raise OddDegree("square test needs even degree")
+    """Whether the binary quartic q is c * h^2 with c a scalar and h a
+    binary form over the algebraic closure (characteristic != 2).  With
+    a4 = 0, s divides q and then h, so q = s^2 (a0 s^2 + a1 s t + a2 t^2)
+    with a3 = 0 and the quadratic a square."""
+    if q.degree != 4:
+        raise WrongDegree("binary quartic expected")
     F = q.field
-    if q.is_zero():
-        return True
-    # split off the root at infinity (s-power): c[0..] leading zeros in s
-    inf_mult = 0
-    c = list(q.c)
-    while F.is_zero(c[0]):
-        inf_mult += 1
-        c.pop(0)
-    if inf_mult % 2 != 0:
-        return False
-    p = Poly(F, list(reversed(c)))  # exact finite part, degree = len(c)-1
-    return all(mult % 2 == 0 for _, mult in squarefree_factor(p))
+    a0, a1, a2, a3, a4 = q.c
+    if F.is_zero(a4):
+        return F.is_zero(a3) and F.is_zero(a1 * a1 - 4 * a0 * a2)
+    return all(F.is_zero(c) for c in square_conditions(a0, a1, a2, a3, a4))
 
 
 def content_primitive_ints(fracs: list[Fraction]) -> tuple[list[int], Fraction]:

@@ -52,9 +52,10 @@ class SurfaceModP:
 
 
 def reduce_surface(S: SurfaceDP2, p: int) -> SurfaceModP:
-    """Reduce mod p, certifying that B stays a smooth quartic."""
-    if not sp.isprime(p) or p == 2:
-        raise BadPrime(f"{p} is not an odd prime")
+    """Reduce mod p, certifying that B stays a smooth quartic.  The quartic
+    discriminant and the jets divide by 2 and 3, so p must be at least 5."""
+    if not sp.isprime(p) or p < 5:
+        raise BadPrime(f"{p} is not a prime >= 5")
     F = PrimeField(p)
     fp = S.f.map_coeffs(F.from_int, F)
     gp = S.g.map_coeffs(F.from_int, F)

@@ -25,7 +25,6 @@ from .errors import (
 )
 from .exactalg import (
     QQ,
-    BinForm,
     Poly,
     QuotientField,
     RationalField,
@@ -34,6 +33,7 @@ from .exactalg import (
     factor_univariate,
     is_square_binform,
     poly_gcd,
+    square_conditions,
 )
 from .exactalg.factor import from_sympy_coeffs
 from .exactalg.modgcd import quotient_gcd
@@ -381,7 +381,7 @@ def c_p_point(S: SurfaceDP2, P: PointDP2, param: tuple[int, int]) -> PointDP2:
 
 class _PolyRing:
     """Minimal ring adapter so TernForm/BinForm machinery can carry
-    polynomial (in t) coefficients during the pencil-discriminant setup."""
+    polynomial (in t) coefficients when B is restricted to the pencil."""
 
     def __init__(self, F):
         self.F = F
@@ -408,53 +408,43 @@ def _pencil_basis(F, p3):
     return e[others[0]], e[others[1]]
 
 
-def _restrict_disc_pencil(F, Bform: TernForm, p3, e1, e2) -> Poly:
-    """disc of B restricted to the line through p3 and e1 + t*e2, as a
-    polynomial in t."""
-    ring = _PolyRing(F)
-    B_ring = Bform.map_coeffs(lambda v: Poly(F, [v]), ring)
-    pconst = [Poly(F, [_f(F, v)]) for v in p3]
-    moving = [Poly(F, [_f(F, e1[i]), _f(F, e2[i])]) for i in range(3)]
-    q = B_ring.restrict_line(pconst, moving)
-    a, b, c, d, e = q.c
-    I = 12 * (a * e) - 3 * (b * d) + c * c
-    J = 72 * (a * c * e) + 9 * (b * c * d) - 27 * (a * d * d) - 27 * (e * b * b) - 2 * (c * c * c)
-    disc = 4 * (I * I * I) - J * J
-    return disc.scale(F.one / F.from_int(27))
-
-
-def _restricted_quartic(K, Bform: TernForm, p3, second) -> BinForm:
-    """B restricted to the line through p3 and `second`, coefficients in K."""
-    BK = Bform.map_coeffs(K.from_base, K)
-    pK = tuple(K.from_base(_f(K.base, v)) for v in p3)
-    sK = tuple(second)
-    return BK.restrict_line(pK, sK)
-
-
 def _count_bitangents_core(F, Bform: TernForm, p3):
     """Number of distinct lines through p3 (over the algebraic closure) whose
     restriction of B is a square up to scalar; with a certificate listing the
-    passing irreducible pencil parameters."""
+    passing irreducible pencil parameters.
+
+    The members are the line through p3 and e1 + t*e2, plus the one through
+    p3 and e2 (t = infinity), tested on its own.  B restricted to the first
+    is sum a_i(t) s^(4-i) r^i; let c1, c2 be its `square_conditions`, and
+    G = gcd(c1, c2) over F.
+
+    1. Every square member is a root of G: with a4(t) != 0, c1 = c2 = 0 is
+       the square test itself; with a4(t) = 0, c1 = a3^3 and c2 = -a3^4,
+       and a square member has a3(t) = 0.
+    2. At a root t of G with a4(t) = 0, a3(t) = 0 follows from c1 = 0, so
+       the member is a square exactly when a1^2 - 4 a0 a2 vanishes at t.
+       For an irreducible factor d of G, a4 vanishes at all roots of d or
+       at none, as d | a4 or not; likewise for a1^2 - 4 a0 a2.  So all
+       roots of d pass, unless d | a4 and d does not divide a1^2 - 4 a0 a2,
+       when none does.
+    3. F is Q or F_p, so an irreducible d is separable: its deg d roots are
+       distinct, as are the lines they give, and factors share no root."""
     e1, e2 = _pencil_basis(F, p3)
-    D = _restrict_disc_pencil(F, Bform, p3, e1, e2)
-    if D.is_zero():
-        raise EliminationDegenerate("pencil discriminant vanishes identically")
+    B_ring = Bform.map_coeffs(lambda v: Poly(F, [v]), _PolyRing(F))
+    pconst = [Poly(F, [_f(F, v)]) for v in p3]
+    moving = [Poly(F, [_f(F, e1[i]), _f(F, e2[i])]) for i in range(3)]
+    a0, a1, a2, a3, a4 = B_ring.restrict_line(pconst, moving).c
+    G = poly_gcd(*square_conditions(a0, a1, a2, a3, a4))
+    if G.is_zero():
+        raise EliminationDegenerate("square conditions vanish along the pencil")
+    disc2 = a1 * a1 - 4 * a0 * a2
     count = 0
     certificate = []
-    for d, _mult in factor_univariate(D.monic()):
-        if d.degree == 0:
+    for d, _mult in factor_univariate(G):
+        if (a4 % d).is_zero() and not (disc2 % d).is_zero():
             continue
-        K = QuotientField(d)
-        alpha = K.gen
-        second = tuple(
-            K.from_base(_f(F, e1[i])) + alpha * K.from_base(_f(F, e2[i]))
-            for i in range(3)
-        )
-        q = _restricted_quartic(K, Bform, p3, second)
-        if is_square_binform(q):
-            count += d.degree
-            certificate.append((repr(d), d.degree))
-    # the pencil member at t = infinity: line through p3 and e2
+        count += d.degree
+        certificate.append((repr(d), d.degree))
     q_inf = Bform.restrict_line(_as_field(F, p3), _as_field(F, e2))
     if is_square_binform(q_inf):
         count += 1
@@ -667,8 +657,7 @@ def _chart_conditions(Bf: TernForm):
             key = (l, k - l)
             a[j + l][key] = a[j + l].get(key, sp.QQ.zero) + c * comb(k, l)
     a = [sp.Poly.from_dict(t, _V, _U, domain=sp.QQ) for t in a]
-    c1 = 8 * a[4] ** 2 * a[1] - 4 * a[4] * a[2] * a[3] + a[3] ** 3
-    c2 = 64 * a[4] ** 3 * a[0] - (4 * a[4] * a[2] - a[3] ** 2) ** 2
+    c1, c2 = square_conditions(*a)
     if c1.is_zero or c2.is_zero:
         raise EliminationDegenerate("chart conditions vanish identically")
     P, Q = sorted((c1, c2), key=lambda p: p.degree(), reverse=True)

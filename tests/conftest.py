@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from dp2.exactalg import QQ, TernForm
+from dp2.exactalg import QQ, Poly, TernForm, squarefree_factor
 from dp2.surface import SurfaceDP2, validate_surface
 
 SURFACE_DIR = Path(__file__).resolve().parent.parent / "surfaces"
@@ -41,6 +41,19 @@ def seeded_random_surface(seed: int) -> SurfaceDP2:
     f = {k: v for k, v in f.items() if v}
     g = {k: v for k, v in g.items() if v}
     return validate_surface(TernForm(QQ, 2, f), TernForm(QQ, 4, g))
+
+
+def square_by_yun(q) -> bool:
+    """Reference square test for a binary form q: split off the root at
+    infinity (t^k, from the leading zero coefficients), then require every
+    multiplicity of Yun's squarefree decomposition to be even.  Valid when
+    every multiplicity is below the characteristic."""
+    F = q.field
+    if q.is_zero():
+        return True
+    k = next(i for i, a in enumerate(q.c) if not F.is_zero(a))
+    finite = Poly(F, list(reversed(q.c[k:])))
+    return k % 2 == 0 and all(mult % 2 == 0 for _, mult in squarefree_factor(finite))
 
 
 @pytest.fixture(scope="session")

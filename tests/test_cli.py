@@ -145,6 +145,13 @@ class TestOracle:
         assert recs[1]["p"] == 5 and recs[1]["good"] is True
         assert recs[1]["weil_band_ok"] is True
 
+    @pytest.mark.parametrize("name", ["s0", "s_k"])
+    def test_prime_three_is_a_bad_prime(self, capsys, name):
+        code, out, _ = run(capsys, "oracle", "--surface", str(SURFACE_DIR / f"{name}.json"), "--primes", "3")
+        assert code == 0
+        rec = parse_jsonl(out)[0]
+        assert rec["p"] == 3 and rec["good"] is False
+
     def test_bad_prime_list(self, capsys):
         code, _, _ = run(capsys, "oracle", "--surface", R2, "--primes", "2,x")
         assert code == 1

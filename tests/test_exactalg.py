@@ -4,6 +4,9 @@ modular extension-field GCD."""
 from fractions import Fraction
 
 import pytest
+from conftest import square_by_yun
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from dp2.errors import WrongDegree
 from dp2.exactalg import (
@@ -18,7 +21,6 @@ from dp2.exactalg import (
     factor_modp,
     factor_rational,
     is_square_binform,
-    is_squarefree,
     poly_gcd,
     poly_xgcd,
     squarefree_factor,
@@ -55,8 +57,6 @@ class TestPoly:
         a = P(1, 1) * P(1, 1) * P(-2, 1)
         parts = squarefree_factor(a)
         assert parts == [(P(-2, 1).monic(), 1), (P(1, 1).monic(), 2)]
-        assert not is_squarefree(a)
-        assert is_squarefree(P(-2, 1) * P(1, 1))
 
 
 class TestPrimeField:
@@ -100,11 +100,56 @@ class TestBinForm:
         assert is_square_binform(sq.scale(Fraction(2)))
         # s^4 + t^4 has four simple roots
         assert not is_square_binform(BinForm(QQ, 4, [Fraction(1), 0, 0, 0, Fraction(1)]))
+        # a4 = 0 or a3 = a4 = 0, and the zero form
+        for coeffs, square in [
+            ((0, 0, 0, 0, 0), True),
+            ((3, 0, 0, 0, 0), True),    # 3 s^4
+            ((1, 2, 1, 0, 0), True),    # s^2 (s + t)^2
+            ((1, 3, 1, 0, 0), False),   # s^2 (s^2 + 3 s t + t^2)
+            ((1, 0, 0, 1, 0), False),   # s (s^3 + t^3)
+            ((0, 0, 0, 0, 5), True),    # 5 t^4
+            ((0, 0, 0, 1, 1), False),   # s t^3 + t^4
+        ]:
+            assert is_square_binform(BinForm.from_ints(QQ, 4, coeffs)) is square, coeffs
+        # the closed form holds in characteristic 3, where Yun's does not
+        assert is_square_binform(BinForm.from_ints(PrimeField(3), 4, [1, 0, 0, 0, 0]))
 
     def test_restrict_line(self):
         B = TernForm(QQ, 4, {(4, 0, 0): Fraction(1), (0, 4, 0): Fraction(1), (0, 0, 4): Fraction(1)})
         q = B.restrict_line((Fraction(1), Fraction(0), Fraction(0)), (Fraction(0), Fraction(1), Fraction(0)))
         assert q.c == [Fraction(1), Fraction(0), Fraction(0), Fraction(0), Fraction(1)]
+
+
+# Yun's method needs multiplicities below the characteristic: F_3 is left out
+SQUARE_TEST_FIELDS = [QQ, PrimeField(5), PrimeField(7), PrimeField(11), QuotientField(P(-1, -1, 0, 1))]
+
+
+@st.composite
+def binary_quartics(draw):
+    """Quartics over one of SQUARE_TEST_FIELDS: arbitrary ones, scaled
+    squares c * h^2, and either kind with a4 or a3, a4 set to zero."""
+    K = draw(st.sampled_from(SQUARE_TEST_FIELDS))
+
+    def elt():
+        a, b = (Fraction(draw(st.integers(-4, 4)), draw(st.integers(1, 3))) for _ in range(2))
+        if isinstance(K, QuotientField):
+            return K.from_base(a) + K.from_base(b) * K.gen
+        return K.from_int(a)
+
+    if draw(st.booleans()):
+        h = BinForm(K, 2, [elt() for _ in range(3)])
+        q = (h * h).scale(elt())
+    else:
+        q = BinForm(K, 4, [elt() for _ in range(5)])
+    zeros = draw(st.sampled_from([(), (4,), (3, 4)]))
+    return BinForm(K, 4, [K.zero if i in zeros else a for i, a in enumerate(q.c)])
+
+
+@seed(4)
+@settings(max_examples=300, deadline=2000, database=None)
+@given(binary_quartics())
+def test_square_conditions_match_yun(q):
+    assert is_square_binform(q) == square_by_yun(q)
 
 
 class TestQuotientField:

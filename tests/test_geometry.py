@@ -6,15 +6,20 @@ base-locus oracle at several good primes, then pinned.
 
 import pytest
 import sympy as sp
-from conftest import seeded_random_surface
+from conftest import SURFACE_DIR, seeded_random_surface, square_by_yun
 
-from dp2.errors import NotVeryGeneral, SameImage
+from dp2.errors import EliminationDegenerate, NotVeryGeneral, SameImage
+from dp2.exactalg import QQ, Poly, PrimeField, QuotientField, factor_univariate
 from dp2.geometry import (
     _U,
     _V,
     _chart_conditions,
     _common_roots_by_gcd,
+    _count_bitangents_core,
+    _f,
     _lc_v,
+    _pencil_basis,
+    _PolyRing,
     _subresultant_certificate,
     c_p_point,
     classify_point,
@@ -24,7 +29,7 @@ from dp2.geometry import (
     phi,
     phi_domain,
 )
-from dp2.surface import PointDP2, PointP2, geiser
+from dp2.surface import PointDP2, PointP2, geiser, load_surface
 
 P0 = PointDP2(20, 15, 12, 481)
 Q1 = PointDP2(0, 1, 0, 1)
@@ -123,6 +128,87 @@ class TestClassification:
         n, cert = count_bitangents_through(s0, PointP2(1, 0, 0))
         assert n == 4
         assert cert
+
+
+def _count_by_discriminant(F, Bform, p3):
+    """The pencil count before the square conditions: factor the pencil
+    discriminant D(t) of B on the line through p3 and e1 + t*e2, then test
+    B on that line over F[t]/(d) for each irreducible factor d of D."""
+    e1, e2 = _pencil_basis(F, p3)
+    B_ring = Bform.map_coeffs(lambda v: Poly(F, [v]), _PolyRing(F))
+    pconst = [Poly(F, [_f(F, v)]) for v in p3]
+    moving = [Poly(F, [_f(F, e1[i]), _f(F, e2[i])]) for i in range(3)]
+    a, b, c, d, e = B_ring.restrict_line(pconst, moving).c
+    I = 12 * (a * e) - 3 * (b * d) + c * c
+    J = 72 * (a * c * e) + 9 * (b * c * d) - 27 * (a * d * d) - 27 * (e * b * b) - 2 * (c * c * c)
+    D = 4 * (I * I * I) - J * J  # 27 times the discriminant
+    if D.is_zero():
+        raise EliminationDegenerate("pencil discriminant vanishes identically")
+    count, certificate = 0, []
+    for m, _mult in factor_univariate(D.monic()):
+        K = QuotientField(m)
+        second = [K.from_base(_f(F, e1[i])) + K.gen * K.from_base(_f(F, e2[i])) for i in range(3)]
+        BK = Bform.map_coeffs(K.from_base, K)
+        if square_by_yun(BK.restrict_line([K.from_base(_f(F, v)) for v in p3], second)):
+            count += m.degree
+            certificate.append((repr(m), m.degree))
+    if square_by_yun(Bform.restrict_line([_f(F, v) for v in p3], [_f(F, v) for v in e2])):
+        count += 1
+        certificate.append(("t = infinity", 1))
+    return count, certificate
+
+
+def _both_counts(F, Bform, p3):
+    out = []
+    for count in (_count_bitangents_core, _count_by_discriminant):
+        try:
+            out.append(count(F, Bform, p3))
+        except EliminationDegenerate:
+            out.append(None)
+    return out
+
+
+PINNED_P2 = {
+    "s0": [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (20, 15, 12), (288600, 130111, 173160)],
+    "s_k": [(0, 0, 1), (1, 0, 0), (1, 1, 1), (1, 2, 3)],
+    "random2": [(1, 1, 0), (1, 1, 1), (0, 0, 1), (152506, 262431, 109925)],
+}
+
+
+class TestPencilCount:
+    """The count of bitangents through a point from gcd(c1, c2) agrees with
+    the discriminant-and-Yun count it replaced, certificate included."""
+
+    @pytest.mark.parametrize("name", sorted(PINNED_P2))
+    def test_pinned_points(self, name):
+        B = load_surface(SURFACE_DIR / f"{name}.json").B
+        counts = set()
+        for p3 in PINNED_P2[name]:
+            new, old = _both_counts(QQ, B, p3)
+            assert new == old, p3
+            counts.add(new[0])
+        assert counts >= {0} and (name != "s0" or 4 in counts)
+
+    @pytest.mark.parametrize("name", ["s0", "s_k"])
+    @pytest.mark.parametrize("p", [5, 7])
+    def test_every_point_of_the_plane_mod_p(self, name, p):
+        F = PrimeField(p)
+        B = load_surface(SURFACE_DIR / f"{name}.json").B.map_coeffs(F.from_int, F)
+        points = [(1, y, z) for y in range(p) for z in range(p)] + [(0, 1, z) for z in range(p)] + [(0, 0, 1)]
+        counts, singular = set(), []
+        for p3 in (tuple(F.from_int(v) for v in pt) for pt in points):
+            new, old = _both_counts(F, B, p3)
+            if old is None:
+                # D vanishes identically only at a singular point of B: the
+                # Klein quartic s_k has bad reduction at 7, which the oracle
+                # rejects before counting
+                assert all(F.is_zero(B.deriv(i).evaluate(*p3)) for i in range(3))
+                singular.append(p3)
+                continue
+            assert new == old, p3
+            counts.add(new[0])
+        assert len(singular) == (1 if (name, p) == ("s_k", 7) else 0)
+        assert len(counts) > 1
 
 
 class TestPhiDomain:
