@@ -9,7 +9,7 @@ evaluates a cover, and returns deduplicated points sorted by height.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import BadParameter, BitangentLine, DP2Error, NotVeryGeneral, SingularHit
@@ -64,6 +64,9 @@ class CoverContext:
     surface: SurfaceDP2
     P0: PointDP2
     section: SectionMinus2K  # osculating section cutting out C_{P0}
+    # f1's outcome per normalised pencil parameter: the point, or the
+    # BadParameter message of a bitangent or singular member
+    members: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def create(cls, S: SurfaceDP2, P0: PointDP2) -> "CoverContext":
@@ -108,12 +111,19 @@ def context_for(S: SurfaceDP2, P0: PointDP2 | None = None) -> CoverContext:
 
 def f1(ctx: CoverContext, pair: tuple[int, int]) -> PointDP2:
     """P^1 -> C_{P0}: the residual negation point on the selected pencil
-    member (pointwise model of the desingularization)."""
+    member (pointwise model of the desingularization).  Computed once per
+    member and context; a bad member raises the same BadParameter again."""
     pair = _pencil_param(pair)
-    try:
-        return c_p_point(ctx.surface, ctx.P0, pair)
-    except (BitangentLine, SingularHit) as exc:
-        raise BadParameter(f"bad pencil member {pair[0]}:{pair[1]}: {exc}") from exc
+    hit = ctx.members.get(pair)
+    if hit is None:
+        try:
+            hit = ctx.members[pair] = c_p_point(ctx.surface, ctx.P0, pair)
+        except (BitangentLine, SingularHit) as exc:
+            hit = ctx.members[pair] = f"bad pencil member {pair[0]}:{pair[1]}: {exc}"
+            raise BadParameter(hit) from exc
+    if isinstance(hit, str):
+        raise BadParameter(hit)
+    return hit
 
 
 def f2(ctx: CoverContext, pairs) -> PointDP2:

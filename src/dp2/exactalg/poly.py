@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import gcd as igcd
 
 from ..errors import WrongDegree, ZeroPolynomial
-from .field import RationalField
+from .field import PrimeField, PrimeFieldElt, RationalField
 
 
 class Poly:
@@ -311,32 +311,12 @@ class BinForm:
         return BinForm(self.field, self.degree - 1, c)
 
     def substitute(self, m):
-        """Pullback along (s,t) -> (m00 s + m01 t, m10 s + m11 t)."""
-        F = self.field
-        a, b = F.from_int(m[0][0]) if isinstance(m[0][0], int) else m[0][0], m[0][1]
-        b = F.from_int(b) if isinstance(b, int) else b
-        cc, d = m[1][0], m[1][1]
-        cc = F.from_int(cc) if isinstance(cc, int) else cc
-        d = F.from_int(d) if isinstance(d, int) else d
-        # u = a*s + b*t, v = cc*s + d*t as binary linear forms
-        lin_u = [a, b]
-        lin_v = [cc, d]
-        # accumulate sum c[i] * u^(d-i) * v^i as binary form of degree d
+        """Pullback along (s,t) -> (m00 s + m01 t, m10 s + m11 t); the entries
+        of m are ints or elements of the coefficient field."""
         n = self.degree
-        pow_u = [[F.one]]
-        for _ in range(n):
-            pow_u.append(_bin_mul(F, pow_u[-1], lin_u))
-        pow_v = [[F.one]]
-        for _ in range(n):
-            pow_v.append(_bin_mul(F, pow_v[-1], lin_v))
-        out = [F.zero] * (n + 1)
-        for i, coeff in enumerate(self.c):
-            if F.is_zero(coeff):
-                continue
-            term = _bin_mul(F, pow_u[n - i], pow_v[i])
-            for k, val in enumerate(term):
-                out[k] = out[k] + coeff * val
-        return BinForm(F, n, out)
+        terms = [((n - i, i), a) for i, a in enumerate(self.c) if not self.field.is_zero(a)]
+        cols = (m[0][0], m[1][0]), (m[0][1], m[1][1])
+        return BinForm(self.field, n, _restrict(self.field, terms, n, *cols))
 
     def scale(self, k):
         return BinForm(self.field, self.degree, [a * k for a in self.c])
@@ -347,7 +327,7 @@ class BinForm:
         return BinForm(self.field, self.degree, [x + y for x, y in zip(self.c, other.c)])
 
     def __mul__(self, other):
-        c = _bin_mul(self.field, self.c, other.c)
+        c = _bin_mul(self.field.zero, self.c, other.c)
         return BinForm(self.field, self.degree + other.degree, c)
 
     def __eq__(self, other):
@@ -357,12 +337,72 @@ class BinForm:
         return f"BinForm(deg={self.degree}, {self.c})"
 
 
-def _bin_mul(F, a, b):
-    out = [F.zero] * (len(a) + len(b) - 1)
+def _bin_mul(zero, a, b):
+    out = [zero] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         for j, y in enumerate(b):
             out[i + j] = out[i + j] + x * y
     return out
+
+
+def _expand_linear(terms, lins, n, zero):
+    """Coefficients [out_0, ..., out_n] (out_i at s^(n-i) t^i) of the sum of
+    c * prod_m (x_m s + y_m t)^(e_m) over the terms (e, c), with
+    lins[m] = (x_m, y_m) and every |e| = n.  Builds a power table of each
+    linear form and uses only + and *, so the entries may be ints or the
+    elements of any commutative ring."""
+    top = [max((e[m] for e, _ in terms), default=0) for m in range(len(lins))]
+    pows = []
+    for lin, k in zip(lins, top):
+        pw = [None, list(lin)]
+        for _ in range(k - 1):
+            pw.append(_bin_mul(zero, pw[-1], lin))
+        pows.append(pw)
+    out = [zero] * (n + 1)
+    for e, c in terms:
+        term = [c]
+        for pw, k in zip(pows, e):
+            if k:
+                term = _bin_mul(zero, term, pw[k])
+        for i, v in enumerate(term):
+            out[i] = out[i] + v
+    return out
+
+
+def _lcm_den(values) -> int:
+    den = 1
+    for a in values:
+        den = den * a.denominator // igcd(den, a.denominator)
+    return den
+
+
+def _restrict(F, terms, n, p1, p2) -> list:
+    """`_expand_linear` of the terms (e, c) at the linear forms
+    p1[m] s + p2[m] t, as n + 1 elements of F.  Over Q the denominators of
+    the c (lcm D) and of p1, p2 (lcms d1, d2) are cleared once, the kernel
+    runs on ints and coefficient i is one Fraction over D d1^(n-i) d2^i.
+    Over F_p it runs on residues, reduced once per coefficient.  Other rings
+    run it on their own elements, ints in p1, p2 mapped in by `from_int`."""
+    if isinstance(F, RationalField):
+        D, d1, d2 = _lcm_den(c for _, c in terms), _lcm_den(p1), _lcm_den(p2)
+        ints = [(e, c.numerator * (D // c.denominator)) for e, c in terms]
+        lins = [(a.numerator * (d1 // a.denominator), b.numerator * (d2 // b.denominator))
+                for a, b in zip(p1, p2)]
+        out = _expand_linear(ints, lins, n, 0)
+        return [Fraction(v, D * d1 ** (n - i) * d2**i) for i, v in enumerate(out)]
+    if isinstance(F, PrimeField):
+
+        def res(a):
+            return a.r if isinstance(a, PrimeFieldElt) else F.from_int(a).r
+
+        lins = [(res(a), res(b)) for a, b in zip(p1, p2)]
+        out = _expand_linear([(e, res(c)) for e, c in terms], lins, n, 0)
+        return [PrimeFieldElt(F.p, v) for v in out]
+
+    def conv(a):
+        return F.from_int(a) if isinstance(a, int) else a
+
+    return _expand_linear(terms, [(conv(a), conv(b)) for a, b in zip(p1, p2)], n, F.zero)
 
 
 def disc_binary_quartic(q: BinForm):
@@ -414,10 +454,8 @@ def content_primitive_ints(fracs: list[Fraction]) -> tuple[list[int], Fraction]:
     """Clear denominators and content: returns (ints, scale) with
     fracs = scale * ints and ints primitive with positive leading convention
     left to the caller."""
-    den = 1
-    for a in fracs:
-        den = den * a.denominator // igcd(den, a.denominator)
-    ints = [int(a * den) for a in fracs]
+    den = _lcm_den(fracs)
+    ints = [a.numerator * (den // a.denominator) for a in fracs]
     g = 0
     for n in ints:
         g = igcd(g, n)
@@ -510,27 +548,8 @@ class TernForm:
     def restrict_line(self, p1, p2) -> BinForm:
         """Binary form B(s*p1 + t*p2) of the same degree; p1, p2 are
         coordinate triples over the coefficient field (or ints)."""
-        F = self.field
-
-        def conv(v):
-            return [F.from_int(a) if isinstance(a, int) else a for a in v]
-
-        p1, p2 = conv(p1), conv(p2)
-        n = self.degree
-        # linear binary forms for each coordinate
-        lins = [[p1[m], p2[m]] for m in range(3)]
-        pows = []
-        for m in range(3):
-            pw = [[F.one]]
-            for _ in range(n):
-                pw.append(_bin_mul(F, pw[-1], lins[m]))
-            pows.append(pw)
-        out = [F.zero] * (n + 1)
-        for (i, j, k), val in self.c.items():
-            term = _bin_mul(F, _bin_mul(F, pows[0][i], pows[1][j]), pows[2][k])
-            for idx, v in enumerate(term):
-                out[idx] = out[idx] + val * v
-        return BinForm(F, n, out)
+        out = _restrict(self.field, list(self.c.items()), self.degree, p1, p2)
+        return BinForm(self.field, self.degree, out)
 
     def map_coeffs(self, fn, field=None):
         field = field or self.field

@@ -13,6 +13,9 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd as igcd
+
+from sympy import factorint
 
 from .errors import NotOnSurface, SingularBranchCurve, WrongDegrees
 from .exactalg import (
@@ -312,50 +315,74 @@ class SurfaceDP2:
         return w * w + fx * w == gx
 
 
-def _min_valuation(form: TernForm, ell: int):
-    v = None
-    for val in form.c.values():
-        n, d = val.numerator, val.denominator
-        e = 0
-        while d % ell == 0:
-            d //= ell
-            e -= 1
-        if e == 0:
-            while n % ell == 0 and n != 0:
-                n //= ell
-                e += 1
-        v = e if v is None else min(v, e)
-    return v
+def _coprime_base(nums) -> list[int]:
+    """Pairwise coprime integers > 1 of which every n in nums is a product
+    of powers (factor refinement by gcds: a pair sharing g > 1 is replaced
+    by g and the two cofactors, which lowers the product of the list)."""
+    base: list[int] = []
+    todo = [n for n in nums if n > 1]
+    while todo:
+        n = todo.pop()
+        for i, b in enumerate(base):
+            g = igcd(n, b)
+            if g > 1:
+                base.pop(i)
+                todo.extend(x for x in (g, b // g, n // g) if x > 1)
+                break
+        else:
+            base.append(n)
+    return base
+
+
+def _multiplicity(b: int, val: Fraction) -> int:
+    """k with val = b^k * (numerator and denominator prime to b), for b in a
+    coprime base of val's numerator and denominator."""
+    k = 0
+    n, d = abs(val.numerator), val.denominator
+    while n % b == 0:
+        n //= b
+        k += 1
+    while d % b == 0:
+        d //= b
+        k -= 1
+    return k
 
 
 def _normalization_scalar(f: TernForm, g: TernForm) -> Fraction:
     """Minimal mu > 0 with mu*f, mu^2*g integral and jointly primitive under
-    (f, g) -> (mu f, mu^2 g)."""
-    primes = set()
-    for form in (f, g):
-        for val in form.c.values():
-            for n in (abs(val.numerator), val.denominator):
-                d = 2
-                while d * d <= n:
-                    if n % d == 0:
-                        primes.add(d)
-                        while n % d == 0:
-                            n //= d
-                    d += 1
-                if n > 1:
-                    primes.add(n)
+    (f, g) -> (mu f, mu^2 g).
+
+    For a prime l with least valuations vf, vg over the coefficients of the
+    nonzero forms, v_l(mu) = max(-vf, ceil(-vg / 2)), so only primes of the
+    denominators or of the joint content count.  The numerators and
+    denominators are split over a coprime base by gcds alone: l | b gives
+    vf = v_l(b) kf and vg = v_l(b) kg, with kf, kg the least multiplicities
+    of b over f and g.  So b contributes b^max(-kf, ceil(-kg / 2)), unless kg
+    is odd and ceil(-kg / 2) > -kf (or f = 0): then v_l(mu) =
+    ceil(-v_l(b) kg / 2), and b contributes b^((-kg - 1) / 2) times the
+    least r with b | r^2.  That case alone factors b."""
+    vals = [*f.c.values(), *g.c.values()]
+    nums = [abs(v.numerator) for v in vals] + [v.denominator for v in vals]
     mu = Fraction(1)
-    for ell in sorted(primes):
-        # the smallest integer e with e >= -mf and 2e >= -mg, over the
-        # forms that are nonzero; -(mg // 2) is the ceiling of -mg / 2
-        bounds = []
-        if not f.is_zero():
-            bounds.append(-_min_valuation(f, ell))
-        if not g.is_zero():
-            bounds.append(-(_min_valuation(g, ell) // 2))
-        if bounds:
-            mu *= Fraction(ell) ** max(bounds)
+    for b in _coprime_base(nums):
+        bounds = [-min(_multiplicity(b, val) for val in f.c.values())] if f.c else []
+        if g.c:
+            kg = min(_multiplicity(b, val) for val in g.c.values())
+            bg = -(kg // 2)  # ceil(-kg / 2)
+            if kg % 2 and all(bg > e for e in bounds):
+                mu *= Fraction(b) ** (bg - 1) * _square_cover(b)
+                continue
+            bounds.append(bg)
+        mu *= Fraction(b) ** max(bounds)
     return mu
+
+
+def _square_cover(b: int) -> int:
+    """The least r > 0 with b | r^2."""
+    r = 1
+    for ell, v in factorint(b).items():
+        r *= ell ** ((v + 1) // 2)
+    return r
 
 
 def validate_surface(f: TernForm, g: TernForm) -> SurfaceDP2:

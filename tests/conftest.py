@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from dp2.exactalg import QQ, Poly, TernForm, squarefree_factor
+from dp2.exactalg import QQ, BinForm, Poly, TernForm, squarefree_factor
 from dp2.surface import SurfaceDP2, validate_surface
 
 SURFACE_DIR = Path(__file__).resolve().parent.parent / "surfaces"
@@ -54,6 +54,51 @@ def square_by_yun(q) -> bool:
     k = next(i for i, a in enumerate(q.c) if not F.is_zero(a))
     finite = Poly(F, list(reversed(q.c[k:])))
     return k % 2 == 0 and all(mult % 2 == 0 for _, mult in squarefree_factor(finite))
+
+
+def _bin_mul_reference(F, a, b):
+    out = [F.zero] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return out
+
+
+def _power_table_reference(F, lin, n):
+    pw = [[F.one]]
+    for _ in range(n):
+        pw.append(_bin_mul_reference(F, pw[-1], lin))
+    return pw
+
+
+def _in_field(F, v):
+    return F.from_int(v) if isinstance(v, int) else v
+
+
+def restrict_line_reference(form, p1, p2):
+    """Reference B(s*p1 + t*p2) for a ternary form over any field adapter:
+    the power-table expansion run on the field's own elements."""
+    F, n = form.field, form.degree
+    pows = [_power_table_reference(F, [_in_field(F, a), _in_field(F, b)], n) for a, b in zip(p1, p2)]
+    out = [F.zero] * (n + 1)
+    for (i, j, k), val in form.c.items():
+        term = _bin_mul_reference(F, _bin_mul_reference(F, pows[0][i], pows[1][j]), pows[2][k])
+        for idx, v in enumerate(term):
+            out[idx] = out[idx] + val * v
+    return BinForm(F, n, out)
+
+
+def substitute_reference(q, m):
+    """Reference pullback of a binary form along (s,t) -> (m00 s + m01 t,
+    m10 s + m11 t), on the field's own elements."""
+    F, n = q.field, q.degree
+    pow_u = _power_table_reference(F, [_in_field(F, m[0][0]), _in_field(F, m[0][1])], n)
+    pow_v = _power_table_reference(F, [_in_field(F, m[1][0]), _in_field(F, m[1][1])], n)
+    out = [F.zero] * (n + 1)
+    for i, coeff in enumerate(q.c):
+        for k, val in enumerate(_bin_mul_reference(F, pow_u[n - i], pow_v[i])):
+            out[k] = out[k] + coeff * val
+    return BinForm(F, n, out)
 
 
 @pytest.fixture(scope="session")

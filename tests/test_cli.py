@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from dp2.cli import main
+from dp2 import cli, fforacle
+from dp2.cli import MAX_ORACLE_PRIME, main
 
 SURFACE_DIR = Path(__file__).resolve().parent.parent / "surfaces"
 S0 = str(SURFACE_DIR / "s0.json")
@@ -155,6 +156,16 @@ class TestOracle:
     def test_bad_prime_list(self, capsys):
         code, _, _ = run(capsys, "oracle", "--surface", R2, "--primes", "2,x")
         assert code == 1
+
+    def test_prime_above_the_cap_is_a_usage_error(self, capsys, monkeypatch):
+        def expensive(*args):
+            raise AssertionError("ran before the prime cap")
+
+        monkeypatch.setattr(cli, "_oracle_instance", expensive)
+        monkeypatch.setattr(fforacle, "reduce_surface", expensive)
+        code, out, err = run(capsys, "oracle", "--surface", R2, "--primes", "5,1000003")
+        assert code == 1 and out == ""
+        assert f"MAX_ORACLE_PRIME = {MAX_ORACLE_PRIME}" in err and "1000003" in err
 
 
 class TestVerify:

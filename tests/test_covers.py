@@ -2,6 +2,7 @@
 
 import pytest
 
+from dp2 import covers
 from dp2.covers import (
     CoverContext,
     ParamTuple,
@@ -19,7 +20,7 @@ from dp2.covers import (
     rank_minus2K,
     rank_minusK,
 )
-from dp2.errors import BadParameter, DP2Error, NotVeryGeneral, SameImage
+from dp2.errors import BadParameter, BitangentLine, DP2Error, NotVeryGeneral, SameImage
 from dp2.geometry import classify_point, phi
 from dp2.surface import PointDP2, kappa
 
@@ -86,6 +87,45 @@ class TestF1:
                 f1(ctx_r, (k, 40 - k))
             except DP2Error as exc:
                 assert isinstance(exc, BadParameter)
+
+
+class TestF1Memo:
+    @pytest.fixture
+    def counted(self, ctx_r, monkeypatch):
+        """A fresh context over ctx_r's data, and the pencil parameters of
+        the c_p_point calls made from covers; the member 1:7 is made a
+        bitangent line."""
+        calls = []
+        real = covers.c_p_point
+
+        def c_p_point(S, P, param):
+            calls.append(param)
+            if param == (1, 7):
+                raise BitangentLine("pencil member is a bitangent line")
+            return real(S, P, param)
+
+        monkeypatch.setattr(covers, "c_p_point", c_p_point)
+        return CoverContext(surface=ctx_r.surface, P0=ctx_r.P0, section=ctx_r.section), calls
+
+    def test_repeat_is_one_c_p_point_call(self, counted):
+        ctx, calls = counted
+        assert f1(ctx, (1, 4)) == f1(ctx, (1, 4))
+        assert calls == [(1, 4)]
+
+    def test_normalised_parameters_share_an_entry(self, counted):
+        ctx, calls = counted
+        assert f1(ctx, (2, 4)) == f1(ctx, (-1, -2))
+        assert calls == [(1, 2)] and list(ctx.members) == [(1, 2)]
+
+    def test_bad_member_raises_the_same_text_again(self, counted):
+        ctx, calls = counted
+        texts = []
+        for pair in [(1, 7), (-2, -14)]:
+            with pytest.raises(BadParameter) as info:
+                f1(ctx, pair)
+            texts.append(str(info.value))
+        assert texts[0] == texts[1] == "bad pencil member 1:7: pencil member is a bitangent line"
+        assert calls == [(1, 7)]
 
 
 class TestCompositions:

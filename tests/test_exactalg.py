@@ -4,7 +4,7 @@ modular extension-field GCD."""
 from fractions import Fraction
 
 import pytest
-from conftest import square_by_yun
+from conftest import restrict_line_reference, square_by_yun, substitute_reference
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
@@ -150,6 +150,49 @@ def binary_quartics(draw):
 @given(binary_quartics())
 def test_square_conditions_match_yun(q):
     assert is_square_binform(q) == square_by_yun(q)
+
+
+KERNEL_FIELDS = [QQ, PrimeField(5), PrimeField(11), QuotientField(P(-1, -1, 0, 1))]
+
+
+@st.composite
+def restrictions(draw):
+    """A form of degree 2 or 4 over one of KERNEL_FIELDS, with two points
+    and a 2x2 matrix.  Over Q the coefficients are fractions and the
+    entries ints or fractions; over F_p the entries are ints or residues."""
+    K = draw(st.sampled_from(KERNEL_FIELDS))
+    n = draw(st.sampled_from([2, 4]))
+
+    def frac():  # denominators prime to 5 and 11
+        return Fraction(draw(st.integers(-9, 9)), draw(st.sampled_from([1, 2, 3, 4, 6, 12])))
+
+    def coeff():
+        a = frac()
+        if isinstance(K, QuotientField):
+            return K.from_base(a) + K.from_base(frac()) * K.gen
+        return K.from_int(a)
+
+    def entry():
+        if draw(st.booleans()):
+            return draw(st.integers(-20, 20))
+        return frac() if K is QQ else coeff()
+
+    monomials = [(i, j, n - i - j) for i in range(n + 1) for j in range(n + 1 - i)]
+    chosen = draw(st.lists(st.sampled_from(monomials), unique=True, max_size=len(monomials)))
+    form = TernForm(K, n, {m: coeff() for m in chosen})
+    binary = BinForm(K, n, [coeff() if draw(st.booleans()) else K.zero for _ in range(n + 1)])
+    p1, p2 = ([entry() for _ in range(3)] for _ in range(2))
+    m = [[entry(), entry()], [entry(), entry()]]
+    return form, p1, p2, binary, m
+
+
+@seed(5)
+@settings(max_examples=200, deadline=2000, database=None)
+@given(restrictions())
+def test_restriction_kernel_matches_reference(case):
+    form, p1, p2, binary, m = case
+    assert form.restrict_line(p1, p2) == restrict_line_reference(form, p1, p2)
+    assert binary.substitute(m) == substitute_reference(binary, m)
 
 
 class TestQuotientField:

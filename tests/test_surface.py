@@ -1,6 +1,7 @@
 """Surface model: validation, normalization, points, kappa, Geiser, lift,
 file format."""
 
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -23,6 +24,7 @@ from dp2.surface import (
 )
 
 SURFACE_DIR = Path(__file__).resolve().parent.parent / "surfaces"
+PRIME_21 = 100000000000000000039  # the least prime above 10^20
 
 
 class TestValidate:
@@ -59,6 +61,30 @@ class TestValidate:
         for c in (Fraction(2, 3), Fraction(12)):
             S = validate_surface(r2.f.scale(c), r2.g.scale(c * c))
             assert S.f.c == r2.f.c and S.g.c == r2.g.c
+
+    def test_large_prime_coefficient_validates_fast(self):
+        # a 21-digit prime that divides no denominator and not the joint
+        # content leaves mu alone; trial division up to its square root did not
+        start = time.perf_counter()
+        S = validate_surface(TernForm(QQ, 2, {(1, 1, 0): Fraction(1)}), TernForm(QQ, 4, {
+            (4, 0, 0): Fraction(1), (0, 4, 0): Fraction(1), (0, 0, 4): Fraction(PRIME_21),
+        }))
+        assert time.perf_counter() - start < 1
+        assert S.g.coeff(0, 0, 4) == PRIME_21
+
+    def test_large_prime_scaling_normalises_back(self, random_surfaces):
+        for S in random_surfaces:
+            q = Fraction(PRIME_21)
+            for c in (q, 1 / q):
+                T = validate_surface(S.f.scale(c), S.g.scale(c * c))
+                assert T.f.c == S.f.c and T.g.c == S.g.c
+
+    def test_odd_power_denominator_of_g(self, s0):
+        # with f = 0, mu = min r with d | r^2: the one case that needs the
+        # primes of d (12 = 2^2 * 3 gives mu = 6, leaving 3 g)
+        for d, left in ((12, 3), (PRIME_21, PRIME_21)):
+            S = validate_surface(s0.f, s0.g.scale(Fraction(1, d)))
+            assert S.g.c == s0.g.scale(Fraction(left)).c
 
     def test_random_surfaces_valid(self, random_surfaces):
         for S in random_surfaces:
