@@ -274,13 +274,13 @@ def cmd_oracle(args) -> int:
         })
         if P is not None:
             try:
-                rec["base_locus_confirms_phi"] = fforacle.base_locus_oracle(S, p, P, Q, R)
+                rec["base_locus_confirms_phi"] = fforacle.base_locus_oracle(Sp, P, Q, R)
             except (BadPrime, UnexpectedDimension) as exc:
                 rec["base_locus_confirms_phi"] = None
                 rec["base_locus_note"] = str(exc)
         if p <= 31:
             try:
-                rep = fforacle.phi_surjectivity(S, p)
+                rep = fforacle.phi_surjectivity(Sp)
                 rec["surjectivity"] = rep.as_dict()
             except BadPrime as exc:
                 rec["surjectivity_note"] = str(exc)

@@ -15,9 +15,9 @@ from fractions import Fraction
 from .errors import BadParameter, BitangentLine, DP2Error, NotVeryGeneral, SingularHit
 from .exactalg import QQ
 from .geometry import (
-    SEC_MONOMIALS,
     SectionMinus2K,
     _matrix_rank,
+    _section_row,
     _u_phi_failure,
     c_p_point,
     classify_point,
@@ -261,10 +261,7 @@ def rank_minus2K(points) -> int:
     curve of that linear system."""
     rows = []
     for P in points:
-        x, y, z = Fraction(P.x), Fraction(P.y), Fraction(P.z)
-        vals = [x * x, y * y, z * z, x * y, x * z, y * z]
-        ordered = {m: vals[i] for i, m in enumerate([(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1)])}
-        rows.append([Fraction(P.w)] + [ordered[m] for m in SEC_MONOMIALS])
+        rows.append(_section_row(Fraction(P.x), Fraction(P.y), Fraction(P.z), Fraction(P.w)))
     return _matrix_rank(QQ, rows, 7)
 
 

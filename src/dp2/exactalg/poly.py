@@ -1,5 +1,5 @@
 """Dense univariate polynomials over a field adapter, binary and ternary
-homogeneous forms, subresultant GCD and Yun squarefree decomposition.
+homogeneous forms, subresultant GCD and Musser squarefree decomposition.
 
 Univariate coefficients are stored ascending (c[i] is the coefficient of t^i).
 Binary forms follow the opposite, classical convention: coefficient i belongs
@@ -229,29 +229,40 @@ def poly_xgcd(a: Poly, b: Poly):
 
 
 def squarefree_factor(a: Poly) -> list[tuple[Poly, int]]:
-    """Yun's algorithm: monic pairwise-coprime squarefree factors with
-    multiplicities.  Requires characteristic 0 or multiplicities < char."""
+    """Musser's algorithm: monic pairwise-coprime squarefree factors with
+    their multiplicities in ascending order, in characteristic 0 or over a
+    finite field.  With a = prod f_j^(e_j) and p the characteristic,
+    c = gcd(a, a') holds f_j^(e_j - 1) if p does not divide e_j and f_j^(e_j)
+    if it does; w = a / c holds the former f_j once.  Step i peels those
+    with e_j = i off w and one power of each off c.  What is left of c is a
+    polynomial in t^p, whose p-th root is decomposed in turn."""
     if a.is_zero():
         raise ZeroPolynomial("squarefree decomposition of 0")
     a = a.monic()
-    if a.degree == 0:
-        return []
+    c = poly_gcd(a, a.derivative())
+    w = a // c
     out = []
-    da = a.derivative()
-    g = poly_gcd(a, da)
-    b = a // g
-    c = da // g
-    d = c - b.derivative()
     i = 1
-    while b.degree > 0:
-        p = poly_gcd(b, d)
-        if p.degree > 0:
-            out.append((p.monic(), i))
-        b = b // p
-        c = d // p
-        d = c - b.derivative()
+    while w.degree > 0:
+        y = poly_gcd(w, c)
+        if w.degree > y.degree:
+            out.append((w // y, i))
+        w, c = y, c // y
         i += 1
-    return out
+    if c.degree > 0:
+        p = a.field.char
+        root = Poly(a.field, [_pth_root(v, p) for v in c.c[::p]])
+        out += [(f, p * e) for f, e in squarefree_factor(root)]
+    return sorted(out, key=lambda fe: fe[1])
+
+
+def _pth_root(a, p: int):
+    """The b with b^p = a in a finite field of characteristic p: the orbit
+    of a under a -> a^p returns to a, and b is the element before it."""
+    b = a
+    while (c := b**p) != a:
+        b = c
+    return b
 
 
 # ---------------------------------------------------------------------------

@@ -24,12 +24,12 @@ from .errors import (
 )
 from .exactalg import PrimeField, TernForm
 from .geometry import (
-    SEC_MONOMIALS,
     _count_bitangents_core,
     _kernel,
     _osculating_core,
     _phi_core,
     _section_condition_rows,
+    _section_row,
 )
 from .surface import PointDP2, SurfaceDP2, _is_smooth_quartic
 
@@ -153,12 +153,7 @@ def on_ramification_modp(Sp: SurfaceModP, P4) -> bool:
 
 
 def _section_value(F, vec, P4):
-    x, y, z, w = (F.from_int(v) for v in P4)
-    acc = vec[0] * w
-    coords = (x, y, z)
-    for idx, (i, j, k) in enumerate(SEC_MONOMIALS):
-        acc = acc + vec[1 + idx] * coords[0] ** i * coords[1] ** j * coords[2] ** k
-    return acc
+    return sum(a * b for a, b in zip(vec, _section_row(*(F.from_int(v) for v in P4))))
 
 
 def base_locus_zeros(Sp: SurfaceModP, Pm, Qm) -> set:
@@ -172,11 +167,7 @@ def base_locus_zeros(Sp: SurfaceModP, Pm, Qm) -> set:
         rows = _section_condition_rows(F, Sp.f, Sp.g, P4f, order=2)
     except ZeroDivisionError as exc:
         raise BadPrime(f"jet expansion degenerates mod {Sp.p}: {exc}") from exc
-    xq, yq, zq, wq = (F.from_int(v) for v in Qm)
-    q_row = [wq]
-    for (i, j, k) in SEC_MONOMIALS:
-        q_row.append(xq**i * yq**j * zq**k)
-    rows.append(q_row)
+    rows.append(_section_row(*(F.from_int(v) for v in Qm)))
     basis = _kernel(F, rows, 7)
     if len(basis) != 3:
         raise UnexpectedDimension(f"section space has dimension {len(basis)} mod {Sp.p}, expected 3")
@@ -186,14 +177,13 @@ def base_locus_zeros(Sp: SurfaceModP, Pm, Qm) -> set:
     }
 
 
-def base_locus_oracle(S: SurfaceDP2, p: int, P: PointDP2, Q: PointDP2, R: PointDP2) -> bool:
+def base_locus_oracle(Sp: SurfaceModP, P: PointDP2, Q: PointDP2, R: PointDP2) -> bool:
     """True iff the common zeros on X(F_p) of the sections lambda*w + q2
     vanishing to order >= 2 at P and >= 1 at Q are exactly {P, Q, R} mod p.
     Independent of the group-law engine."""
-    Sp = reduce_surface(S, p)
     Pm, Qm, Rm = (reduce_point(Sp, T) for T in (P, Q, R))
     if len({Pm, Qm, Rm}) != len({P, Q, R}):
-        raise BadPrime(f"distinct points collide mod {p}")
+        raise BadPrime(f"distinct points collide mod {Sp.p}")
     return base_locus_zeros(Sp, Pm, Qm) == {Pm, Qm, Rm}
 
 
@@ -211,9 +201,8 @@ def phi_modp(Sp: SurfaceModP, P4, Q4) -> tuple[int, int, int, int]:
 
 
 def bitangents_through_modp(Sp: SurfaceModP, p3) -> int:
-    F = Sp.F
-    n, _cert = _count_bitangents_core(F, Sp.B, tuple(F.from_int(v) for v in p3))
-    return n
+    """Bitangents of B mod p through p3, a triple of residues."""
+    return _count_bitangents_core(Sp.F, Sp.B, p3)
 
 
 def very_general_exceptions(S: SurfaceDP2, P: PointDP2, primes) -> list[int]:
@@ -267,13 +256,12 @@ def _u0_section(Sp: SurfaceModP, P4):
         return None
 
 
-def phi_surjectivity(S: SurfaceDP2, p: int) -> SurjectivityReport:
+def phi_surjectivity(Sp: SurfaceModP) -> SurjectivityReport:
     """Exhaustive search for phi-preimages of every point of X(F_p) over pairs
     in U_inv(F_p); reported, never asserted."""
+    p, F = Sp.p, Sp.F
     if p > 31:
         raise BadPrime("surjectivity sweep limited to p <= 31")
-    Sp = reduce_surface(S, p)
-    F = Sp.F
     pts = Sp.points()
     total = len(pts)
     remaining = set(pts)

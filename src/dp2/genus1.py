@@ -16,7 +16,14 @@ from fractions import Fraction
 from math import gcd as igcd
 
 from .errors import BadParameter, ReducibleModel, SingularHit, SingularOrigin
-from .exactalg import BinForm, RationalField, TernForm, disc_binary_quartic, is_square_binform
+from .exactalg import (
+    BinForm,
+    RationalField,
+    TernForm,
+    content_primitive_ints,
+    disc_binary_quartic,
+    is_square_binform,
+)
 
 
 def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
@@ -123,14 +130,9 @@ def make_curve_point(F, s, t, w) -> CurvePoint:
         s, t, w = Fraction(s), Fraction(t), Fraction(w)
         if s == 0 and t == 0:
             raise ValueError("(0, 0) is not a parameter point")
-        den = s.denominator * t.denominator // igcd(s.denominator, t.denominator)
-        si, ti = int(s * den), int(t * den)
-        g = igcd(si, ti)
-        si, ti = si // g, ti // g
-        if si < 0 or (si == 0 and ti < 0):
-            si, ti = -si, -ti
-        lam = Fraction(si, 1) / s if s != 0 else Fraction(ti, 1) / t
-        return CurvePoint(Fraction(si), Fraction(ti), w * lam * lam)
+        (si, ti), scale = content_primitive_ints([s, t])
+        sign = -1 if si < 0 or (si == 0 and ti < 0) else 1
+        return CurvePoint(Fraction(sign * si), Fraction(sign * ti), w / (scale * scale))
     if not F.is_zero(t):
         inv = F.one / t
         return CurvePoint(s * inv, F.one, w * inv * inv)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 import sympy as sp
 
@@ -25,15 +25,16 @@ from .errors import (
 )
 from .exactalg import (
     QQ,
+    BinForm,
     Poly,
     QuotientField,
     RationalField,
     TernForm,
     content_primitive_ints,
-    factor_univariate,
     is_square_binform,
     poly_gcd,
     square_conditions,
+    squarefree_factor,
 )
 from .exactalg.factor import from_sympy_coeffs
 from .exactalg.modgcd import quotient_gcd
@@ -41,16 +42,22 @@ from .genus1 import (
     LineParam,
     ModelClass,
     classify_model,
-    complete_unimodular,
     lin_comb,
     neg_wrt,
     pullback_generic,
     pullback_line,
 )
 from .surface import PointDP2, PointP2, SurfaceDP2, geiser, kappa, on_ramification, on_surface
+from .surface import _random_unimodular, _tern_substitute
 
 # fixed ordering of the |-2K_X| section basis: w, then the degree-2 monomials
 SEC_MONOMIALS = [(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1)]
+
+
+def _section_row(x, y, z, w) -> list:
+    """The section basis (w, then SEC_MONOMIALS) at a point: a section's
+    value there is the dot product of its vector with this row."""
+    return [w, x * x, y * y, z * z, x * y, x * z, y * z]
 
 
 # ---------------------------------------------------------------------------
@@ -193,10 +200,7 @@ def _section_condition_rows(F, f: TernForm, g: TernForm, P4, order: int):
     v_jet = q_jet.sqrt(v0)
     half = F.one / F.from_int(2)
     w_jet = (v_jet - f_jet).scale(half)
-    basis_jets = [w_jet]
-    for (i, j, k) in SEC_MONOMIALS:
-        mono = TernForm(F, 2, {(i, j, k): F.one})
-        basis_jets.append(_tern_jet(F, mono, jets))
+    basis_jets = _section_row(*jets, w_jet)
     rows = []
     for deg in range(N + 1):
         for i in range(deg, -1, -1):
@@ -255,9 +259,8 @@ class SectionMinus2K:
     q2: TernForm  # degree 2, integer coefficients over Q
 
     def evaluate(self, P: PointDP2) -> Fraction:
-        return Fraction(self.lam) * P.w + self.q2.evaluate(
-            Fraction(P.x), Fraction(P.y), Fraction(P.z)
-        )
+        row = _section_row(Fraction(P.x), Fraction(P.y), Fraction(P.z), Fraction(P.w))
+        return sum(a * b for a, b in zip(self.vector(), row))
 
     def vector(self) -> list[Fraction]:
         return [Fraction(self.lam)] + [self.q2.coeff(*m) for m in SEC_MONOMIALS]
@@ -379,81 +382,60 @@ def c_p_point(S: SurfaceDP2, P: PointDP2, param: tuple[int, int]) -> PointDP2:
 # bitangent counting through a point
 
 
-class _PolyRing:
-    """Minimal ring adapter so TernForm/BinForm machinery can carry
-    polynomial (in t) coefficients when B is restricted to the pencil."""
-
-    def __init__(self, F):
-        self.F = F
-        self.zero = Poly.zero(F)
-        self.one = Poly.one(F)
-
-    def from_int(self, n):
-        return Poly(self.F, [self.F.from_int(n)])
-
-    @staticmethod
-    def is_zero(p) -> bool:
-        return p.is_zero()
+def _pencil_basis(p3):
+    """The two unit vectors off the first nonzero coordinate of p3 (ints,
+    reduced mod p over F_p); with p3 they span the whole space."""
+    idx = next(i for i, v in enumerate(p3) if v != 0)
+    return [tuple(int(i == j) for j in range(3)) for i in range(3) if i != idx]
 
 
-def _pencil_basis(F, p3):
-    """Two directions spanning the pencil of lines through p3."""
-    if isinstance(F, RationalField):
-        e1, e2 = complete_unimodular(tuple(int(v) for v in p3))
-        return e1, e2
-    # over a finite field: pick two standard vectors making the frame invertible
-    idx = _chart_index(F, p3)
-    others = [i for i in range(3) if i != idx]
-    e = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    return e[others[0]], e[others[1]]
+def _radical(a: Poly) -> Poly:
+    """The product of the distinct monic irreducible factors of a != 0."""
+    return prod((f for f, _mult in squarefree_factor(a)), start=Poly.one(a.field))
 
 
-def _count_bitangents_core(F, Bform: TernForm, p3):
+def _count_bitangents_core(F, Bform: TernForm, p3) -> int:
     """Number of distinct lines through p3 (over the algebraic closure) whose
-    restriction of B is a square up to scalar; with a certificate listing the
-    passing irreducible pencil parameters.
+    restriction of B is a square up to scalar; F is Q or F_p and p3 a
+    triple of ints.
 
     The members are the line through p3 and e1 + t*e2, plus the one through
-    p3 and e2 (t = infinity), tested on its own.  B restricted to the first
-    is sum a_i(t) s^(4-i) r^i; let c1, c2 be its `square_conditions`, and
-    G = gcd(c1, c2) over F.
+    p3 and e2 (t = infinity), tested on its own.  With C(s, r, u) the
+    pullback of B along (s, r, u) -> s p3 + r e1 + u e2, B on the first is
+    C(s, r, t r) = sum a_i(t) s^(4-i) r^i, a_i collecting the coefficients
+    of s^(4-i) r^(i-k) u^k at t^k, and B on the second is C(s, 0, u).  Let
+    c1, c2 be the `square_conditions` of the a_i, and G = gcd(c1, c2) over F.
 
     1. Every square member is a root of G: with a4(t) != 0, c1 = c2 = 0 is
        the square test itself; with a4(t) = 0, c1 = a3^3 and c2 = -a3^4,
        and a square member has a3(t) = 0.
     2. At a root t of G with a4(t) = 0, a3(t) = 0 follows from c1 = 0, so
        the member is a square exactly when a1^2 - 4 a0 a2 vanishes at t.
-       For an irreducible factor d of G, a4 vanishes at all roots of d or
-       at none, as d | a4 or not; likewise for a1^2 - 4 a0 a2.  So all
-       roots of d pass, unless d | a4 and d does not divide a1^2 - 4 a0 a2,
-       when none does.
-    3. F is Q or F_p, so an irreducible d is separable: its deg d roots are
-       distinct, as are the lines they give, and factors share no root."""
-    e1, e2 = _pencil_basis(F, p3)
-    B_ring = Bform.map_coeffs(lambda v: Poly(F, [v]), _PolyRing(F))
-    pconst = [Poly(F, [_f(F, v)]) for v in p3]
-    moving = [Poly(F, [_f(F, e1[i]), _f(F, e2[i])]) for i in range(3)]
-    a0, a1, a2, a3, a4 = B_ring.restrict_line(pconst, moving).c
+       So the square members are the roots of G, less those of a4 where
+       a1^2 - 4 a0 a2 does not vanish.
+    3. Distinct roots t give distinct lines.  H = rad G has each root of G
+       once, A = gcd(H, a4) the roots of G on a4, C = gcd(A, a1^2 - 4 a0 a2)
+       those of A where the member is a square; all three are squarefree,
+       so the count is deg H - deg A + deg C.  `squarefree_factor` is exact
+       over F_p too, roots of multiplicity divisible by p included."""
+    e1, e2 = _pencil_basis(p3)
+    C = _tern_substitute(Bform, [(p3[i], e1[i], e2[i]) for i in range(3)])
+    rows = [[F.zero] * (i + 1) for i in range(5)]
+    for (_i, j, k), v in C.c.items():
+        rows[j + k][k] = v
+    a0, a1, a2, a3, a4 = (Poly(F, row) for row in rows)
     G = poly_gcd(*square_conditions(a0, a1, a2, a3, a4))
     if G.is_zero():
         raise EliminationDegenerate("square conditions vanish along the pencil")
-    disc2 = a1 * a1 - 4 * a0 * a2
-    count = 0
-    certificate = []
-    for d, _mult in factor_univariate(G):
-        if (a4 % d).is_zero() and not (disc2 % d).is_zero():
-            continue
-        count += d.degree
-        certificate.append((repr(d), d.degree))
-    q_inf = Bform.restrict_line(_as_field(F, p3), _as_field(F, e2))
-    if is_square_binform(q_inf):
-        count += 1
-        certificate.append(("t = infinity", 1))
-    return count, certificate
+    H = _radical(G)
+    A = poly_gcd(H, a4)
+    count = H.degree - A.degree + poly_gcd(A, a1 * a1 - 4 * a0 * a2).degree
+    q_inf = BinForm(F, 4, [C.coeff(4 - i, 0, i) for i in range(5)])
+    return count + int(is_square_binform(q_inf))
 
 
-def count_bitangents_through(S: SurfaceDP2, p: PointP2):
-    """Number of bitangents of B through p, with a certificate."""
+def count_bitangents_through(S: SurfaceDP2, p: PointP2) -> int:
+    """Number of bitangents of B through p."""
     return _count_bitangents_core(QQ, S.B, p.coords())
 
 
@@ -481,7 +463,7 @@ class PointClassification:
 
 def classify_point(S: SurfaceDP2, P: PointDP2) -> PointClassification:
     on_ram = on_ramification(S, P)
-    n_exc, _cert = count_bitangents_through(S, kappa(P))
+    n_exc = count_bitangents_through(S, kappa(P))
     eckardt = n_exc == 4
     return PointClassification(
         on_ramification=on_ram,
@@ -560,7 +542,6 @@ def count_all_bitangents(S: SurfaceDP2) -> int:
         if attempt == 0:
             Bf = S.B
         else:
-            from .surface import _random_unimodular, _tern_substitute
             Bf = _tern_substitute(S.B, _random_unimodular(rng))
         try:
             return _count_all_bitangents_frame(Bf)
@@ -619,29 +600,37 @@ def _count_all_bitangents_frame(Bf: TernForm) -> int:
         cert = _subresultant_certificate(d, lc_PQ, prs)
         roots = cert[1] if cert is not None else _common_roots_by_gcd(d, P, Q)
         count += d.degree() * roots
-    # correction: spurious solutions with a4 = a3 = 0 but the residual
-    # quadratic a0 x^2 + a1 x y + a2 y^2 not a perfect square
+    return count - _spurious_chart_zeros(a) + _count_bitangents_core(QQ, Bf, (0, 0, 1))
+
+
+def _spurious_chart_zeros(a) -> int:
+    """The common zeros (u, v) of c1, c2 that are no bitangent: a4 = a3 = 0
+    there, and a1^2 - 4 a0 a2 does not vanish (the residual quadratic is
+    not a square).
+
+    a4 = B(0, 1, v) involves v only, and a3 = alpha(v) u + beta(v).  At a
+    root v of r = rad a4, a3 has the one root u = -beta/alpha if alpha(v)
+    != 0, none if only alpha(v) = 0, and vanishes if beta(v) = 0 too
+    (raised).  So the zeros lie over the roots of r1 = r / gcd(r, alpha),
+    one each.  With a1^2 - 4 a0 a2 = sum d_k u^k of degree m in u,
+    N = sum d_k (-beta)^k alpha^(m-k) is alpha^m times its value there, so
+    deg r1 - deg gcd(r1, N) of them are spurious."""
     if a[4].is_zero:
         raise EliminationDegenerate("a4 vanishes identically")
-    # a4 = B(0, 1, v) involves v only
-    a4p = sp.Poly.from_dict({(i,): c for (i, _j), c in a[4].terms()}, _V, domain=sp.QQ)
+    zero = Poly.zero(QQ)
+    r = _radical(_rows(a[4], 0)[0])
+    a3 = _rows(a[3], 0)
+    alpha, beta = a3.get(1, zero), a3.get(0, zero)
+    if poly_gcd(poly_gcd(r, alpha), beta).degree > 0:
+        raise EliminationDegenerate("a3 vanishes along a root of a4")
+    r1 = r // poly_gcd(r, alpha)
     disc2 = a[1] ** 2 - 4 * a[0] * a[2]
-    for e_expr, _mult in a4p.factor_list()[1]:
-        if e_expr.degree() == 0:
-            continue
-        eQ = from_sympy_coeffs(e_expr.all_coeffs(), QQ).monic()
-        Ke = QuotientField(eQ)
-        a3K = _bivar_eval(Ke, a[3], _V)
-        if a3K.is_zero():
-            raise EliminationDegenerate("a3 vanishes along a root of a4")
-        if a3K.degree == 0:
-            continue
-        rad3 = a3K.monic() // poly_gcd(a3K, a3K.derivative())
-        d2K = _bivar_eval(Ke, disc2, _V)
-        s_common = poly_gcd(rad3, d2K) if not d2K.is_zero() else rad3
-        count -= eQ.degree * (rad3.degree - s_common.degree)
-    n_e3, _cert = _count_bitangents_core(QQ, Bf, (0, 0, 1))
-    return count + n_e3
+    d = _rows(disc2, 0)
+    N, alpha_pow = zero, Poly.one(QQ)
+    for k in range(max(d), -1, -1):
+        N = N * -beta + d.get(k, zero) * alpha_pow
+        alpha_pow = alpha_pow * alpha
+    return r1.degree - poly_gcd(r1, N).degree
 
 
 def _chart_conditions(Bf: TernForm):
@@ -701,21 +690,25 @@ def _common_roots_by_gcd(d: sp.Poly, P: sp.Poly, Q: sp.Poly) -> int:
     """Distinct common roots v of P(alpha, v), Q(alpha, v) at a root alpha
     of the irreducible d, from their gcd over K = Q(alpha)."""
     K = QuotientField(from_sympy_coeffs(d.all_coeffs(), QQ).monic())
-    gK = quotient_gcd(_bivar_eval(K, P, _U), _bivar_eval(K, Q, _U))
+    gK = quotient_gcd(_bivar_eval(K, P), _bivar_eval(K, Q))
     if gK.degree <= 0:
         return 0
     return (gK // quotient_gcd(gK, gK.derivative())).degree
 
 
-def _bivar_eval(K: QuotientField, p: sp.Poly, var) -> Poly:
-    """p(var = generator of K, other) as a Poly in the other generator of
-    the bivariate p, over K = Q[var]/(m).  Each coefficient, a polynomial in
-    var, is evaluated at the generator by one reduction mod m."""
-    spec = p.gens.index(var)
+def _rows(p: sp.Poly, spec: int) -> dict[int, Poly]:
+    """p, a polynomial in (v, u) over QQ, as {e: coefficient of the other
+    generator's e-th power, a Poly over QQ in generator `spec` (0 for v,
+    1 for u)}."""
     rows: dict[int, dict[int, Fraction]] = {}
     for monom, c in p.terms():
         rows.setdefault(monom[1 - spec], {})[monom[spec]] = Fraction(int(c.numerator), int(c.denominator))
-    out = [K.zero] * (max(rows) + 1)
-    for e, row in rows.items():
-        out[e] = K.from_poly(Poly(QQ, [row.get(i, QQ.zero) for i in range(max(row) + 1)]))
-    return Poly(K, out)
+    return {e: Poly(QQ, [row.get(i, QQ.zero) for i in range(max(row) + 1)]) for e, row in rows.items()}
+
+
+def _bivar_eval(K: QuotientField, p: sp.Poly) -> Poly:
+    """p(v, u = generator of K) as a Poly in v over K = Q[u]/(m).  Each
+    coefficient, a polynomial in u, is evaluated at the generator by one
+    reduction mod m."""
+    rows = _rows(p, 1)
+    return Poly(K, [K.from_poly(rows[e]) if e in rows else K.zero for e in range(max(rows) + 1)])

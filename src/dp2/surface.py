@@ -39,14 +39,9 @@ def _normalize_xyz(x: Fraction, y: Fraction, z: Fraction) -> tuple[int, int, int
     with (lam*x, lam*y, lam*z) = result."""
     if x == 0 and y == 0 and z == 0:
         raise ValueError("(0, 0, 0) is not a projective point")
-    ints, _ = content_primitive_ints([x, y, z])
-    for n in ints:
-        if n != 0:
-            if n < 0:
-                ints = [-m for m in ints]
-            break
-    lam = Fraction(ints[0], 1) / x if x != 0 else (Fraction(ints[1], 1) / y if y != 0 else Fraction(ints[2], 1) / z)
-    return ints[0], ints[1], ints[2], lam
+    ints, scale = content_primitive_ints([x, y, z])
+    sign = -1 if next(n for n in ints if n) < 0 else 1
+    return sign * ints[0], sign * ints[1], sign * ints[2], sign / scale
 
 
 @dataclass(frozen=True)
@@ -377,8 +372,18 @@ def _normalization_scalar(f: TernForm, g: TernForm) -> Fraction:
     return mu
 
 
+# `_square_cover` factors b: sympy's factorint took 0.6 s on a product of
+# two 15-digit primes and 23 s on one of two 20-digit primes (two-vCPU
+# Xeon guest), so a longer b makes the surface file a usage error
+MAX_SQUARE_COVER_DIGITS = 30
+
+
 def _square_cover(b: int) -> int:
-    """The least r > 0 with b | r^2."""
+    """The least r > 0 with b | r^2; ValueError if b has more than
+    MAX_SQUARE_COVER_DIGITS digits."""
+    if b >= 10**MAX_SQUARE_COVER_DIGITS:
+        raise ValueError(f"normalising would factor an integer of more than "
+                         f"MAX_SQUARE_COVER_DIGITS = {MAX_SQUARE_COVER_DIGITS} digits")
     r = 1
     for ell, v in factorint(b).items():
         r *= ell ** ((v + 1) // 2)

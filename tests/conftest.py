@@ -43,11 +43,27 @@ def seeded_random_surface(seed: int) -> SurfaceDP2:
     return validate_surface(TernForm(QQ, 2, f), TernForm(QQ, 4, g))
 
 
+class PolyRing:
+    """Minimal ring adapter so TernForm/BinForm machinery can carry
+    polynomial (in t) coefficients, as when B is restricted to a pencil."""
+
+    def __init__(self, F):
+        self.F = F
+        self.zero = Poly.zero(F)
+        self.one = Poly.one(F)
+
+    def from_int(self, n):
+        return Poly(self.F, [self.F.from_int(n)])
+
+    @staticmethod
+    def is_zero(p) -> bool:
+        return p.is_zero()
+
+
 def square_by_yun(q) -> bool:
     """Reference square test for a binary form q: split off the root at
     infinity (t^k, from the leading zero coefficients), then require every
-    multiplicity of Yun's squarefree decomposition to be even.  Valid when
-    every multiplicity is below the characteristic."""
+    multiplicity of the squarefree decomposition to be even."""
     F = q.field
     if q.is_zero():
         return True

@@ -230,7 +230,7 @@ def test_criterion_8_finite_field_shadow(s0):
         N = len(fforacle.enumerate_points(s0, p))
         assert N == total
         assert abs(N - p * p - 1) <= 8 * p
-        rep = fforacle.phi_surjectivity(s0, p)
+        rep = fforacle.phi_surjectivity(fforacle.reduce_surface(s0, p))
         assert (rep.total, rep.hit, len(rep.missed)) == (total, hit, missed)
         assert rep.hit + len(rep.missed) == rep.total
         assert time.monotonic() - start < 300

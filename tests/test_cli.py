@@ -67,6 +67,15 @@ class TestClassify:
         assert code == 1
         assert "bad surface file" in err
 
+    def test_surface_needing_a_long_factorisation(self, capsys, tmp_path):
+        # f = 0, g = (x^4 + y^4 + z^4) / (p q) with 27-digit primes p, q
+        pq = 100000000000000000000000067 * 300000000000000000000000013
+        path = tmp_path / "surface.json"
+        path.write_text(json.dumps({"f": [], "g": [[4, 0, 0, f"1/{pq}"], [0, 4, 0, f"1/{pq}"], [0, 0, 4, f"1/{pq}"]]}))
+        code, _, err = run(capsys, "classify", "--surface", str(path), "--point", "1:0:0:1")
+        assert code == 1
+        assert "MAX_SQUARE_COVER_DIGITS" in err
+
     def test_point_off_surface(self, capsys):
         code, _, _ = run(capsys, "classify", "--surface", S0, "--point", "1:1:0:1")
         assert code == 2

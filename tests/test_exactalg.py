@@ -58,6 +58,17 @@ class TestPoly:
         parts = squarefree_factor(a)
         assert parts == [(P(-2, 1).monic(), 1), (P(1, 1).monic(), 2)]
 
+    def test_squarefree_multiplicity_divisible_by_p(self):
+        # (t - 2)^5 over F_5 is (t^5 - 2): its derivative vanishes, and the
+        # factor is found by the p-th-root step, not dropped
+        F = PrimeField(5)
+        t2, t1 = Poly.from_ints(F, [-2, 1]), Poly.from_ints(F, [1, 1])
+        a = t1 * t1
+        for _ in range(5):
+            a = a * t2
+        assert squarefree_factor(a) == [(t1, 2), (t2, 5)]
+        assert squarefree_factor(a * t2 * t1) == [(t1, 3), (t2, 6)]
+
 
 class TestPrimeField:
     def test_inverse_and_sqrt(self):

@@ -69,7 +69,7 @@ class TestEnumerate:
 class TestBaseLocus:
     @pytest.mark.parametrize("p", [7, 17, 19, 23, 29])
     def test_confirms_frozen_phi(self, s0, p):
-        assert base_locus_oracle(s0, p, P0, Q1, R1)
+        assert base_locus_oracle(reduce_surface(s0, p), P0, Q1, R1)
 
     def test_uniqueness(self, s0):
         # replacing R by any other F_p-point changes the zero set
@@ -85,8 +85,9 @@ class TestBaseLocus:
 
     def test_bad_prime_never_wrong(self, s0):
         # 13 divides w(P0): the configuration degenerates and is refused
+        Sp = reduce_surface(s0, 13)
         with pytest.raises(BadPrime):
-            base_locus_oracle(s0, 13, P0, Q1, R1)
+            base_locus_oracle(Sp, P0, Q1, R1)
 
 
 class TestPhiModP:
@@ -137,15 +138,16 @@ class TestClassificationPersistence:
 
 class TestSurjectivity:
     def test_pinned_p11(self, s0):
-        rep = phi_surjectivity(s0, 11)
+        rep = phi_surjectivity(reduce_surface(s0, 11))
         assert rep.total == 122
         assert rep.hit == 122
         assert rep.missed == ()
         assert rep.hit + len(rep.missed) == rep.total
 
     def test_large_prime_rejected(self, s0):
+        Sp = reduce_surface(s0, 37)
         with pytest.raises(BadPrime):
-            phi_surjectivity(s0, 37)
+            phi_surjectivity(Sp)
 
     def test_report_shape(self):
         rep = SurjectivityReport(p=11, total=3, hit=2, missed=((0, 0, 1, 0),), pairs_tried=5)

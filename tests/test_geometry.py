@@ -6,20 +6,21 @@ base-locus oracle at several good primes, then pinned.
 
 import pytest
 import sympy as sp
-from conftest import SURFACE_DIR, seeded_random_surface, square_by_yun
+from conftest import SURFACE_DIR, PolyRing, seeded_random_surface, square_by_yun
 
 from dp2.errors import EliminationDegenerate, NotVeryGeneral, SameImage
-from dp2.exactalg import QQ, Poly, PrimeField, QuotientField, factor_univariate
+from dp2.exactalg import QQ, Poly, PrimeField, QuotientField, factor, factor_univariate
+from dp2.fforacle import bitangents_through_modp, reduce_surface
 from dp2.geometry import (
     _U,
     _V,
+    _as_field,
     _chart_conditions,
     _common_roots_by_gcd,
     _count_bitangents_core,
     _f,
     _lc_v,
     _pencil_basis,
-    _PolyRing,
     _subresultant_certificate,
     c_p_point,
     classify_point,
@@ -125,17 +126,15 @@ class TestClassification:
         assert cls.on_ramification and not cls.is_general
 
     def test_count_through_coordinate_point(self, s0):
-        n, cert = count_bitangents_through(s0, PointP2(1, 0, 0))
-        assert n == 4
-        assert cert
+        assert count_bitangents_through(s0, PointP2(1, 0, 0)) == 4
 
 
 def _count_by_discriminant(F, Bform, p3):
     """The pencil count before the square conditions: factor the pencil
     discriminant D(t) of B on the line through p3 and e1 + t*e2, then test
     B on that line over F[t]/(d) for each irreducible factor d of D."""
-    e1, e2 = _pencil_basis(F, p3)
-    B_ring = Bform.map_coeffs(lambda v: Poly(F, [v]), _PolyRing(F))
+    e1, e2 = _pencil_basis(p3)
+    B_ring = Bform.map_coeffs(lambda v: Poly(F, [v]), PolyRing(F))
     pconst = [Poly(F, [_f(F, v)]) for v in p3]
     moving = [Poly(F, [_f(F, e1[i]), _f(F, e2[i])]) for i in range(3)]
     a, b, c, d, e = B_ring.restrict_line(pconst, moving).c
@@ -144,18 +143,16 @@ def _count_by_discriminant(F, Bform, p3):
     D = 4 * (I * I * I) - J * J  # 27 times the discriminant
     if D.is_zero():
         raise EliminationDegenerate("pencil discriminant vanishes identically")
-    count, certificate = 0, []
+    count = 0
     for m, _mult in factor_univariate(D.monic()):
         K = QuotientField(m)
         second = [K.from_base(_f(F, e1[i])) + K.gen * K.from_base(_f(F, e2[i])) for i in range(3)]
         BK = Bform.map_coeffs(K.from_base, K)
         if square_by_yun(BK.restrict_line([K.from_base(_f(F, v)) for v in p3], second)):
             count += m.degree
-            certificate.append((repr(m), m.degree))
     if square_by_yun(Bform.restrict_line([_f(F, v) for v in p3], [_f(F, v) for v in e2])):
         count += 1
-        certificate.append(("t = infinity", 1))
-    return count, certificate
+    return count
 
 
 def _both_counts(F, Bform, p3):
@@ -176,8 +173,8 @@ PINNED_P2 = {
 
 
 class TestPencilCount:
-    """The count of bitangents through a point from gcd(c1, c2) agrees with
-    the discriminant-and-Yun count it replaced, certificate included."""
+    """The count of bitangents through a point from gcds of rad gcd(c1, c2)
+    agrees with the discriminant-and-Yun count."""
 
     @pytest.mark.parametrize("name", sorted(PINNED_P2))
     def test_pinned_points(self, name):
@@ -186,7 +183,7 @@ class TestPencilCount:
         for p3 in PINNED_P2[name]:
             new, old = _both_counts(QQ, B, p3)
             assert new == old, p3
-            counts.add(new[0])
+            counts.add(new)
         assert counts >= {0} and (name != "s0" or 4 in counts)
 
     @pytest.mark.parametrize("name", ["s0", "s_k"])
@@ -196,19 +193,38 @@ class TestPencilCount:
         B = load_surface(SURFACE_DIR / f"{name}.json").B.map_coeffs(F.from_int, F)
         points = [(1, y, z) for y in range(p) for z in range(p)] + [(0, 1, z) for z in range(p)] + [(0, 0, 1)]
         counts, singular = set(), []
-        for p3 in (tuple(F.from_int(v) for v in pt) for pt in points):
+        for p3 in points:
             new, old = _both_counts(F, B, p3)
             if old is None:
                 # D vanishes identically only at a singular point of B: the
                 # Klein quartic s_k has bad reduction at 7, which the oracle
                 # rejects before counting
-                assert all(F.is_zero(B.deriv(i).evaluate(*p3)) for i in range(3))
+                assert all(F.is_zero(B.deriv(i).evaluate(*_as_field(F, p3))) for i in range(3))
                 singular.append(p3)
                 continue
             assert new == old, p3
-            counts.add(new[0])
+            counts.add(new)
         assert len(singular) == (1 if (name, p) == ("s_k", 7) else 0)
         assert len(counts) > 1
+
+
+class TestGcdOnlyCounts:
+    def test_no_factoring_and_no_number_field(self, s0, sk, monkeypatch):
+        """The pencil count (behind classification and the oracle) and the
+        a4 correction of the chart count use gcds only."""
+        Sp = reduce_surface(s0, 7)  # certifying smoothness factors; not guarded
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("factoring or a number field on a gcd-only path")
+
+        monkeypatch.setattr(factor, "factor_rational", refuse)
+        monkeypatch.setattr(factor, "factor_modp", refuse)
+        monkeypatch.setattr(QuotientField, "__init__", refuse)
+        verdicts = [classify_point(s0, P).n_exceptional for P in (PointDP2(1, 0, 0, 1), P0, Q1, PHI_P0_Q1)]
+        assert verdicts[:2] == [4, 0]
+        points = [(1, y, z) for y in range(7) for z in range(7)] + [(0, 1, z) for z in range(7)] + [(0, 0, 1)]
+        assert max(bitangents_through_modp(Sp, p3) for p3 in points) >= 4
+        assert count_all_bitangents(sk) == 28
 
 
 class TestPhiDomain:

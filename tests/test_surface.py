@@ -6,6 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from sympy import nextprime
 
 from dp2.errors import NotOnSurface, SingularBranchCurve, WrongDegrees
 from dp2.exactalg import QQ, TernForm
@@ -85,6 +86,15 @@ class TestValidate:
         for d, left in ((12, 3), (PRIME_21, PRIME_21)):
             S = validate_surface(s0.f, s0.g.scale(Fraction(1, d)))
             assert S.g.c == s0.g.scale(Fraction(left)).c
+
+    def test_square_cover_beyond_the_digit_bound(self, s0):
+        # f = 0 and g / (p q), p and q primes of 27 digits: mu needs the
+        # primes of the 54-digit p q, which is refused instead of factored
+        p, q = nextprime(10**26), nextprime(3 * 10**26)
+        start = time.monotonic()
+        with pytest.raises(ValueError, match="MAX_SQUARE_COVER_DIGITS"):
+            validate_surface(s0.f, s0.g.scale(Fraction(1, p * q)))
+        assert time.monotonic() - start < 1.0
 
     def test_random_surfaces_valid(self, random_surfaces):
         for S in random_surfaces:
