@@ -39,6 +39,11 @@ EXIT_DEGENERATE = 3
 # two-vCPU Xeon guest (p = 211: 3.9 s); a larger prime is a usage error
 MAX_ORACLE_PRIME = 1000
 
+# `generate` tries one cover parameter per unit of budget, 3.3 ms each for f2
+# and 15-19 ms for f6 on random2 on the same guest (budget 400); the cap keeps
+# a run to minutes and the parameter list small
+MAX_GENERATE_BUDGET = 10_000
+
 _DEGENERATE = (EliminationDegenerate, UnexpectedDimension)
 
 
@@ -74,7 +79,8 @@ def build_parser() -> _Parser:
     common(p)
     p.add_argument("--point", default=None, help="base point P0 (searched if omitted or unsuitable)")
     p.add_argument("--cover", choices=["f1", "f2", "f3", "f6"], default="f2")
-    p.add_argument("--budget", type=int, default=100)
+    p.add_argument("--budget", type=int, default=100,
+                   help=f"cover parameters to try, at most {MAX_GENERATE_BUDGET}")
     p.add_argument("--height-bound", type=int, default=10**1000)
     p.add_argument("--seed", type=int, default=1)
 
@@ -190,6 +196,8 @@ def cmd_curve(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    if args.budget > MAX_GENERATE_BUDGET:
+        raise _UsageError(f"budget above MAX_GENERATE_BUDGET = {MAX_GENERATE_BUDGET}: {args.budget}")
     S = _load_surface(args.surface)
     P0 = _parse_point(args.point) if args.point else None
     if P0 is not None:
@@ -251,19 +259,25 @@ def cmd_oracle(args) -> int:
     too_large = [p for p in primes if p > MAX_ORACLE_PRIME]
     if too_large:
         raise _UsageError(f"primes above MAX_ORACLE_PRIME = {MAX_ORACLE_PRIME}: {too_large}")
-    try:
-        P, Q, R = _oracle_instance(S)
-        instance = {"P": str(P), "Q": str(Q), "R": str(R)}
-    except DP2Error as exc:
-        P = Q = R = None
-        instance = {"error": str(exc)}
-    records = []
+    reduced = []
     for p in primes:
-        rec = {"p": p}
         try:
-            Sp = fforacle.reduce_surface(S, p)
+            reduced.append((p, fforacle.reduce_surface(S, p)))
         except BadPrime as exc:
-            rec.update({"good": False, "error": str(exc)})
+            reduced.append((p, exc))
+    P = Q = R = None
+    instance = {"error": "no good prime"}
+    if not all(isinstance(Sp, BadPrime) for _p, Sp in reduced):
+        try:
+            P, Q, R = _oracle_instance(S)
+            instance = {"P": str(P), "Q": str(Q), "R": str(R)}
+        except DP2Error as exc:
+            instance = {"error": str(exc)}
+    records = []
+    for p, Sp in reduced:
+        rec = {"p": p}
+        if isinstance(Sp, BadPrime):
+            rec.update({"good": False, "error": str(Sp)})
             records.append(rec)
             continue
         N = len(Sp.points())

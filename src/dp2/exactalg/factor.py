@@ -23,14 +23,6 @@ def to_sympy(p: Poly):
     return sum(sp.Rational(c) * _T**i for i, c in enumerate(p.c))
 
 
-def from_sympy_coeffs(all_coeffs, field) -> Poly:
-    coeffs = []
-    for c in reversed(all_coeffs):
-        r = sp.Rational(c)
-        coeffs.append(field.from_int(Fraction(int(r.p), int(r.q))))
-    return Poly(field, coeffs)
-
-
 def factor_rational(a: Poly) -> list[tuple[Poly, int]]:
     """Irreducible monic factors over Q with multiplicities; the product of
     factor^mult equals a up to a nonzero rational scalar."""
@@ -43,8 +35,8 @@ def factor_rational(a: Poly) -> list[tuple[Poly, int]]:
     _, factors = sp.Poly(to_sympy(a), _T).factor_list()
     out = []
     for f, mult in factors:
-        q = from_sympy_coeffs(f.all_coeffs(), a.field).monic()
-        out.append((q, int(mult)))
+        coeffs = [Fraction(int(c.p), int(c.q)) for c in map(sp.Rational, reversed(f.all_coeffs()))]
+        out.append((Poly(a.field, coeffs).monic(), int(mult)))
     out.sort(key=lambda fm: (fm[0].degree, [str(c) for c in fm[0].c]))
     return out
 

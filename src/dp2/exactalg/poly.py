@@ -304,11 +304,6 @@ class BinForm:
         """Dehomogenize t = 1; coefficient of s^k is c[d-k]."""
         return Poly(self.field, list(reversed(self.c)))
 
-    @classmethod
-    def from_poly(cls, p: Poly, degree: int):
-        c = [p.coeff(degree - i) for i in range(degree + 1)]
-        return cls(p.field, degree, c)
-
     def deriv_s(self) -> "BinForm":
         if self.degree == 0:
             return BinForm(self.field, 0, [self.field.zero])

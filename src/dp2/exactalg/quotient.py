@@ -121,9 +121,6 @@ class QuotientField:
     def from_base(self, a):
         return QuotientElt(self, Poly(self.base, [a]))
 
-    def from_poly(self, p: Poly):
-        return QuotientElt(self, p % self.modulus)
-
     @staticmethod
     def is_zero(a) -> bool:
         return a.v.is_zero()

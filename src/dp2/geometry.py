@@ -27,7 +27,6 @@ from .exactalg import (
     QQ,
     BinForm,
     Poly,
-    QuotientField,
     RationalField,
     TernForm,
     content_primitive_ints,
@@ -36,8 +35,6 @@ from .exactalg import (
     square_conditions,
     squarefree_factor,
 )
-from .exactalg.factor import from_sympy_coeffs
-from .exactalg.modgcd import quotient_gcd
 from .genus1 import (
     LineParam,
     ModelClass,
@@ -389,11 +386,6 @@ def _pencil_basis(p3):
     return [tuple(int(i == j) for j in range(3)) for i in range(3) if i != idx]
 
 
-def _radical(a: Poly) -> Poly:
-    """The product of the distinct monic irreducible factors of a != 0."""
-    return prod((f for f, _mult in squarefree_factor(a)), start=Poly.one(a.field))
-
-
 def _count_bitangents_core(F, Bform: TernForm, p3) -> int:
     """Number of distinct lines through p3 (over the algebraic closure) whose
     restriction of B is a square up to scalar; F is Q or F_p and p3 a
@@ -427,7 +419,7 @@ def _count_bitangents_core(F, Bform: TernForm, p3) -> int:
     G = poly_gcd(*square_conditions(a0, a1, a2, a3, a4))
     if G.is_zero():
         raise EliminationDegenerate("square conditions vanish along the pencil")
-    H = _radical(G)
+    H = prod((f for f, _mult in squarefree_factor(G)), start=Poly.one(F))
     A = poly_gcd(H, a4)
     count = H.degree - A.degree + poly_gcd(A, a1 * a1 - 4 * a0 * a2).degree
     q_inf = BinForm(F, 4, [C.coeff(4 - i, 0, i) for i in range(5)])
@@ -536,13 +528,8 @@ def count_all_bitangents(S: SurfaceDP2) -> int:
     """Total number of bitangent lines of B over the algebraic closure,
     computed by elimination in the chart of lines z = u x + v y plus the
     pencil through (0:0:1); must equal 28 for smooth B."""
-    rng = random.Random(1729)
     last_exc = None
-    for attempt in range(_BITANGENT_FRAMES):
-        if attempt == 0:
-            Bf = S.B
-        else:
-            Bf = _tern_substitute(S.B, _random_unimodular(rng))
+    for Bf in _bitangent_frames(S.B):
         try:
             return _count_all_bitangents_frame(Bf)
         except EliminationDegenerate as exc:
@@ -550,165 +537,104 @@ def count_all_bitangents(S: SurfaceDP2) -> int:
     raise EliminationDegenerate(f"all frames degenerate: {last_exc}")
 
 
+def _bitangent_frames(B: TernForm):
+    """B, then B in _BITANGENT_FRAMES - 1 seeded random unimodular frames."""
+    yield B
+    rng = random.Random(1729)
+    for _ in range(_BITANGENT_FRAMES - 1):
+        yield _tern_substitute(B, _random_unimodular(rng))
+
+
 def _count_all_bitangents_frame(Bf: TernForm) -> int:
-    """Bitangents of B in one frame: the common zeros (u, v) of the chart
-    conditions c1, c2 (lines z = u x + v y), corrected for spurious zeros
-    with a4 = a3 = 0, plus the bitangents through (0:0:1).
-
-    The common zeros are counted over each irreducible factor d of
-    R = Res_v(P, Q), where P, Q are c1, c2 with deg_v P >= deg_v Q: d adds
-    deg d times the number of distinct common roots v of P(alpha, v) and
-    Q(alpha, v) at one root alpha of d (all roots of d are conjugate).  That
-    number is read from the subresultant PRS of P, Q whenever the certificate
-    below applies, else from the gcd over Q(alpha) (`_common_roots_by_gcd`).
-
-    Soundness of the certificate.  Write S_j for the j-th subresultant of P
-    and Q in v (the determinant polynomial of the j-th Sylvester submatrix)
-    and psc_j for its coefficient of v^j; psc_0 = S_0 = R.
-
-    1. Specialisation.  If d is coprime to lc_v(P) * lc_v(Q), then at every
-       root alpha of d both leading coefficients are nonzero, so P(alpha, v)
-       and Q(alpha, v) keep their degrees, every Sylvester submatrix keeps
-       its shape, and S_j(alpha, v) = S_j(P(alpha, v), Q(alpha, v)).
-    2. Gcd.  Over the field Q(alpha), the gcd of two polynomials has degree
-       the least j with psc_j(alpha) != 0, and S_j(alpha, v) is that gcd.
-       As d is irreducible, psc_j(alpha) = 0 exactly when d | psc_j; d | R,
-       so j >= 1.  In sympy's subresultant PRS P, Q, F_3, ... each F_i, and
-       Q too if deg_v P = deg_v Q + 1, is S_(k-1) up to a nonzero rational
-       factor, k the degree of the element before it (the tests check this
-       against Sylvester determinants).  So an element of degree 1 after
-       one of degree 2 is S_1, and one of degree 2 after one of degree 3 is
-       S_2: psc_1, psc_2 are their leading coefficients in v.  If d does not
-       divide psc_1, then j = 1: the gcd is linear, one common root.
-    3. j = 2: the gcd is the quadratic S_2(alpha, v) with leading
-       coefficient psc_2(alpha) != 0.  It has one double root when
-       disc_v(S_2)(alpha) = 0, i.e. when d | disc_v(S_2), and two distinct
-       roots otherwise.
-
-    Every other case (a PRS that does not end in degrees 2, 1, 0, or in
-    3, 2, 1, 0 for j = 2; d | lc_v(P) lc_v(Q); or j > 2) takes the gcd over
-    Q(alpha)."""
-    a, P, Q = _chart_conditions(Bf)
-    R, prs = sp.resultant(P, Q, includePRS=True)
-    if R.is_zero:
-        raise EliminationDegenerate("resultant in the dual chart vanishes")
-    lc_PQ = _lc_v(P) * _lc_v(Q)
-    count = 0
-    for d, _mult in R.factor_list()[1]:
-        if d.degree() == 0:
-            continue
-        cert = _subresultant_certificate(d, lc_PQ, prs)
-        roots = cert[1] if cert is not None else _common_roots_by_gcd(d, P, Q)
-        count += d.degree() * roots
-    return count - _spurious_chart_zeros(a) + _count_bitangents_core(QQ, Bf, (0, 0, 1))
-
-
-def _spurious_chart_zeros(a) -> int:
-    """The common zeros (u, v) of c1, c2 that are no bitangent: a4 = a3 = 0
-    there, and a1^2 - 4 a0 a2 does not vanish (the residual quadratic is
-    not a square).
-
-    a4 = B(0, 1, v) involves v only, and a3 = alpha(v) u + beta(v).  At a
-    root v of r = rad a4, a3 has the one root u = -beta/alpha if alpha(v)
-    != 0, none if only alpha(v) = 0, and vanishes if beta(v) = 0 too
-    (raised).  So the zeros lie over the roots of r1 = r / gcd(r, alpha),
-    one each.  With a1^2 - 4 a0 a2 = sum d_k u^k of degree m in u,
-    N = sum d_k (-beta)^k alpha^(m-k) is alpha^m times its value there, so
-    deg r1 - deg gcd(r1, N) of them are spurious."""
-    if a[4].is_zero:
-        raise EliminationDegenerate("a4 vanishes identically")
-    zero = Poly.zero(QQ)
-    r = _radical(_rows(a[4], 0)[0])
-    a3 = _rows(a[3], 0)
-    alpha, beta = a3.get(1, zero), a3.get(0, zero)
-    if poly_gcd(poly_gcd(r, alpha), beta).degree > 0:
-        raise EliminationDegenerate("a3 vanishes along a root of a4")
-    r1 = r // poly_gcd(r, alpha)
-    disc2 = a[1] ** 2 - 4 * a[0] * a[2]
-    d = _rows(disc2, 0)
-    N, alpha_pow = zero, Poly.one(QQ)
-    for k in range(max(d), -1, -1):
-        N = N * -beta + d.get(k, zero) * alpha_pow
-        alpha_pow = alpha_pow * alpha
-    return r1.degree - poly_gcd(r1, N).degree
-
-
-def _chart_conditions(Bf: TernForm):
-    """The coefficients a0..a4 of B(x, y, u x + v y) = sum a_i x^(4-i) y^i
-    as polynomials in (v, u) over QQ, and the conditions c1, c2 for that
-    quartic to be a square up to scalar (given a4 != 0), as (P, Q): c1 and
-    c2 with integer coefficients, ordered so that deg_v P >= deg_v Q."""
-    a = [{} for _ in range(5)]
-    for (i, j, k), val in Bf.c.items():
-        # x^i y^j (u x + v y)^k contributes C(k, l) u^(k-l) v^l to a_(j+l)
-        c = sp.QQ(val.numerator, val.denominator)
-        for l in range(k + 1):
-            key = (l, k - l)
-            a[j + l][key] = a[j + l].get(key, sp.QQ.zero) + c * comb(k, l)
-    a = [sp.Poly.from_dict(t, _V, _U, domain=sp.QQ) for t in a]
+    """Bitangents of B in one frame: the lines z = u x + v y, plus those
+    through (0:0:1).  With B(x, y, u x + v y) = sum a_i x^(4-i) y^i, a line
+    with a4 = B(0, 1, v) != 0 is a bitangent exactly when c1 = c2 = 0
+    (`square_conditions`); `_count_chart_zeros` counts those lines, and
+    `_chart_lines_over_a4` the bitangents over the roots of a4."""
+    a = _chart_coefficients(Bf)
     c1, c2 = square_conditions(*a)
     if c1.is_zero or c2.is_zero:
         raise EliminationDegenerate("chart conditions vanish identically")
-    P, Q = sorted((c1, c2), key=lambda p: p.degree(), reverse=True)
-    return a, P.clear_denoms(convert=True)[1], Q.clear_denoms(convert=True)[1]
+    chart = _count_chart_zeros(c1, c2, _coeff_u(a[4], 0)) + _chart_lines_over_a4(a)
+    return chart + _count_bitangents_core(QQ, Bf, (0, 0, 1))
 
 
-def _coeff_v(p: sp.Poly, n: int) -> sp.Poly:
-    """Coefficient of v^n in p, a polynomial in (v, u), as a polynomial in u."""
-    return sp.Poly.from_dict({(j,): c for (i, j), c in p.terms() if i == n}, _U, domain=p.domain)
+def _count_chart_zeros(P: sp.Poly, Q: sp.Poly, a4: sp.Poly) -> int:
+    """Common zeros (u, v) of P, Q in ZZ[u, v] with a4(v) != 0, or
+    `EliminationDegenerate` where the certificate below does not apply.
+
+    Order P, Q so that deg_u P >= deg_u Q; let R = Res_u(P, Q), S_j the
+    j-th subresultant in u, psc_j its coefficient of u^j, and r0 the
+    squarefree part of R with the roots of a4 divided out.  If the PRS ends
+    in degrees 2, 1, 0 and r0 is coprime to lc_u(P) lc_u(Q) psc_1, the
+    count is deg r0:
+
+    1. R(v) = 0 under every common zero (u, v), also where a leading
+       coefficient vanishes at v.
+    2. At a root v of r0 both leading coefficients are nonzero, so S_j(u, v)
+       is the j-th subresultant of P(u, v), Q(u, v), whose gcd has degree
+       the least j with psc_j(v) != 0.  R(v) = 0 and psc_1(v) != 0 make the
+       gcd linear: exactly one common zero over v.
+    3. In sympy's subresultant PRS P, Q, F_3, ... each F_i, and Q too if
+       deg_u P = deg_u Q + 1, is S_(k-1) up to a nonzero rational factor, k
+       the degree of the element before it (the tests check this against
+       Sylvester determinants).  So the element of degree 1 after one of
+       degree 2 is S_1, and psc_1 is its leading coefficient in u.
+
+    For P, Q = c1, c2, c1 = a3^3 and c2 = -a3^4 over a root of a4, so psc_1
+    vanishes there: that is why those roots are divided out."""
+    P, Q = sorted((P, Q), key=lambda p: p.degree(_U), reverse=True)
+    R, prs = sp.resultant(P, Q, includePRS=True)
+    if R.is_zero:
+        raise EliminationDegenerate("resultant in the dual chart vanishes")
+    if [p.degree(_U) for p in prs[-3:]] != [2, 1, 0]:
+        raise EliminationDegenerate("subresultant PRS does not end in degrees 2, 1, 0")
+    r = R.sqf_part()
+    r0 = r.quo(r.gcd(a4))
+    lcs = _coeff_u(P, P.degree(_U)) * _coeff_u(Q, Q.degree(_U)) * _coeff_u(prs[-2], 1)
+    if r0.gcd(lcs).degree() > 0:
+        raise EliminationDegenerate("a root of the resultant is a root of a leading coefficient")
+    return r0.degree()
 
 
-def _lc_v(p: sp.Poly) -> sp.Poly:
-    return _coeff_v(p, p.degree())
+def _chart_lines_over_a4(a) -> int:
+    """The bitangents z = u x + v y with a4(v) = 0: a3 = 0 there, and
+    a1^2 - 4 a0 a2 vanishes (the residual quadratic is a square).
+    a3 = alpha(v) u + beta(v).  At a root v of r = rad a4, a3 has the one
+    root u = -beta/alpha if alpha(v) != 0, none if only alpha(v) = 0, and
+    vanishes if beta(v) = 0 too (raised).  So the candidates lie over the
+    roots of r1 = r / gcd(r, alpha), one each.  With a1^2 - 4 a0 a2 =
+    sum d_k u^k of degree m in u, N = sum d_k (-beta)^k alpha^(m-k) is
+    alpha^m times its value there, so deg gcd(r1, N) of them are
+    bitangents."""
+    a4 = _coeff_u(a[4], 0)
+    if a4.is_zero:
+        raise EliminationDegenerate("a4 vanishes identically")
+    r = a4.sqf_part()
+    alpha, beta = _coeff_u(a[3], 1), _coeff_u(a[3], 0)
+    if r.gcd(alpha).gcd(beta).degree() > 0:
+        raise EliminationDegenerate("a3 vanishes along a root of a4")
+    r1 = r.quo(r.gcd(alpha))
+    disc2 = a[1] ** 2 - 4 * a[0] * a[2]
+    N, alpha_pow = sp.Poly(0, _V, domain=sp.ZZ), sp.Poly(1, _V, domain=sp.ZZ)
+    for k in range(disc2.degree(_U), -1, -1):
+        N = N * -beta + _coeff_u(disc2, k) * alpha_pow
+        alpha_pow = alpha_pow * alpha
+    return r1.gcd(N).degree()
 
 
-def _divides(d: sp.Poly, X: sp.Poly) -> bool:
-    """d | X for d irreducible over Q."""
-    return d.gcd(X).degree() > 0
+def _chart_coefficients(Bf: TernForm) -> list[sp.Poly]:
+    """The coefficients a0..a4 of B(x, y, u x + v y) = sum a_i x^(4-i) y^i
+    as polynomials in (u, v) over ZZ; B is integral."""
+    a = [{} for _ in range(5)]
+    for (i, j, k), val in Bf.c.items():
+        # x^i y^j (u x + v y)^k contributes C(k, l) u^(k-l) v^l to a_(j+l)
+        for l in range(k + 1):
+            key = (k - l, l)
+            a[j + l][key] = a[j + l].get(key, 0) + val * comb(k, l)
+    return [sp.Poly.from_dict(t, _U, _V, domain=sp.ZZ) for t in a]
 
 
-def _subresultant_certificate(d: sp.Poly, lc_PQ: sp.Poly, prs) -> tuple[int, int] | None:
-    """(j, r): at a root alpha of d, gcd(P(alpha, v), Q(alpha, v)) is
-    S_j(alpha, v) and has r distinct roots; None where the certificate does
-    not apply.  `prs` is the subresultant PRS of P, Q in v and lc_PQ the
-    product of their leading coefficients in v; see
-    `_count_all_bitangents_frame` for the argument."""
-    degs = [p.degree() for p in prs]
-    if degs[-3:] != [2, 1, 0] or _divides(d, lc_PQ):
-        return None
-    if not _divides(d, _lc_v(prs[-2])):
-        return 1, 1
-    if degs[-4:] != [3, 2, 1, 0]:
-        return None
-    s2, s1, s0 = (_coeff_v(prs[-3], n) for n in (2, 1, 0))
-    if _divides(d, s2):
-        return None
-    return 2, 1 if _divides(d, s1**2 - 4 * s2 * s0) else 2
-
-
-def _common_roots_by_gcd(d: sp.Poly, P: sp.Poly, Q: sp.Poly) -> int:
-    """Distinct common roots v of P(alpha, v), Q(alpha, v) at a root alpha
-    of the irreducible d, from their gcd over K = Q(alpha)."""
-    K = QuotientField(from_sympy_coeffs(d.all_coeffs(), QQ).monic())
-    gK = quotient_gcd(_bivar_eval(K, P), _bivar_eval(K, Q))
-    if gK.degree <= 0:
-        return 0
-    return (gK // quotient_gcd(gK, gK.derivative())).degree
-
-
-def _rows(p: sp.Poly, spec: int) -> dict[int, Poly]:
-    """p, a polynomial in (v, u) over QQ, as {e: coefficient of the other
-    generator's e-th power, a Poly over QQ in generator `spec` (0 for v,
-    1 for u)}."""
-    rows: dict[int, dict[int, Fraction]] = {}
-    for monom, c in p.terms():
-        rows.setdefault(monom[1 - spec], {})[monom[spec]] = Fraction(int(c.numerator), int(c.denominator))
-    return {e: Poly(QQ, [row.get(i, QQ.zero) for i in range(max(row) + 1)]) for e, row in rows.items()}
-
-
-def _bivar_eval(K: QuotientField, p: sp.Poly) -> Poly:
-    """p(v, u = generator of K) as a Poly in v over K = Q[u]/(m).  Each
-    coefficient, a polynomial in u, is evaluated at the generator by one
-    reduction mod m."""
-    rows = _rows(p, 1)
-    return Poly(K, [K.from_poly(rows[e]) if e in rows else K.zero for e in range(max(rows) + 1)])
+def _coeff_u(p: sp.Poly, n: int) -> sp.Poly:
+    """Coefficient of u^n in p, a polynomial in (u, v), as a polynomial in v."""
+    return sp.Poly.from_dict({(j,): c for (i, j), c in p.terms() if i == n}, _V, domain=p.domain)

@@ -5,8 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from dp2 import cli, fforacle
-from dp2.cli import MAX_ORACLE_PRIME, main
+from dp2 import cli, covers, fforacle
+from dp2.cli import MAX_GENERATE_BUDGET, MAX_ORACLE_PRIME, main
 
 SURFACE_DIR = Path(__file__).resolve().parent.parent / "surfaces"
 S0 = str(SURFACE_DIR / "s0.json")
@@ -145,6 +145,16 @@ class TestGenerate:
         assert summary["attempted"] == 40
         assert summary["distinct"] == len(recs) - 1
 
+    def test_budget_above_the_cap_is_a_usage_error(self, capsys, monkeypatch):
+        def expensive(*args):
+            raise AssertionError("ran before the budget cap")
+
+        monkeypatch.setattr(covers, "context_for", expensive)
+        budget = str(MAX_GENERATE_BUDGET + 1)
+        code, out, err = run(capsys, "generate", "--surface", R2, "--budget", budget)
+        assert code == 1 and out == ""
+        assert f"MAX_GENERATE_BUDGET = {MAX_GENERATE_BUDGET}" in err and budget in err
+
 
 class TestOracle:
     def test_bad_prime_entry_not_fatal(self, capsys):
@@ -161,6 +171,15 @@ class TestOracle:
         assert code == 0
         rec = parse_jsonl(out)[0]
         assert rec["p"] == 3 and rec["good"] is False
+
+    def test_no_good_prime_skips_the_instance(self, capsys, monkeypatch):
+        def expensive(*args):
+            raise AssertionError("searched a phi instance with no good prime")
+
+        monkeypatch.setattr(cli, "_oracle_instance", expensive)
+        code, out, _ = run(capsys, "oracle", "--surface", S0, "--primes", "3")
+        assert code == 0
+        assert parse_jsonl(out)[1:] == [{"instance": {"error": "no good prime"}}]
 
     def test_bad_prime_list(self, capsys):
         code, _, _ = run(capsys, "oracle", "--surface", R2, "--primes", "2,x")

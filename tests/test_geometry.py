@@ -7,21 +7,33 @@ base-locus oracle at several good primes, then pinned.
 import pytest
 import sympy as sp
 from conftest import SURFACE_DIR, PolyRing, seeded_random_surface, square_by_yun
+from hypothesis import assume, given, seed, settings
+from hypothesis import strategies as st
 
-from dp2.errors import EliminationDegenerate, NotVeryGeneral, SameImage
-from dp2.exactalg import QQ, Poly, PrimeField, QuotientField, factor, factor_univariate
+from dp2.errors import EliminationDegenerate, NotVeryGeneral, SameImage, SingularBranchCurve
+from dp2.exactalg import (
+    QQ,
+    Poly,
+    PrimeField,
+    QuotientField,
+    factor,
+    factor_univariate,
+    modgcd,
+    square_conditions,
+)
 from dp2.fforacle import bitangents_through_modp, reduce_surface
 from dp2.geometry import (
     _U,
     _V,
     _as_field,
-    _chart_conditions,
-    _common_roots_by_gcd,
+    _bitangent_frames,
+    _chart_coefficients,
+    _chart_lines_over_a4,
+    _count_all_bitangents_frame,
     _count_bitangents_core,
+    _count_chart_zeros,
     _f,
-    _lc_v,
     _pencil_basis,
-    _subresultant_certificate,
     c_p_point,
     classify_point,
     count_all_bitangents,
@@ -211,7 +223,7 @@ class TestPencilCount:
 class TestGcdOnlyCounts:
     def test_no_factoring_and_no_number_field(self, s0, sk, monkeypatch):
         """The pencil count (behind classification and the oracle) and the
-        a4 correction of the chart count use gcds only."""
+        chart count's lines over the roots of a4 use gcds only."""
         Sp = reduce_surface(s0, 7)  # certifying smoothness factors; not guarded
 
         def refuse(*_args, **_kwargs):
@@ -225,6 +237,18 @@ class TestGcdOnlyCounts:
         points = [(1, y, z) for y in range(7) for z in range(7)] + [(0, 1, z) for z in range(7)] + [(0, 0, 1)]
         assert max(bitangents_through_modp(Sp, p3) for p3 in points) >= 4
         assert count_all_bitangents(sk) == 28
+
+    def test_chart_count_factors_nothing(self, s0, sk, random_surfaces, monkeypatch):
+        """The chart count eliminates u with gcds over ZZ: no sympy
+        factoring, no number field, no gcd over Q(alpha)."""
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("factoring or a number field in the chart count")
+
+        monkeypatch.setattr(sp.Poly, "factor_list", refuse)
+        monkeypatch.setattr(QuotientField, "__init__", refuse)
+        monkeypatch.setattr(modgcd, "quotient_gcd", refuse)
+        assert [count_all_bitangents(S) for S in (s0, sk, random_surfaces[0])] == [28, 28, 28]
 
 
 class TestPhiDomain:
@@ -260,103 +284,115 @@ class TestAllBitangents:
     def test_seeded_random_surfaces(self, seed):
         assert count_all_bitangents(seeded_random_surface(seed)) == 28
 
+    @seed(7)
+    @settings(max_examples=25, deadline=5000, database=None)
+    @given(st.integers(min_value=34, max_value=10**6))
+    def test_unpinned_random_surfaces(self, n):
+        try:
+            S = seeded_random_surface(n)
+        except SingularBranchCurve:
+            assume(False)
+        assert count_all_bitangents(S) == 28
 
-def _chart_factors(S):
-    """P, Q, their subresultant PRS, lc_v(P) lc_v(Q) and the nonconstant
-    irreducible factors of the resultant, as _count_all_bitangents_frame
-    computes them in the first frame."""
-    _a, P, Q = _chart_conditions(S.B)
-    R, prs = sp.resultant(P, Q, includePRS=True)
-    factors = [d for d, _mult in R.factor_list()[1] if d.degree() > 0]
-    return P, Q, prs, _lc_v(P) * _lc_v(Q), factors
+
+FRAME_SURFACES = ["random2", "random3", "random5", "s0", "s_k", 7, 12, 20, 33]
+
+
+class TestBitangentFrames:
+    @pytest.mark.parametrize("name", FRAME_SURFACES)
+    def test_each_frame_counts_28_or_raises(self, name):
+        if isinstance(name, int):
+            S = seeded_random_surface(name)
+        else:
+            S = load_surface(SURFACE_DIR / f"{name}.json")
+        verdicts = []
+        for Bf in _bitangent_frames(S.B):
+            try:
+                verdicts.append(_count_all_bitangents_frame(Bf))
+            except EliminationDegenerate:
+                verdicts.append(None)
+        assert len(verdicts) == 6 and set(verdicts) <= {28, None}
+        if name == "s0":
+            # frame 0: PRS tail 4, 3, 0; frame 1: a root of r0 on a leading coefficient
+            assert verdicts[:3] == [None, None, 28]
+        else:
+            assert verdicts[0] == 28
+
+    def test_s0_hyperflex_lines_over_a4(self, s0):
+        # a4 = B(0, 1, v) vanishes at v^4 = -1, under the lines z = v y
+        assert _chart_lines_over_a4(_chart_coefficients(s0.B)) == 4
 
 
 def _sylvester_subresultant(P, Q, j):
-    """S_j(P, Q) in v from the determinants of the j-th Sylvester submatrix."""
-    m, n = P.degree(), Q.degree()
-    rows = [P * _V**k for k in reversed(range(n - j))] + [Q * _V**k for k in reversed(range(m - j))]
+    """S_j(P, Q) in u from the determinants of the j-th Sylvester submatrix."""
+    m, n = P.degree(_U), Q.degree(_U)
+    rows = [P * _U**k for k in reversed(range(n - j))] + [Q * _U**k for k in reversed(range(m - j))]
     width = m + n - j
-    M = [[r.as_expr().coeff(_V, width - 1 - c) for c in range(width)] for r in rows]
+    M = [[r.as_expr().coeff(_U, width - 1 - c) for c in range(width)] for r in rows]
     S = 0
     for i in range(j + 1):
         cols = list(range(len(rows) - 1)) + [width - 1 - i]
-        S += sp.Matrix([[row[c] for c in cols] for row in M]).det(method="domain-ge") * _V**i
+        S += sp.Matrix([[row[c] for c in cols] for row in M]).det(method="domain-ge") * _U**i
     return sp.expand(S)
 
 
+def _uv(expr):
+    return sp.Poly(expr, _U, _V)
+
+
 class TestSubresultantCertificate:
-    """The certified count of common roots over each factor of the
-    resultant agrees with the gcd over Q(alpha), and every factor outside
-    the certificate's hypotheses is left to that gcd."""
+    """The j = 1 test of `_count_chart_zeros`: one common zero over each
+    root of r0, or EliminationDegenerate."""
 
-    def test_s0_falls_back_on_every_factor(self, s0):
-        P, Q, prs, lc, factors = _chart_factors(s0)
-        assert [p.degree() for p in prs][-3:] != [2, 1, 0]
-        assert factors
-        for d in factors:
-            assert _subresultant_certificate(d, lc, prs) is None
-            assert _common_roots_by_gcd(d, P, Q) > 0
+    def test_two_common_zeros_over_one_v(self):
+        # at v = 0: u^3 - u and u^2 - 1 share u = 1 and u = -1
+        with pytest.raises(EliminationDegenerate, match="leading coefficient"):
+            _count_chart_zeros(_uv(_U**3 - _U + _V), _uv(_U**2 - 1 + _V * _U), sp.Poly(1, _V))
 
-    def test_sk_certificate_matches_gcd_on_every_factor(self, sk):
-        P, Q, prs, lc, factors = _chart_factors(sk)
-        branches = set()
-        for d in factors:
-            cert = _subresultant_certificate(d, lc, prs)
-            assert cert is not None
-            assert cert[1] == _common_roots_by_gcd(d, P, Q)
-            branches.add(cert[0])
-        assert branches == {1, 2}
+    def test_leading_coefficient_drop(self):
+        # at v = 0, P drops to u^2 - 1 = Q
+        with pytest.raises(EliminationDegenerate, match="leading coefficient"):
+            _count_chart_zeros(_uv(_V * _U**3 + _U**2 - 1), _uv(_U**2 - 1), sp.Poly(1, _V))
 
-    def test_random2_branches(self, random_surfaces):
-        P, Q, prs, lc, factors = _chart_factors(random_surfaces[0])
-        by_degree = {d.degree(): d for d in factors}
-        assert sorted(by_degree) == [4, 28]
-        # the 28 bitangents' Galois orbit: one common root per root of d
-        assert _subresultant_certificate(by_degree[28], lc, prs) == (1, 1)
-        # the degree-4 factor: gcd of degree 2 with a double root
-        assert _subresultant_certificate(by_degree[4], lc, prs) == (2, 1)
-        assert _common_roots_by_gcd(by_degree[4], P, Q) == 1
+    def test_prs_tail_with_a_gap(self):
+        P, Q = _uv(_U**3 + _V), _uv(_U)
+        assert [p.degree(_U) for p in sp.resultant(P, Q, includePRS=True)[1]] == [3, 1, 0]
+        with pytest.raises(EliminationDegenerate, match="PRS"):
+            _count_chart_zeros(P, Q, sp.Poly(1, _V))
 
-    def test_leading_coefficient_factor_falls_back(self):
-        # at u = 0, P drops to v^2 - 1 = Q: two common roots
-        P = sp.Poly(_U * _V**3 + _V**2 - 1, _V, _U)
-        Q = sp.Poly(_V**2 - 1, _V, _U)
-        R, prs = sp.resultant(P, Q, includePRS=True)
-        assert [p.degree() for p in prs] == [3, 2, 1, 0]
-        (d, _mult), = R.factor_list()[1]
-        assert d == sp.Poly(_U, _U)
-        assert _subresultant_certificate(d, _lc_v(P) * _lc_v(Q), prs) is None
-        assert _common_roots_by_gcd(d, P, Q) == 2
-
-    def test_non_normal_prs_tail_falls_back(self):
-        P = sp.Poly(_V**3 + _U, _V, _U)
-        Q = sp.Poly(_V, _V, _U)
-        R, prs = sp.resultant(P, Q, includePRS=True)
-        assert [p.degree() for p in prs] == [3, 1, 0]
-        (d, _mult), = R.factor_list()[1]
-        assert _subresultant_certificate(d, _lc_v(P) * _lc_v(Q), prs) is None
-        assert _common_roots_by_gcd(d, P, Q) == 1
-
-    def test_degree_two_element_after_a_gap_is_not_read_as_s2(self):
-        # PRS degrees 4, 2, 1, 0: the element of degree 2 is S_3, not S_2;
-        # at u = 0 the gcd is v^2 + 1
-        P = sp.Poly((_V**2 + 1) * (_V**2 + _V + 2) + _U * _V**3, _V, _U)
-        Q = sp.Poly(_V**2 + 1 + _U * _V, _V, _U)
-        R, prs = sp.resultant(P, Q, includePRS=True)
-        assert [p.degree() for p in prs] == [4, 2, 1, 0]
-        lc = _lc_v(P) * _lc_v(Q)
-        certs = {}
-        for d, _mult in R.factor_list()[1]:
-            certs[d.as_expr()] = (_subresultant_certificate(d, lc, prs), _common_roots_by_gcd(d, P, Q))
-        assert certs == {_U: (None, 2), 2 * _U - 5: ((1, 1), 1)}
+    @pytest.mark.parametrize("a4", [1, _V, _V - 1, (_V - 1) ** 2 * (_V + 5)])
+    def test_normal_pair_matches_brute_force(self, a4):
+        # R = -v^2 (v - 1) (v + 3) (2 v + 1): every root is rational, so the
+        # common zeros are the roots in u of the gcd over each root in v
+        P, Q = _uv(_U**3 + _V * _U - 2 * _V**2), _uv(_U**2 + (_V - 1) * _U - _V)
+        R = sp.resultant(P, Q)
+        roots = sp.roots(R.as_expr(), _V)
+        assert sum(roots.values()) == R.degree()
+        brute = 0
+        for v in roots:
+            if sp.sympify(a4).subs(_V, v) != 0:
+                g = sp.gcd(P.as_expr().subs(_V, v), Q.as_expr().subs(_V, v))
+                brute += len(sp.roots(g, _U))
+        assert brute >= 3
+        # given as (Q, P): the count orders the pair by degree in u itself
+        assert _count_chart_zeros(Q, P, sp.Poly(a4, _V)) == brute
 
     def test_prs_elements_are_sylvester_subresultants(self):
-        # a degree gap after P, as in the chart conditions (12, 9, 8, ...)
-        P = sp.Poly(_V**5 + _U * _V**3 - 2 * _V**2 + (_U - 1) * _V + 3, _V, _U)
-        Q = sp.Poly((_U + 2) * _V**3 + _V**2 - _U * _V + 1, _V, _U)
-        R, prs = sp.resultant(P, Q, includePRS=True)
-        assert [p.degree() for p in prs] == [5, 3, 2, 1, 0]
-        for j, F in ((2, prs[-3]), (1, prs[-2]), (0, prs[-1])):
-            ratio = sp.cancel(_sylvester_subresultant(P, Q, j) / F.as_expr())
-            assert ratio.is_Rational and ratio != 0
-        assert R.as_expr() == _sylvester_subresultant(P, Q, 0)
+        # a degree gap after P
+        P = _uv(_U**5 + _V * _U**3 - 2 * _U**2 + (_V - 1) * _U + 3)
+        Q = _uv((_V + 2) * _U**3 + _U**2 - _V * _U + 1)
+        _check_prs_against_sylvester(P, Q, [5, 3, 2, 1, 0])
+
+    def test_chart_prs_elements_are_sylvester_subresultants(self, sk):
+        # the chart conditions of s_k in frame 0: degrees 4 and 3 in u
+        P, Q = sorted(square_conditions(*_chart_coefficients(sk.B)), key=lambda p: -p.degree(_U))
+        _check_prs_against_sylvester(P, Q, [4, 3, 2, 1, 0])
+
+
+def _check_prs_against_sylvester(P, Q, degrees):
+    R, prs = sp.resultant(P, Q, includePRS=True)
+    assert [p.degree(_U) for p in prs] == degrees
+    for j, F in ((2, prs[-3]), (1, prs[-2]), (0, prs[-1])):
+        ratio = sp.cancel(_sylvester_subresultant(P, Q, j) / F.as_expr())
+        assert ratio.is_Rational and ratio != 0
+    assert R.as_expr() == _sylvester_subresultant(P, Q, 0)
