@@ -1,7 +1,7 @@
 """Exact arithmetic: fields, polynomials, forms, factorization."""
 
 from .factor import factor_modp, factor_rational, factor_univariate
-from .field import QQ, PrimeField, PrimeFieldElt, RationalField
+from .field import PRIME_TEST_BOUND, QQ, PrimeField, PrimeFieldElt, RationalField, is_prime
 from .poly import (
     BinForm,
     Poly,
@@ -17,6 +17,7 @@ from .poly import (
 from .quotient import QuotientElt, QuotientField
 
 __all__ = [
+    "PRIME_TEST_BOUND",
     "QQ",
     "BinForm",
     "Poly",
@@ -31,6 +32,7 @@ __all__ = [
     "factor_modp",
     "factor_rational",
     "factor_univariate",
+    "is_prime",
     "is_square_binform",
     "poly_gcd",
     "poly_xgcd",

@@ -49,6 +49,35 @@ class RationalField:
 QQ = RationalField()
 
 
+# Miller-Rabin with the prime bases up to 37 is exact below this bound
+# (Sorenson and Webster, Math. Comp. 86 (2017))
+PRIME_TEST_BOUND = 318665857834031151167461
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; ValueError for n >= PRIME_TEST_BOUND."""
+    if n >= PRIME_TEST_BOUND:
+        raise ValueError(f"{n} is not below PRIME_TEST_BOUND = {PRIME_TEST_BOUND}")
+    if n < 2 or any(n % b == 0 for b in _MR_BASES):
+        return n in _MR_BASES
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class PrimeFieldElt:
     """Residue in F_p with p an odd prime."""
 

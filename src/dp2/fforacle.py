@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import sympy as sp
-
 from .errors import (
     BadPrime,
     BitangentLine,
@@ -22,7 +20,7 @@ from .errors import (
     SingularHit,
     UnexpectedDimension,
 )
-from .exactalg import PrimeField, TernForm
+from .exactalg import PRIME_TEST_BOUND, PrimeField, TernForm, is_prime
 from .geometry import (
     _count_bitangents_core,
     _kernel,
@@ -54,13 +52,16 @@ class SurfaceModP:
 def reduce_surface(S: SurfaceDP2, p: int) -> SurfaceModP:
     """Reduce mod p, certifying that B stays a smooth quartic.  The quartic
     discriminant and the jets divide by 2 and 3, so p must be at least 5."""
-    if not sp.isprime(p) or p < 5:
+    if p >= PRIME_TEST_BOUND:
+        raise BadPrime(f"{p} is not below PRIME_TEST_BOUND = {PRIME_TEST_BOUND}, "
+                       f"where the primality test is exact")
+    if p < 5 or not is_prime(p):
         raise BadPrime(f"{p} is not a prime >= 5")
     F = PrimeField(p)
     fp = S.f.map_coeffs(F.from_int, F)
     gp = S.g.map_coeffs(F.from_int, F)
     Bp = S.B.map_coeffs(F.from_int, F)
-    if Bp.is_zero() or Bp.degree != 4 or not _is_smooth_quartic(Bp):
+    if not _is_smooth_quartic(Bp):
         raise BadPrime(f"branch quartic degenerates mod {p}")
     return SurfaceModP(p=p, F=F, f=fp, g=gp, B=Bp)
 
@@ -75,11 +76,7 @@ def good_prime(S: SurfaceDP2, p: int) -> bool:
 
 def good_primes(S: SurfaceDP2, lo: int = 5, hi: int = 100, count: int | None = None):
     out = []
-    p = lo - 1
-    while True:
-        p = int(sp.nextprime(p))
-        if p > hi:
-            break
+    for p in range(lo, hi + 1):
         if good_prime(S, p):
             out.append(p)
             if count is not None and len(out) >= count:

@@ -38,6 +38,7 @@ from .exactalg import (
 from .genus1 import (
     LineParam,
     ModelClass,
+    _det3,
     classify_model,
     lin_comb,
     neg_wrt,
@@ -45,7 +46,6 @@ from .genus1 import (
     pullback_line,
 )
 from .surface import PointDP2, PointP2, SurfaceDP2, geiser, kappa, on_ramification, on_surface
-from .surface import _random_unimodular, _tern_substitute
 
 # fixed ordering of the |-2K_X| section basis: w, then the degree-2 monomials
 SEC_MONOMIALS = [(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1)]
@@ -379,6 +379,31 @@ def c_p_point(S: SurfaceDP2, P: PointDP2, param: tuple[int, int]) -> PointDP2:
 # bitangent counting through a point
 
 
+def _tern_substitute(form: TernForm, m) -> TernForm:
+    """Pullback of the form along (x, y, z) -> M (x, y, z)."""
+    F = form.field
+    basis = []
+    for row in range(3):
+        basis.append(
+            TernForm(F, 1, {
+                (1, 0, 0): F.from_int(m[row][0]),
+                (0, 1, 0): F.from_int(m[row][1]),
+                (0, 0, 1): F.from_int(m[row][2]),
+            })
+        )
+    out = TernForm.zero(F, form.degree)
+    for (i, j, k), val in form.c.items():
+        term = TernForm(F, 0, {(0, 0, 0): val})
+        for _ in range(i):
+            term = term * basis[0]
+        for _ in range(j):
+            term = term * basis[1]
+        for _ in range(k):
+            term = term * basis[2]
+        out = out + term
+    return out
+
+
 def _pencil_basis(p3):
     """The two unit vectors off the first nonzero coordinate of p3 (ints,
     reduced mod p over F_p); with p3 they span the whole space."""
@@ -543,6 +568,13 @@ def _bitangent_frames(B: TernForm):
     rng = random.Random(1729)
     for _ in range(_BITANGENT_FRAMES - 1):
         yield _tern_substitute(B, _random_unimodular(rng))
+
+
+def _random_unimodular(rng) -> list[list[int]]:
+    while True:
+        m = [[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)]
+        if _det3(m) in (1, -1):
+            return m
 
 
 def _count_all_bitangents_frame(Bf: TernForm) -> int:

@@ -3,31 +3,23 @@
 A surface is stored with integer f (degree 2) and g (degree 4), normalized
 under the admissible rescaling (f, g, w) -> (mu f, mu^2 g, mu w) so the
 coefficients are integral and jointly primitive.  The branch quartic
-B = f^2 + 4g must be smooth, which is certified exactly by resultant
-elimination (no Groebner bases, no floating point).
+B = f^2 + 4g must be smooth, which is certified exactly by the rank of one
+integer matrix, its degree-7 Macaulay matrix, taken mod primes (no
+Groebner bases, no factoring, no floating point).
 """
 
 from __future__ import annotations
 
 import json
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as igcd
+from math import isqrt, prod
 
 from sympy import factorint
 
 from .errors import NotOnSurface, SingularBranchCurve, WrongDegrees
-from .exactalg import (
-    QQ,
-    Poly,
-    QuotientField,
-    TernForm,
-    content_primitive_ints,
-    factor_univariate,
-    poly_gcd,
-)
-from .genus1 import _det3
+from .exactalg import QQ, TernForm, content_primitive_ints, is_prime
 
 
 # ---------------------------------------------------------------------------
@@ -98,197 +90,86 @@ class PointDP2:
 # smoothness certification for a plane quartic (field-generic)
 
 
-def _has_common_projective_root_binary(F, forms) -> bool:
-    """Whether nonzero binary forms share a root in P^1 over the closure."""
-    forms = [f for f in forms if not f.is_zero()]
-    if not forms:
-        return True
-    # root at infinity (1:0): all coefficients of s^deg vanish
-    if all(F.is_zero(f.c[0]) for f in forms):
-        return True
-    g = forms[0].to_poly()
-    for f in forms[1:]:
-        g = poly_gcd(g, f.to_poly())
-        if g.degree == 0:
-            return False
-    return g.degree > 0
+def _monomials(d: int) -> list[tuple[int, int, int]]:
+    return [(i, j, d - i - j) for i in range(d, -1, -1) for j in range(d - i, -1, -1)]
 
 
-def _poly2_resultant_x(F, a, b):
-    """Resultant with respect to x of bivariate polynomials represented as
-    dicts (i, j) -> coeff (x^i y^j), returning a univariate Poly in y.
-
-    Computed via the Sylvester matrix with entries in F[y], expanded by
-    fraction-free Gaussian elimination (Bareiss) over the polynomial ring.
-    """
-    ax = max((i for (i, _) in a), default=0)
-    bx = max((i for (i, _) in b), default=0)
-
-    def x_coeff(d, i):
-        ymax = max((j for (ii, j) in d if ii == i), default=-1)
-        return Poly(F, [d.get((i, j), F.zero) for j in range(ymax + 1)])
-
-    arow = [x_coeff(a, i) for i in range(ax, -1, -1)]
-    brow = [x_coeff(b, i) for i in range(bx, -1, -1)]
-    n = ax + bx
-    if n == 0:
-        return Poly.one(F)
-    m = []
-    for k in range(bx):
-        m.append([Poly.zero(F)] * k + arow + [Poly.zero(F)] * (bx - 1 - k))
-    for k in range(ax):
-        m.append([Poly.zero(F)] * k + brow + [Poly.zero(F)] * (ax - 1 - k))
-    # Bareiss fraction-free determinant over F[y]
-    prev = Poly.one(F)
-    mat = [row[:] for row in m]
-    sign = 1
-    for k in range(n - 1):
-        if mat[k][k].is_zero():
-            for r in range(k + 1, n):
-                if not mat[r][k].is_zero():
-                    mat[k], mat[r] = mat[r], mat[k]
-                    sign = -sign
-                    break
-            else:
-                return Poly.zero(F)
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = mat[i][j] * mat[k][k] - mat[i][k] * mat[k][j]
-                mat[i][j] = num // prev
-            mat[i][k] = Poly.zero(F)
-        prev = mat[k][k]
-    det = mat[n - 1][n - 1]
-    if sign < 0:
-        det = -det
-    return det
+_SEPTIC_COLUMN = {m: n for n, m in enumerate(_monomials(7))}
 
 
-def _tern_to_xy_dict(F, form: TernForm):
-    """Dehomogenize z = 1: dict (i, j) -> coeff for x^i y^j."""
-    out = {}
-    for (i, j, k), val in form.c.items():
-        out[(i, j)] = out.get((i, j), F.zero) + val
-    return out
+def _macaulay_rows(B: dict) -> list[list[int]]:
+    """The 45 rows x^a y^b z^c * dB/dx_d, a + b + c = 4, of the quartic
+    B = {(i, j, k): int} over the 36 septic monomials."""
+    rows = []
+    for d in range(3):
+        partial = {}
+        for e, v in B.items():
+            if e[d]:
+                partial[e[:d] + (e[d] - 1,) + e[d + 1:]] = e[d] * v
+        for a, b, c in _monomials(4):
+            row = [0] * len(_SEPTIC_COLUMN)
+            for (i, j, k), v in partial.items():
+                row[_SEPTIC_COLUMN[(i + a, j + b, k + c)]] = v
+            rows.append(row)
+    return rows
 
 
-def _dict_eval_y(F, d, beta, K):
-    """Substitute y = beta (element of extension K) into an (i,j)-dict,
-    returning a Poly in x over K."""
-    xmax = max((i for (i, _) in d), default=0)
-    coeffs = []
-    for i in range(xmax + 1):
-        acc = K.zero
-        for (ii, j), val in d.items():
-            if ii != i:
-                continue
-            acc = acc + K.from_base(val) * beta**j
-        coeffs.append(acc)
-    return Poly(K, coeffs)
-
-
-_SMOOTH_FRAMES = 6  # coordinate frames tried before giving up
+def _rank_mod(rows: list[list[int]], p: int) -> int:
+    """Rank of an integer matrix mod the prime p (Gaussian elimination)."""
+    rows = [[v % p for v in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0])):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        prow = [v * inv % p for v in rows[rank][col:]]
+        for i in range(rank + 1, len(rows)):
+            c = rows[i][col]
+            if c:
+                rows[i][col:] = [(v - c * w) % p for v, w in zip(rows[i][col:], prow)]
+        rank += 1
+    return rank
 
 
 def _is_smooth_quartic(B: TernForm) -> bool:
-    """Exact smoothness test for a plane quartic over Q or F_p.
+    """Exact smoothness test for a plane quartic over Q or F_p, p >= 5, by
+    the rank of its degree-7 Macaulay matrix (Macaulay 1916; Cox, Little and
+    O'Shea, Using Algebraic Geometry, ch. 3 sec. 4): B is smooth exactly
+    when the 45 products of the quartic monomials with the partials of B
+    span the 36 septic monomials.
 
-    A singular point is a common projective zero of the three partials (it
-    lies on B automatically by the Euler relation).  Strategy: check the line
-    z = 0 by binary-form GCDs, then the affine chart z = 1 by eliminating x
-    with two resultants, intersecting candidate y-values, and certifying each
-    candidate by a GCD computation over the quotient field.  Degenerate
-    coordinate frames are escaped by a deterministic random change of basis.
-    """
-    F = B.field
-    rng = random.Random(11)
-    form = B
-    for attempt in range(_SMOOTH_FRAMES):
-        if attempt > 0:
-            m = _random_unimodular(rng)
-            form = _tern_substitute(B, m)
-        verdict = _smooth_in_frame(F, form)
-        if verdict is not None:
-            return verdict
-    raise SingularBranchCurve("smoothness test degenerate in all frames")
-
-
-def _random_unimodular(rng) -> list[list[int]]:
-    while True:
-        m = [[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)]
-        if _det3(m) in (1, -1):
-            return m
-
-
-def _tern_substitute(form: TernForm, m) -> TernForm:
-    """Pullback of the form along (x, y, z) -> M (x, y, z)."""
-    F = form.field
-    basis = []
-    for row in range(3):
-        basis.append(
-            TernForm(F, 1, {
-                (1, 0, 0): F.from_int(m[row][0]),
-                (0, 1, 0): F.from_int(m[row][1]),
-                (0, 0, 1): F.from_int(m[row][2]),
-            })
-        )
-    out = TernForm.zero(F, form.degree)
-    for (i, j, k), val in form.c.items():
-        term = TernForm(F, 0, {(0, 0, 0): val})
-        for _ in range(i):
-            term = term * basis[0]
-        for _ in range(j):
-            term = term * basis[1]
-        for _ in range(k):
-            term = term * basis[2]
-        pad = form.degree - term.degree
-        if pad:
-            raise AssertionError("degree bookkeeping")
-        out = out + term
-    return out
-
-
-def _smooth_in_frame(F, form: TernForm):
-    """True/False when decidable in this coordinate frame, None to retry."""
-    partials = [form.deriv(0), form.deriv(1), form.deriv(2)]
-    if all(p.is_zero() for p in partials):
-        return False
-    # the line z = 0
-    restricted = [p.restrict_line((1, 0, 0), (0, 1, 0)) for p in partials]
-    if _has_common_projective_root_binary(F, restricted):
-        return False
-    # affine chart z = 1
-    nz = [p for p in partials if not p.is_zero()]
-    if len(nz) < 2:
-        return False  # a single curve of critical points: certainly singular
-    dicts = [_tern_to_xy_dict(F, p) for p in nz]
-    res = []
-    for other in dicts[1:]:
-        r = _poly2_resultant_x(F, dicts[0], other)
-        res.append(r)
-    h = Poly.zero(F)
-    for r in res:
-        h = poly_gcd(h, r) if not h.is_zero() else r
-        if not h.is_zero() and h.degree == 0:
+    Soundness.  By Euler's relation 4B = sum x_d dB/dx_d with 4 != 0, a
+    singular point is exactly a common zero of the three partials, ternary
+    cubics.  Three cubics with no common zero over the closure form a
+    regular sequence; the quotient by them has Hilbert series
+    (1 + t + t^2)^3, of degree 6, so it is zero in degree 7 and the rank is
+    36.  A common zero P kills every row, while some septic monomial does
+    not vanish at P, so the rank is below 36.  Rank does not change under
+    field extension.  Over Q the matrix is made integral (scaling B keeps
+    its singular points) and reduced mod successive primes below 2^61: the
+    rank mod p is at most the rank over Q, so rank 36 mod one prime proves
+    B smooth.  If the rank over Q is 36, some 36 x 36 minor M is nonzero,
+    and by Hadamard |M| <= H, the product of the 36 largest row norms; once
+    the primes tried multiply to more than H, they cannot all divide M, so
+    B is singular.  B = 0 gives rank 0."""
+    if B.field.char:
+        rows = _macaulay_rows({e: v.r for e, v in B.c.items()})
+        return _rank_mod(rows, B.field.char) == len(_SEPTIC_COLUMN)
+    ints, _ = content_primitive_ints(list(B.c.values()))
+    rows = _macaulay_rows(dict(zip(B.c, ints)))
+    norms = sorted(isqrt(sum(v * v for v in row)) + 1 for row in rows)
+    bound = prod(norms[-len(_SEPTIC_COLUMN):])
+    p, tried = 2**61, 1
+    while tried <= bound:
+        p -= 1
+        while not is_prime(p):
+            p -= 1
+        if _rank_mod(rows, p) == len(_SEPTIC_COLUMN):
             return True
-    if h.is_zero():
-        return None  # resultants identically zero: frame degenerate
-    if h.degree == 0:
-        return True
-    for factor, _mult in factor_univariate(h.monic()):
-        if factor.degree == 0:
-            continue
-        K = QuotientField(factor)
-        beta = K.gen
-        g = None
-        for d in dicts:
-            p = _dict_eval_y(F, d, beta, K)
-            g = p if g is None else poly_gcd(g, p)
-            if g.degree == 0:
-                break
-        if g is not None and g.degree != 0:
-            # a genuine common root, or all partials vanish along y = beta
-            return False
-    return True
+        tried *= p
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +279,7 @@ def validate_surface(f: TernForm, g: TernForm) -> SurfaceDP2:
     fn = f.scale(mu)
     gn = g.scale(mu * mu)
     B = fn * fn + gn.scale(Fraction(4))
-    if B.is_zero() or not _is_smooth_quartic(B):
+    if not _is_smooth_quartic(B):
         raise SingularBranchCurve("branch quartic f^2 + 4g is singular")
     return SurfaceDP2(f=fn, g=gn, B=B)
 

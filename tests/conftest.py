@@ -6,7 +6,17 @@ from pathlib import Path
 
 import pytest
 
-from dp2.exactalg import QQ, BinForm, Poly, TernForm, squarefree_factor
+from dp2.exactalg import (
+    QQ,
+    BinForm,
+    Poly,
+    QuotientField,
+    TernForm,
+    factor_univariate,
+    poly_gcd,
+    squarefree_factor,
+)
+from dp2.geometry import _random_unimodular, _tern_substitute
 from dp2.surface import SurfaceDP2, validate_surface
 
 SURFACE_DIR = Path(__file__).resolve().parent.parent / "surfaces"
@@ -70,6 +80,115 @@ def square_by_yun(q) -> bool:
     k = next(i for i, a in enumerate(q.c) if not F.is_zero(a))
     finite = Poly(F, list(reversed(q.c[k:])))
     return k % 2 == 0 and all(mult % 2 == 0 for _, mult in squarefree_factor(finite))
+
+
+def _has_common_projective_root_binary(F, forms) -> bool:
+    """Whether nonzero binary forms share a root in P^1 over the closure."""
+    forms = [f for f in forms if not f.is_zero()]
+    if not forms:
+        return True
+    if all(F.is_zero(f.c[0]) for f in forms):
+        return True
+    g = forms[0].to_poly()
+    for f in forms[1:]:
+        g = poly_gcd(g, f.to_poly())
+        if g.degree == 0:
+            return False
+    return g.degree > 0
+
+
+def _poly2_resultant_x(F, a, b):
+    """Resultant in x of {(i, j): coeff} polynomials in x, y, as a Poly in
+    y: the Sylvester determinant over F[y] by Bareiss elimination."""
+    ax = max((i for (i, _) in a), default=0)
+    bx = max((i for (i, _) in b), default=0)
+
+    def x_coeff(d, i):
+        ymax = max((j for (ii, j) in d if ii == i), default=-1)
+        return Poly(F, [d.get((i, j), F.zero) for j in range(ymax + 1)])
+
+    arow = [x_coeff(a, i) for i in range(ax, -1, -1)]
+    brow = [x_coeff(b, i) for i in range(bx, -1, -1)]
+    n = ax + bx
+    if n == 0:
+        return Poly.one(F)
+    zero = Poly.zero(F)
+    mat = [[zero] * k + arow + [zero] * (bx - 1 - k) for k in range(bx)]
+    mat += [[zero] * k + brow + [zero] * (ax - 1 - k) for k in range(ax)]
+    prev, sign = Poly.one(F), 1
+    for k in range(n - 1):
+        if mat[k][k].is_zero():
+            r = next((r for r in range(k + 1, n) if not mat[r][k].is_zero()), None)
+            if r is None:
+                return zero
+            mat[k], mat[r] = mat[r], mat[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                mat[i][j] = (mat[i][j] * mat[k][k] - mat[i][k] * mat[k][j]) // prev
+            mat[i][k] = zero
+        prev = mat[k][k]
+    return mat[n - 1][n - 1] if sign > 0 else -mat[n - 1][n - 1]
+
+
+def _smooth_in_frame(F, form):
+    """True/False when decidable in this coordinate frame, None to retry."""
+    partials = [form.deriv(0), form.deriv(1), form.deriv(2)]
+    if all(p.is_zero() for p in partials):
+        return False
+    if _has_common_projective_root_binary(F, [p.restrict_line((1, 0, 0), (0, 1, 0)) for p in partials]):
+        return False  # a common zero on the line z = 0
+    nz = [p for p in partials if not p.is_zero()]
+    if len(nz) < 2:
+        return False
+    dicts = []
+    for p in nz:
+        d = {}
+        for (i, j, _k), val in p.c.items():
+            d[(i, j)] = d.get((i, j), F.zero) + val
+        dicts.append(d)
+    h = Poly.zero(F)
+    for other in dicts[1:]:
+        r = _poly2_resultant_x(F, dicts[0], other)
+        h = poly_gcd(h, r) if not h.is_zero() else r
+        if not h.is_zero() and h.degree == 0:
+            return True
+    if h.is_zero():
+        return None
+    for factor, _mult in factor_univariate(h.monic()):
+        if factor.degree == 0:
+            continue
+        K = QuotientField(factor)
+        g = None
+        for d in dicts:
+            xmax = max(i for (i, _) in d)
+            coeffs = [K.zero] * (xmax + 1)
+            for (i, j), val in d.items():
+                coeffs[i] = coeffs[i] + K.from_base(val) * K.gen**j
+            p = Poly(K, coeffs)
+            g = p if g is None else poly_gcd(g, p)
+            if g.degree == 0:
+                break
+        if g.degree != 0:
+            return False  # a common zero, or all partials vanish on y = beta
+    return True
+
+
+def is_smooth_by_elimination(B) -> bool:
+    """Reference smoothness test for a plane quartic over Q or F_p: the
+    partials' common zeros on z = 0 by gcds of binary forms, then in the
+    chart z = 1 by two resultants in x, each root beta of their gcd checked
+    by a gcd over Q(beta) or F_p(beta); a frame where the resultants vanish
+    identically is left for a seeded random unimodular one."""
+    rng = random.Random(11)
+    form = B
+    for attempt in range(6):
+        if attempt > 0:
+            form = _tern_substitute(B, _random_unimodular(rng))
+        verdict = _smooth_in_frame(B.field, form)
+        if verdict is not None:
+            return verdict
+    raise AssertionError("smoothness reference degenerate in all frames")
 
 
 def _bin_mul_reference(F, a, b):

@@ -1,15 +1,18 @@
 """Exact-arithmetic layer: fields, polynomials, forms, factorization, and the
 modular extension-field GCD."""
 
+import random
 from fractions import Fraction
 
 import pytest
+import sympy as sp
 from conftest import restrict_line_reference, square_by_yun, substitute_reference
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from dp2.errors import WrongDegree
 from dp2.exactalg import (
+    PRIME_TEST_BOUND,
     QQ,
     BinForm,
     Poly,
@@ -20,6 +23,7 @@ from dp2.exactalg import (
     disc_binary_quartic,
     factor_modp,
     factor_rational,
+    is_prime,
     is_square_binform,
     poly_gcd,
     poly_xgcd,
@@ -91,6 +95,28 @@ class TestPrimeField:
     def test_pow(self):
         F = PrimeField(11)
         assert F.from_int(2) ** 10 == F.one
+
+
+class TestIsPrime:
+    def test_matches_sympy_below_10_5(self):
+        assert [n for n in range(10**5) if is_prime(n) != sp.isprime(n)] == []
+
+    def test_matches_sympy_on_61_bit_numbers(self):
+        rng = random.Random(61)
+        sample = [rng.randrange(2**60, 2**61) | 1 for _ in range(2000)]
+        sample += list(range(2**61 - 200, 2**61 + 1))
+        assert [n for n in sample if is_prime(n) != sp.isprime(n)] == []
+        assert sum(map(is_prime, sample)) > 50
+
+    def test_strong_pseudoprimes(self):
+        # strong pseudoprimes to the bases 2, 3, 5, 7 and to the primes up to 23
+        for n in (3215031751, 3825123056546413051):
+            assert not sp.isprime(n) and not is_prime(n)
+
+    def test_refuses_beyond_the_exact_bound(self):
+        assert is_prime(PRIME_TEST_BOUND - 2) == sp.isprime(PRIME_TEST_BOUND - 2)
+        with pytest.raises(ValueError, match="PRIME_TEST_BOUND"):
+            is_prime(PRIME_TEST_BOUND)
 
 
 class TestBinForm:

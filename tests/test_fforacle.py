@@ -1,9 +1,13 @@
 """Finite-field oracles: reduction, enumeration, base locus, surjectivity."""
 
+from fractions import Fraction
+
 import sympy as sp
 import pytest
+from conftest import SURFACE_DIR
 
 from dp2.errors import BadPrime
+from dp2.exactalg import PRIME_TEST_BOUND, QQ, QuotientField, TernForm, factor
 from dp2.fforacle import (
     SurjectivityReport,
     base_locus_oracle,
@@ -19,7 +23,7 @@ from dp2.fforacle import (
     very_general_exceptions,
 )
 from dp2.geometry import phi
-from dp2.surface import PointDP2
+from dp2.surface import PointDP2, load_surface, validate_surface
 
 P0 = PointDP2(20, 15, 12, 481)
 Q1 = PointDP2(0, 1, 0, 1)
@@ -41,6 +45,45 @@ class TestGoodPrime:
     def test_non_prime_rejected(self, s0):
         with pytest.raises(BadPrime):
             reduce_surface(s0, 15)
+
+    def test_prime_beyond_the_exact_bound_rejected(self, s0):
+        with pytest.raises(BadPrime, match="PRIME_TEST_BOUND"):
+            reduce_surface(s0, int(sp.nextprime(PRIME_TEST_BOUND)))
+
+    def test_bad_primes_of_the_pinned_surfaces(self):
+        bad = {}
+        for name in ("s0", "s_k", "random2", "random3", "random5"):
+            S = load_surface(SURFACE_DIR / f"{name}.json")
+            bad[name] = [p for p in sp.primerange(5, 98) if not good_prime(S, p)]
+        assert bad == {"s0": [], "s_k": [7], "random2": [7, 13], "random3": [], "random5": [29]}
+
+    def test_branch_quartic_vanishing_mod_p(self):
+        # f = x^2, g = x^4 + 5 y^4 + 5 z^4: B = 5 (x^4 + 4 y^4 + 4 z^4) is
+        # smooth over Q and zero mod 5
+        S = validate_surface(TernForm(QQ, 2, {(2, 0, 0): Fraction(1)}), TernForm(QQ, 4, {
+            (4, 0, 0): Fraction(1), (0, 4, 0): Fraction(5), (0, 0, 4): Fraction(5),
+        }))
+        assert S.B.c == {(4, 0, 0): 5, (0, 4, 0): 20, (0, 0, 4): 20}
+        assert not good_prime(S, 5)
+        assert good_primes(S, 5, 13) == [7, 11, 13]
+
+    def test_smoothness_factors_nothing(self, monkeypatch):
+        """Certifying a smooth branch quartic, over Q or mod p, factors no
+        polynomial and builds no number field."""
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("factoring or a number field in the smoothness test")
+
+        monkeypatch.setattr(factor, "factor_rational", refuse)
+        monkeypatch.setattr(factor, "factor_modp", refuse)
+        monkeypatch.setattr(QuotientField, "__init__", refuse)
+        for name in ("s0", "s_k", "random2", "random3", "random5"):
+            S = load_surface(SURFACE_DIR / f"{name}.json")
+            for p in sp.primerange(5, 24):
+                try:
+                    reduce_surface(S, p)
+                except BadPrime:
+                    assert (name, p) in {("s_k", 7), ("random2", 7), ("random2", 13)}
 
 
 class TestEnumerate:

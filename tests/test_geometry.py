@@ -224,7 +224,6 @@ class TestGcdOnlyCounts:
     def test_no_factoring_and_no_number_field(self, s0, sk, monkeypatch):
         """The pencil count (behind classification and the oracle) and the
         chart count's lines over the roots of a4 use gcds only."""
-        Sp = reduce_surface(s0, 7)  # certifying smoothness factors; not guarded
 
         def refuse(*_args, **_kwargs):
             raise AssertionError("factoring or a number field on a gcd-only path")
@@ -232,6 +231,7 @@ class TestGcdOnlyCounts:
         monkeypatch.setattr(factor, "factor_rational", refuse)
         monkeypatch.setattr(factor, "factor_modp", refuse)
         monkeypatch.setattr(QuotientField, "__init__", refuse)
+        Sp = reduce_surface(s0, 7)
         verdicts = [classify_point(s0, P).n_exceptional for P in (PointDP2(1, 0, 0, 1), P0, Q1, PHI_P0_Q1)]
         assert verdicts[:2] == [4, 0]
         points = [(1, y, z) for y in range(7) for z in range(7)] + [(0, 1, z) for z in range(7)] + [(0, 0, 1)]

@@ -1,17 +1,23 @@
 """Surface model: validation, normalization, points, kappa, Geiser, lift,
 file format."""
 
+import random
 import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from conftest import is_smooth_by_elimination
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 from sympy import nextprime
 
 from dp2.errors import NotOnSurface, SingularBranchCurve, WrongDegrees
-from dp2.exactalg import QQ, TernForm
+from dp2.exactalg import QQ, PrimeField, TernForm
+from dp2.geometry import _random_unimodular, _tern_substitute
 from dp2.surface import (
     PointDP2,
+    _is_smooth_quartic,
     PointP2,
     geiser,
     kappa,
@@ -99,6 +105,78 @@ class TestValidate:
     def test_random_surfaces_valid(self, random_surfaces):
         for S in random_surfaces:
             assert S.equation_at(1, 1, 1, 1)
+
+
+def _form(rng, degree, binary=False) -> TernForm:
+    """Random ternary form with coefficients in [-3, 3]; with binary, a
+    form in x and y alone."""
+    mons = [(i, degree - i - k, k) for i in range(degree + 1) for k in range(degree + 1 - i)]
+    mons = [m for m in mons if not (binary and m[2])]
+    return TernForm(QQ, degree, {m: Fraction(rng.randint(-3, 3)) for m in mons})
+
+
+def _quartic(family: str, rng) -> TernForm:
+    """A random quartic of one of SMOOTHNESS_FAMILIES.  "node" and "cusp"
+    are singular at (0:0:1), z^2 q + z c3 + c4 with q a random (or squared)
+    binary quadratic, moved by a random unimodular frame; "pair" lies in
+    (z, n)^2 for a binary quadratic n, so it is singular at the two zeros
+    of n on z = 0, a conjugate pair when disc n is not a square."""
+    z = TernForm(QQ, 1, {(0, 0, 1): Fraction(1)})
+    if family == "random":
+        return _form(rng, 4)
+    if family in ("node", "cusp"):
+        line = _form(rng, 1, binary=True)
+        q = _form(rng, 2, binary=True) if family == "node" else line * line
+        B = z * z * q + z * _form(rng, 3, binary=True) + _form(rng, 4, binary=True)
+        return _tern_substitute(B, _random_unimodular(rng))
+    if family == "pair":
+        n, c = _form(rng, 2, binary=True), Fraction(rng.randint(-3, 3))
+        return z * z * _form(rng, 2) + z * n * _form(rng, 1) + (n * n).scale(c)
+    if family == "cubic_line":
+        return _form(rng, 3) * _form(rng, 1)
+    if family == "conic_conic":
+        return _form(rng, 2) * _form(rng, 2)
+    conic = _form(rng, 2)
+    return (conic * conic).scale(Fraction(rng.choice((-2, -1, 1, 3))))
+
+
+SMOOTHNESS_FAMILIES = ("random", "node", "cusp", "pair", "cubic_line", "conic_conic", "double_conic")
+
+
+class TestSmoothness:
+    @seed(8)
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(st.sampled_from(SMOOTHNESS_FAMILIES), st.integers(0, 10**9))
+    def test_rank_matches_elimination(self, family, n):
+        """The Macaulay rank test and the elimination reference agree over
+        Q and over F_5, ..., F_17; every family but "random" is singular."""
+        B = _quartic(family, random.Random(n))
+        smooth = _is_smooth_quartic(B)
+        assert smooth == is_smooth_by_elimination(B)
+        assert not smooth or family == "random"
+        for p in (5, 7, 11, 13, 17):
+            Bp = B.map_coeffs(PrimeField(p).from_int, PrimeField(p))
+            assert _is_smooth_quartic(Bp) == is_smooth_by_elimination(Bp), p
+
+    def test_huge_smooth_quartic_validates_fast(self):
+        # 300-digit coefficients: one elimination mod one prime suffices
+        rng = random.Random(300)
+        mons = [(i, j, 4 - i - j) for i in range(5) for j in range(5 - i)]
+        g = TernForm(QQ, 4, {m: Fraction(rng.randrange(10**299, 10**300)) for m in mons})
+        start = time.perf_counter()
+        validate_surface(TernForm(QQ, 2, {}), g)
+        assert time.perf_counter() - start < 1
+
+    def test_huge_singular_quartic_rejected_in_bounded_time(self):
+        # 100-digit coefficients and no z^4, x z^3, y z^3: singular at
+        # (0:0:1), so every prime up to the Hadamard bound is tried
+        rng = random.Random(100)
+        mons = [(i, j, 4 - i - j) for i in range(5) for j in range(5 - i) if i + j > 1]
+        g = TernForm(QQ, 4, {m: Fraction(rng.randrange(10**99, 10**100)) for m in mons})
+        start = time.perf_counter()
+        with pytest.raises(SingularBranchCurve):
+            validate_surface(TernForm(QQ, 2, {}), g)
+        assert time.perf_counter() - start < 5
 
 
 class TestPoints:
