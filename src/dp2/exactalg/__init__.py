@@ -1,6 +1,7 @@
-"""Exact arithmetic: fields, polynomials, forms, factorization."""
+"""Exact arithmetic: fields, polynomials, forms.  Factorization (`factor`)
+and the number fields Q(alpha) (`quotient`) are imported from their
+submodules."""
 
-from .factor import factor_modp, factor_rational, factor_univariate
 from .field import PRIME_TEST_BOUND, QQ, PrimeField, PrimeFieldElt, RationalField, is_prime
 from .poly import (
     BinForm,
@@ -14,7 +15,6 @@ from .poly import (
     square_conditions,
     squarefree_factor,
 )
-from .quotient import QuotientElt, QuotientField
 
 __all__ = [
     "PRIME_TEST_BOUND",
@@ -23,15 +23,10 @@ __all__ = [
     "Poly",
     "PrimeField",
     "PrimeFieldElt",
-    "QuotientElt",
-    "QuotientField",
     "RationalField",
     "TernForm",
     "content_primitive_ints",
     "disc_binary_quartic",
-    "factor_modp",
-    "factor_rational",
-    "factor_univariate",
     "is_prime",
     "is_square_binform",
     "poly_gcd",

@@ -51,7 +51,8 @@ class SurfaceModP:
 
 def reduce_surface(S: SurfaceDP2, p: int) -> SurfaceModP:
     """Reduce mod p, certifying that B stays a smooth quartic.  The quartic
-    discriminant and the jets divide by 2 and 3, so p must be at least 5."""
+    discriminant divides by 27 and the point count by 2, so p must be at
+    least 5."""
     if p >= PRIME_TEST_BOUND:
         raise BadPrime(f"{p} is not below PRIME_TEST_BOUND = {PRIME_TEST_BOUND}, "
                        f"where the primality test is exact")
@@ -153,21 +154,24 @@ def _section_value(F, vec, P4):
     return sum(a * b for a, b in zip(vec, _section_row(*(F.from_int(v) for v in P4))))
 
 
-def base_locus_zeros(Sp: SurfaceModP, Pm, Qm) -> set:
-    """Common zeros on X(F_p) of the 3-dimensional space of sections
-    lambda*w + q2 vanishing to order >= 2 at Pm and >= 1 at Qm."""
+def _base_locus_sections(Sp: SurfaceModP, Pm, Qm) -> list:
+    """Basis of the 3-dimensional space of sections lambda*w + q2 vanishing
+    to order >= 2 at Pm and >= 1 at Qm."""
     F = Sp.F
     if on_ramification_modp(Sp, Pm):
         raise BadPrime(f"P hits the ramification divisor mod {Sp.p}")
-    P4f = tuple(F.from_int(v) for v in Pm)
-    try:
-        rows = _section_condition_rows(F, Sp.f, Sp.g, P4f, order=2)
-    except ZeroDivisionError as exc:
-        raise BadPrime(f"jet expansion degenerates mod {Sp.p}: {exc}") from exc
+    rows = _section_condition_rows(F, Sp.f, Sp.g, Pm, order=2)
     rows.append(_section_row(*(F.from_int(v) for v in Qm)))
     basis = _kernel(F, rows, 7)
     if len(basis) != 3:
         raise UnexpectedDimension(f"section space has dimension {len(basis)} mod {Sp.p}, expected 3")
+    return basis
+
+
+def base_locus_zeros(Sp: SurfaceModP, Pm, Qm) -> set:
+    """Common zeros on X(F_p) of the sections of `_base_locus_sections`."""
+    F = Sp.F
+    basis = _base_locus_sections(Sp, Pm, Qm)
     return {
         T for T in Sp.points()
         if all(F.is_zero(_section_value(F, vec, T)) for vec in basis)
@@ -248,8 +252,8 @@ def _u0_section(Sp: SurfaceModP, P4):
     if bitangents_through_modp(Sp, P4[:3]) != 0:
         return None
     try:
-        return _osculating_core(Sp.F, Sp.f, Sp.g, tuple(Sp.F.from_int(v) for v in P4))
-    except (NotVeryGeneral, ZeroDivisionError):
+        return _osculating_core(Sp.F, Sp.f, Sp.g, P4)
+    except NotVeryGeneral:
         return None
 
 

@@ -12,8 +12,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, prod
-
-import sympy as sp
+from typing import TYPE_CHECKING
 
 from .errors import (
     BitangentLine,
@@ -27,7 +26,6 @@ from .exactalg import (
     QQ,
     BinForm,
     Poly,
-    RationalField,
     TernForm,
     content_primitive_ints,
     is_square_binform,
@@ -47,6 +45,9 @@ from .genus1 import (
 )
 from .surface import PointDP2, PointP2, SurfaceDP2, geiser, kappa, on_ramification, on_surface
 
+if TYPE_CHECKING:
+    import sympy as sp
+
 # fixed ordering of the |-2K_X| section basis: w, then the degree-2 monomials
 SEC_MONOMIALS = [(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1)]
 
@@ -57,152 +58,37 @@ def _section_row(x, y, z, w) -> list:
     return [w, x * x, y * y, z * z, x * y, x * z, y * z]
 
 
-# ---------------------------------------------------------------------------
-# truncated bivariate jets (exact Taylor expansions at a point)
-
-
-class _Jet:
-    """Truncated power series in two local variables, total degree <= N."""
-
-    __slots__ = ("F", "N", "c")
-
-    def __init__(self, F, N, coeffs=None):
-        self.F = F
-        self.N = N
-        self.c = {}
-        if coeffs:
-            for k, v in coeffs.items():
-                if not F.is_zero(v):
-                    self.c[k] = v
-
-    @classmethod
-    def const(cls, F, N, v):
-        return cls(F, N, {(0, 0): v})
-
-    @classmethod
-    def var(cls, F, N, v0, which: int):
-        key = (1, 0) if which == 0 else (0, 1)
-        return cls(F, N, {(0, 0): v0, key: F.one})
-
-    def coeff(self, i, j):
-        return self.c.get((i, j), self.F.zero)
-
-    def __add__(self, other):
-        out = dict(self.c)
-        for k, v in other.c.items():
-            out[k] = out.get(k, self.F.zero) + v
-        return _Jet(self.F, self.N, out)
-
-    def __sub__(self, other):
-        out = dict(self.c)
-        for k, v in other.c.items():
-            out[k] = out.get(k, self.F.zero) - v
-        return _Jet(self.F, self.N, out)
-
-    def __mul__(self, other):
-        F = self.F
-        out = {}
-        for (i1, j1), v1 in self.c.items():
-            for (i2, j2), v2 in other.c.items():
-                i, j = i1 + i2, j1 + j2
-                if i + j > self.N:
-                    continue
-                out[(i, j)] = out.get((i, j), F.zero) + v1 * v2
-        return _Jet(F, self.N, out)
-
-    def scale(self, k):
-        return _Jet(self.F, self.N, {key: v * k for key, v in self.c.items()})
-
-    def inverse(self):
-        F = self.F
-        c0 = self.coeff(0, 0)
-        if F.is_zero(c0):
-            raise ZeroDivisionError("jet with zero constant term")
-        inv0 = F.one / c0
-        # geometric series in (1 - self/c0)
-        u = _Jet.const(F, self.N, F.one) - self.scale(inv0)
-        acc = _Jet.const(F, self.N, F.one)
-        term = _Jet.const(F, self.N, F.one)
-        for _ in range(self.N):
-            term = term * u
-            acc = acc + term
-        return acc.scale(inv0)
-
-    def sqrt(self, root0):
-        """Square root with prescribed constant term root0 (a unit)."""
-        F = self.F
-        if root0 * root0 != self.coeff(0, 0):
-            raise ValueError("root0^2 must match the constant term")
-        x = _Jet.const(F, self.N, root0)
-        half = F.one / F.from_int(2)
-        for _ in range(self.N + 1):
-            x = (x + self * x.inverse()).scale(half)
-        return x
-
-
-def _tern_jet(F, form: TernForm, vars_jets) -> _Jet:
-    """Expand a ternary form at a point given jets for the coordinates."""
-    N = vars_jets[0].N
-    acc = _Jet(F, N)
-    for (i, j, k), val in form.c.items():
-        term = _Jet.const(F, N, val)
-        for _ in range(i):
-            term = term * vars_jets[0]
-        for _ in range(j):
-            term = term * vars_jets[1]
-        for _ in range(k):
-            term = term * vars_jets[2]
-        acc = acc + term
-    return acc
-
-
-def _chart_index(F, xyz) -> int:
-    """Affine chart at a point: largest coordinate over Q, else first nonzero."""
-    if isinstance(F, RationalField):
-        absvals = [abs(Fraction(v)) for v in xyz]
-        return max(range(3), key=lambda i: (absvals[i], -i))
-    for i in range(3):
-        if not F.is_zero(xyz[i]):
-            return i
-    raise ValueError("zero coordinate triple")
-
-
 def _section_condition_rows(F, f: TernForm, g: TernForm, P4, order: int):
     """Rows of the linear system 'lambda*w + q2 vanishes to order >= `order`
-    at P on X', in the basis (lambda, SEC_MONOMIALS).  order = 2 gives 3 rows,
-    order = 3 gives 6 rows.  Requires P off the ramification divisor."""
-    N = order - 1
-    x, y, z, w = P4
-    c = _chart_index(F, (x, y, z))
-    coord = [x, y, z]
-    cc = coord[c]
-    if isinstance(cc, int):
-        coord = [F.from_int(v) for v in coord]
-        w = F.from_int(w)
-        cc = coord[c]
-    inv = F.one / cc
-    aff = [v * inv for v in coord]
-    w_aff = w * inv * inv
-    others = [i for i in range(3) if i != c]
-    jets = [None, None, None]
-    jets[c] = _Jet.const(F, N, F.one)
-    jets[others[0]] = _Jet.var(F, N, aff[others[0]], 0)
-    jets[others[1]] = _Jet.var(F, N, aff[others[1]], 1)
-    f_jet = _tern_jet(F, f, jets)
-    g_jet = _tern_jet(F, g, jets)
-    q_jet = f_jet * f_jet + g_jet.scale(F.from_int(4))
-    v0 = w_aff + w_aff + f_jet.coeff(0, 0)
-    if F.is_zero(v0):
+    at P on X', in the basis (lambda, SEC_MONOMIALS), for order <= 3 and P
+    off the ramification divisor (else `ZeroDivisionError`).
+
+    With e1, e2 = `_pencil_basis` of P, the section is restricted to the
+    lines P + t D, D in (e1, e2, e1 + e2)[:order]: f and g by `restrict_line`,
+    w by the branch of w^2 + f w = g through P, solved term by term.  The
+    rows are its t^0 coefficient, once, then its t^1 .. t^(order - 1)
+    coefficients on each line: 3 rows at order 2, 7 at order 3.  This is
+    sound because kappa is etale at P, so the branch of X through P maps
+    isomorphically onto each line near kappa(P); the degree-k part (k < 3)
+    of a section's jet at P is a binary form of degree k, zero once it
+    vanishes on k + 1 pairwise independent directions; and e1, e2, e1 + e2
+    are pairwise independent modulo P in every characteristic."""
+    *P3, w0 = _as_field(F, P4)
+    e1, e2 = _pencil_basis(P3)
+    unit = w0 + w0 + f.evaluate(*P3)
+    if F.is_zero(unit):
         raise ZeroDivisionError("point on the ramification divisor")
-    v_jet = q_jet.sqrt(v0)
-    half = F.one / F.from_int(2)
-    w_jet = (v_jet - f_jet).scale(half)
-    basis_jets = _section_row(*jets, w_jet)
-    rows = []
-    for deg in range(N + 1):
-        for i in range(deg, -1, -1):
-            j = deg - i
-            rows.append([bj.coeff(i, j) for bj in basis_jets])
+    rows = [_section_row(*P3, w0)]
+    for D in (e1, e2, tuple(a + b for a, b in zip(e1, e2)))[:order]:
+        fL, gL = f.restrict_line(P3, D).c, g.restrict_line(P3, D).c
+        w = [w0]
+        for k in range(1, order):
+            wk = gL[k] - sum(fL[k - j] * w[j] for j in range(k))
+            wk = wk - sum(w[j] * w[k - j] for j in range(1, k))
+            w.append(wk / unit)
+        line = [Poly(F, [a, F.from_int(d)]) for a, d in zip(P3, D)]
+        series = _section_row(*line, Poly(F, w))
+        rows.extend([s.coeff(k) for s in series] for k in range(1, order))
     return rows
 
 
@@ -406,7 +292,7 @@ def _tern_substitute(form: TernForm, m) -> TernForm:
 
 def _pencil_basis(p3):
     """The two unit vectors off the first nonzero coordinate of p3 (ints,
-    reduced mod p over F_p); with p3 they span the whole space."""
+    or field elements); with p3 they span the whole space."""
     idx = next(i for i, v in enumerate(p3) if v != 0)
     return [tuple(int(i == j) for j in range(3)) for i in range(3) if i != idx]
 
@@ -541,10 +427,7 @@ def phi_domain(S: SurfaceDP2, P: PointDP2, Q: PointDP2) -> PhiDomainVerdict:
 
 
 # ---------------------------------------------------------------------------
-# all 28 bitangents
-
-_U, _V = sp.symbols("_u _v")
-
+# all 28 bitangents (the one use of sympy, imported on first call)
 
 _BITANGENT_FRAMES = 6  # coordinate frames tried before giving up
 
@@ -615,15 +498,17 @@ def _count_chart_zeros(P: sp.Poly, Q: sp.Poly, a4: sp.Poly) -> int:
 
     For P, Q = c1, c2, c1 = a3^3 and c2 = -a3^4 over a root of a4, so psc_1
     vanishes there: that is why those roots are divided out."""
-    P, Q = sorted((P, Q), key=lambda p: p.degree(_U), reverse=True)
+    import sympy as sp
+
+    P, Q = sorted((P, Q), key=lambda p: p.degree(0), reverse=True)
     R, prs = sp.resultant(P, Q, includePRS=True)
     if R.is_zero:
         raise EliminationDegenerate("resultant in the dual chart vanishes")
-    if [p.degree(_U) for p in prs[-3:]] != [2, 1, 0]:
+    if [p.degree(0) for p in prs[-3:]] != [2, 1, 0]:
         raise EliminationDegenerate("subresultant PRS does not end in degrees 2, 1, 0")
     r = R.sqf_part()
     r0 = r.quo(r.gcd(a4))
-    lcs = _coeff_u(P, P.degree(_U)) * _coeff_u(Q, Q.degree(_U)) * _coeff_u(prs[-2], 1)
+    lcs = _coeff_u(P, P.degree(0)) * _coeff_u(Q, Q.degree(0)) * _coeff_u(prs[-2], 1)
     if r0.gcd(lcs).degree() > 0:
         raise EliminationDegenerate("a root of the resultant is a root of a leading coefficient")
     return r0.degree()
@@ -648,8 +533,8 @@ def _chart_lines_over_a4(a) -> int:
         raise EliminationDegenerate("a3 vanishes along a root of a4")
     r1 = r.quo(r.gcd(alpha))
     disc2 = a[1] ** 2 - 4 * a[0] * a[2]
-    N, alpha_pow = sp.Poly(0, _V, domain=sp.ZZ), sp.Poly(1, _V, domain=sp.ZZ)
-    for k in range(disc2.degree(_U), -1, -1):
+    N, alpha_pow = alpha.zero, alpha.one
+    for k in range(disc2.degree(0), -1, -1):
         N = N * -beta + _coeff_u(disc2, k) * alpha_pow
         alpha_pow = alpha_pow * alpha
     return r1.gcd(N).degree()
@@ -658,15 +543,17 @@ def _chart_lines_over_a4(a) -> int:
 def _chart_coefficients(Bf: TernForm) -> list[sp.Poly]:
     """The coefficients a0..a4 of B(x, y, u x + v y) = sum a_i x^(4-i) y^i
     as polynomials in (u, v) over ZZ; B is integral."""
+    import sympy as sp
+
     a = [{} for _ in range(5)]
     for (i, j, k), val in Bf.c.items():
         # x^i y^j (u x + v y)^k contributes C(k, l) u^(k-l) v^l to a_(j+l)
         for l in range(k + 1):
             key = (k - l, l)
             a[j + l][key] = a[j + l].get(key, 0) + val * comb(k, l)
-    return [sp.Poly.from_dict(t, _U, _V, domain=sp.ZZ) for t in a]
+    return [sp.Poly.from_dict(t, *sp.symbols("_u _v"), domain=sp.ZZ) for t in a]
 
 
 def _coeff_u(p: sp.Poly, n: int) -> sp.Poly:
     """Coefficient of u^n in p, a polynomial in (u, v), as a polynomial in v."""
-    return sp.Poly.from_dict({(j,): c for (i, j), c in p.terms() if i == n}, _V, domain=p.domain)
+    return p.from_dict({(j,): c for (i, j), c in p.terms() if i == n}, p.gens[1], domain=p.domain)

@@ -16,8 +16,6 @@ from fractions import Fraction
 from math import gcd as igcd
 from math import isqrt, prod
 
-from sympy import factorint
-
 from .errors import NotOnSurface, SingularBranchCurve, WrongDegrees
 from .exactalg import QQ, TernForm, content_primitive_ints, is_prime
 
@@ -265,6 +263,8 @@ def _square_cover(b: int) -> int:
     if b >= 10**MAX_SQUARE_COVER_DIGITS:
         raise ValueError(f"normalising would factor an integer of more than "
                          f"MAX_SQUARE_COVER_DIGITS = {MAX_SQUARE_COVER_DIGITS} digits")
+    from sympy import factorint
+
     r = 1
     for ell, v in factorint(b).items():
         r *= ell ** ((v + 1) // 2)

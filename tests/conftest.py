@@ -1,5 +1,6 @@
 """Shared fixtures: the reference surfaces and seeded random surfaces."""
 
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -10,13 +11,14 @@ from dp2.exactalg import (
     QQ,
     BinForm,
     Poly,
-    QuotientField,
     TernForm,
-    factor_univariate,
     poly_gcd,
     squarefree_factor,
 )
-from dp2.geometry import _random_unimodular, _tern_substitute
+from dp2.exactalg.factor import factor_univariate
+from dp2.exactalg.quotient import QuotientField
+from dp2.genus1 import _det3
+from dp2.geometry import SEC_MONOMIALS, _pencil_basis, _random_unimodular, _tern_substitute
 from dp2.surface import SurfaceDP2, validate_surface
 
 SURFACE_DIR = Path(__file__).resolve().parent.parent / "surfaces"
@@ -234,6 +236,44 @@ def substitute_reference(q, m):
         for k, val in enumerate(_bin_mul_reference(F, pow_u[n - i], pow_v[i])):
             out[k] = out[k] + coeff * val
     return BinForm(F, n, out)
+
+
+def section_norm_on_line(f, g, vec, P3, D) -> Poly:
+    """N(t) = q2^2 - lam f q2 - lam^2 g on the line P3 + t D, for the section
+    vec = (lam, q2 in SEC_MONOMIALS) of |-2K_X|.  It is the product of
+    lam*w + q2 over the two branches w, w' = -f - w of X over the line, so
+    it vanishes at t = 0 to at least the section's order at P; no series
+    and no square root enter."""
+    F = f.field
+    q2 = TernForm(F, 2, dict(zip(SEC_MONOMIALS, vec[1:])))
+    fL, gL, qL = (Poly(F, restrict_line_reference(h, P3, D).c) for h in (f, g, q2))
+    lam = vec[0]
+    return qL * qL - (fL * qL).scale(lam) - gL.scale(lam * lam)
+
+
+def seeded_directions(F, P3, seed: int, count: int = 4) -> list:
+    """`count` seeded integer directions D, each off the planes through P3
+    and e1, e2, e1 + e2 (`_pencil_basis`): none restricts the section to a
+    line `_section_condition_rows` uses."""
+    e1, e2 = _pencil_basis(P3)
+    used = (e1, e2, tuple(a + b for a, b in zip(e1, e2)))
+    P3 = [_in_field(F, v) for v in P3]
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        D = tuple(rng.randint(-5, 5) for _ in range(3))
+        if all(not F.is_zero(_det3([D, e, P3])) for e in used):
+            out.append(D)
+    return out
+
+
+def assert_norm_order(f, g, vec, P4, order: int, seed: int) -> None:
+    """The section vec vanishes to order >= `order` at P4: its norm on each
+    of four `seeded_directions` lines has no term below t^order."""
+    for D in seeded_directions(f.field, P4[:3], seed):
+        N = section_norm_on_line(f, g, vec, P4[:3], D)
+        low = next((i for i, c in enumerate(N.c) if not f.field.is_zero(c)), math.inf)
+        assert low >= order, (P4, D)
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,9 @@
 """CLI: commands, exit codes, JSON output, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -205,6 +208,37 @@ class TestVerify:
         props = {r["property"] for r in recs[:-1]}
         assert {"geiser_involution", "phi_involution", "origin_independence",
                 "cp_section_agreement", "rank_minus2K_is_7"} <= props
+
+
+# run in a fresh interpreter: the six commands on pinned surfaces, then the
+# bitangent count, the one path that still loads sympy
+IMPORT_GUARD = """
+import contextlib, io, sys
+from dp2.cli import main
+for argv in [
+    "classify --surface surfaces/s0.json --point 1:0:0:1",
+    "phi --surface surfaces/s0.json --point 20:15:12:481 --point 0:1:0:1",
+    "curve --surface surfaces/s0.json --point 20:15:12:481",
+    "generate --surface surfaces/random2.json --cover f2 --budget 5 --seed 1",
+    "oracle --surface surfaces/random2.json --primes 11",
+    "verify --surface surfaces/random2.json --seed 1",
+]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv.split()) == 0, argv
+assert "sympy" not in sys.modules, "a CLI command imported sympy"
+from dp2.geometry import count_all_bitangents
+from dp2.surface import load_surface
+assert count_all_bitangents(load_surface("surfaces/random2.json")) == 28
+"""
+
+
+class TestImportGuard:
+    def test_commands_do_not_import_sympy(self):
+        root = SURFACE_DIR.parent
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", IMPORT_GUARD], cwd=root, env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestUsage:

@@ -17,19 +17,18 @@ from dp2.exactalg import (
     BinForm,
     Poly,
     PrimeField,
-    QuotientField,
     TernForm,
     content_primitive_ints,
     disc_binary_quartic,
-    factor_modp,
-    factor_rational,
     is_prime,
     is_square_binform,
     poly_gcd,
     poly_xgcd,
     squarefree_factor,
 )
+from dp2.exactalg.factor import factor_modp, factor_rational
 from dp2.exactalg.modgcd import _rational_reconstruct, quotient_gcd
+from dp2.exactalg.quotient import QuotientField
 
 
 def P(*ints):

@@ -1,15 +1,19 @@
 """Finite-field oracles: reduction, enumeration, base locus, surjectivity."""
 
+import random
 from fractions import Fraction
 
 import sympy as sp
 import pytest
-from conftest import SURFACE_DIR
+from conftest import SURFACE_DIR, assert_norm_order
 
-from dp2.errors import BadPrime
-from dp2.exactalg import PRIME_TEST_BOUND, QQ, QuotientField, TernForm, factor
+from dp2.errors import BadPrime, UnexpectedDimension
+from dp2.exactalg import PRIME_TEST_BOUND, QQ, TernForm, factor
+from dp2.exactalg.quotient import QuotientField
 from dp2.fforacle import (
     SurjectivityReport,
+    _base_locus_sections,
+    _section_value,
     base_locus_oracle,
     base_locus_zeros,
     bitangents_through_modp,
@@ -125,6 +129,27 @@ class TestBaseLocus:
             if T in (Pm, Qm, Rm):
                 continue
             assert {Pm, Qm, T} != zeros
+
+    @pytest.mark.parametrize("name", ["random2", "s0"])
+    @pytest.mark.parametrize("p", [11, 17])
+    def test_sections_by_norm(self, name, p):
+        """Each basis section vanishes to order >= 2 at P along four seeded
+        lines other than those `_section_condition_rows` uses, by the
+        series-free norm, and vanishes at Q."""
+        Sp = reduce_surface(load_surface(SURFACE_DIR / f"{name}.json"), p)
+        rng = random.Random(p)
+        checked = 0
+        for _ in range(12):
+            Pm, Qm = rng.sample(Sp.points(), 2)
+            try:
+                basis = _base_locus_sections(Sp, Pm, Qm)
+            except (BadPrime, UnexpectedDimension):
+                continue
+            checked += 1
+            for vec in basis:
+                assert Sp.F.is_zero(_section_value(Sp.F, vec, Qm))
+                assert_norm_order(Sp.f, Sp.g, vec, Pm, 2, seed=checked)
+        assert checked >= 8
 
     def test_bad_prime_never_wrong(self, s0):
         # 13 divides w(P0): the configuration degenerates and is refused

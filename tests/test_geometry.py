@@ -6,25 +6,37 @@ base-locus oracle at several good primes, then pinned.
 
 import pytest
 import sympy as sp
-from conftest import SURFACE_DIR, PolyRing, seeded_random_surface, square_by_yun
+from conftest import (
+    SURFACE_DIR,
+    PolyRing,
+    assert_norm_order,
+    seeded_random_surface,
+    square_by_yun,
+)
 from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
-from dp2.errors import EliminationDegenerate, NotVeryGeneral, SameImage, SingularBranchCurve
+from dp2.covers import context_for, f1
+from dp2.errors import DP2Error, EliminationDegenerate, NotVeryGeneral, SameImage, SingularBranchCurve
 from dp2.exactalg import (
     QQ,
     Poly,
     PrimeField,
-    QuotientField,
     factor,
-    factor_univariate,
     modgcd,
     square_conditions,
 )
-from dp2.fforacle import bitangents_through_modp, reduce_surface
+from dp2.exactalg.factor import factor_univariate
+from dp2.exactalg.quotient import QuotientField
+from dp2.fforacle import (
+    _u0_section,
+    bitangents_through_modp,
+    good_prime,
+    phi_modp,
+    reduce_point,
+    reduce_surface,
+)
 from dp2.geometry import (
-    _U,
-    _V,
     _as_field,
     _bitangent_frames,
     _chart_coefficients,
@@ -43,6 +55,8 @@ from dp2.geometry import (
     phi_domain,
 )
 from dp2.surface import PointDP2, PointP2, geiser, load_surface
+
+_U, _V = sp.symbols("_u _v")
 
 P0 = PointDP2(20, 15, 12, 481)
 Q1 = PointDP2(0, 1, 0, 1)
@@ -74,6 +88,61 @@ class TestOsculatingSection:
     def test_ramification_rejected(self, sk):
         with pytest.raises(NotVeryGeneral):
             osculating_section(sk, PointDP2(0, 0, 1, 0))
+
+
+PINNED = ["s0", "s_k", "random2", "random3", "random5"]
+
+
+class TestSectionRowsByNorm:
+    """`_section_condition_rows` restricts to three lines through kappa(P)
+    and solves for the branch of w term by term; the norm checks the
+    resulting sections on four other lines, with no series at all."""
+
+    @pytest.mark.parametrize("name", PINNED)
+    def test_osculating_section_over_q(self, name):
+        S = load_surface(SURFACE_DIR / f"{name}.json")
+        # the searched P0 of s0 costs seconds; P0 is the very general point of the tests above
+        ctx = context_for(S, P0 if name == "s0" else None)
+        assert_norm_order(S.f, S.g, ctx.section.vector(), ctx.P0.coords(), 3, seed=1)
+
+    @pytest.mark.parametrize("name", ["random2", "s0"])
+    def test_osculating_section_at_every_u0_point_mod_11(self, name):
+        Sp = reduce_surface(load_surface(SURFACE_DIR / f"{name}.json"), 11)
+        checked = 0
+        for P4 in Sp.points():
+            vec = _u0_section(Sp, P4)
+            if vec is not None:
+                assert_norm_order(Sp.f, Sp.g, vec, P4, 3, seed=checked)
+                checked += 1
+        assert checked > 20
+
+    @seed(9)
+    @settings(max_examples=8, deadline=None, database=None)
+    @given(st.integers(min_value=34, max_value=10**6), st.integers(1, 6), st.integers(1, 6))
+    def test_unpinned_surfaces(self, n, u, v):
+        """On a drawn surface: the norm at the context's P0, and phi(P0, Q)
+        for Q = f1(u:v) reduced mod the first good p in 11..31 that keeps
+        kappa(P0) and kappa(Q) apart, against `phi_modp`."""
+        try:
+            ctx = context_for(seeded_random_surface(n))
+        except (SingularBranchCurve, NotVeryGeneral):
+            assume(False)
+        S = ctx.surface
+        assert_norm_order(S.f, S.g, ctx.section.vector(), ctx.P0.coords(), 3, seed=n)
+        try:
+            Q = f1(ctx, (u, v))
+            R = phi(S, ctx.P0, Q)
+        except DP2Error:
+            assume(False)
+        for p in range(11, 32):
+            if good_prime(S, p):
+                Sp = reduce_surface(S, p)
+                Pm, Qm = reduce_point(Sp, ctx.P0), reduce_point(Sp, Q)
+                if Pm[:3] != Qm[:3]:
+                    break
+        else:
+            assume(False)
+        assert phi_modp(Sp, Pm, Qm) == reduce_point(Sp, R)
 
 
 class TestPhi:
