@@ -98,11 +98,10 @@ def find_very_general_point(S: SurfaceDP2, height_bound: int = _SEARCH_HEIGHT) -
 
 def context_for(S: SurfaceDP2, P0: PointDP2 | None = None) -> CoverContext:
     """Context at P0 if very general, else at the first very general point
-    found by bounded search."""
-    if P0 is not None:
-        if classify_point(S, P0).is_very_general:
-            return CoverContext.create(S, P0)
-    return CoverContext.create(S, find_very_general_point(S))
+    found by bounded search, which classifies each candidate once."""
+    if P0 is None or not classify_point(S, P0).is_very_general:
+        P0 = find_very_general_point(S)
+    return CoverContext(surface=S, P0=P0, section=osculating_section(S, P0))
 
 
 # ---------------------------------------------------------------------------

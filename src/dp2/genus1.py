@@ -182,12 +182,6 @@ def pullback_generic(F, f: TernForm, g: TernForm, A, B) -> QuarticModel:
     return QuarticModel(a=f.restrict_line(A, B), b=g.restrict_line(A, B))
 
 
-def pullback_line(S, L: LineParam) -> QuarticModel:
-    """E_L for a surface over Q (see geometry for the mod-p mirror)."""
-    A, B = L.spanning()
-    return pullback_generic(S.f.field, S.f, S.g, A, B)
-
-
 def classify_model(M: QuarticModel) -> ModelClass:
     """Smooth / irreducible-singular / geometrically-reducible trichotomy."""
     q = M.q()

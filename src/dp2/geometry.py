@@ -18,6 +18,7 @@ from .errors import (
     BitangentLine,
     EliminationDegenerate,
     NotVeryGeneral,
+    ReducibleModel,
     SameImage,
     SingularHit,
     SingularOrigin,
@@ -41,9 +42,8 @@ from .genus1 import (
     lin_comb,
     neg_wrt,
     pullback_generic,
-    pullback_line,
 )
-from .surface import PointDP2, PointP2, SurfaceDP2, geiser, kappa, on_ramification, on_surface
+from .surface import PointDP2, PointP2, SurfaceDP2, kappa, on_ramification, on_surface
 
 if TYPE_CHECKING:
     import sympy as sp
@@ -182,43 +182,49 @@ def osculating_section(S: SurfaceDP2, P: PointDP2) -> SectionMinus2K:
 # phi
 
 
-def _phi_core(F, f: TernForm, g: TernForm, P4, Q4, origin: str = "P"):
-    """phi on coordinate tuples; returns an unnormalized 4-tuple over F.
-
-    `origin` picks the group-law origin on E_{P,Q}: "P" uses iota(P), "Q"
-    uses iota(Q); the divisor class 2(iota(P)) - (Q) has degree 1, so the
-    result is origin-independent."""
-    A = P4[:3]
-    B = Q4[:3]
-    cross = (
-        A[1] * B[2] - A[2] * B[1],
-        A[2] * B[0] - A[0] * B[2],
-        A[0] * B[1] - A[1] * B[0],
-    )
-    zero = lambda v: v == 0 if isinstance(v, int) else F.is_zero(v)
-    if all(zero(v) for v in cross):
-        raise SameImage("kappa(P) = kappa(Q)")
+def _fibre(F, f: TernForm, g: TernForm, A, B, wP, X):
+    """The fibre's model over the line (s:t) -> sA + tB, iota(P) on it at
+    (1:0) for P = (A, wP), and the point X = (s, t, w) on it."""
     model = pullback_generic(F, f, g, A, B)
-    if classify_model(model) is ModelClass.Reducible:
-        raise BitangentLine("the line through kappa(P), kappa(Q) is a bitangent")
-    fP = f.evaluate(*_as_field(F, A))
-    fQ = f.evaluate(*_as_field(F, B))
-    wP = F.from_int(P4[3]) if isinstance(P4[3], int) else P4[3]
-    wQ = F.from_int(Q4[3]) if isinstance(Q4[3], int) else Q4[3]
-    iota_P = model.point(F.one, F.zero, -fP - wP)   # iota(P) at (s:t) = (1:0)
-    Qc = model.point(F.zero, F.one, wQ)             # Q at (s:t) = (0:1)
+    return model, model.point(F.one, F.zero, -model.a.c[0] - wP), model.point(*X)
+
+
+def _residual_core(F, f: TernForm, g: TernForm, A, B, wP, X, bitangent: str, origin: str = "P"):
+    """The point R of the fibre over the line (s:t) -> sA + tB with
+    (R) ~ 2(iota(P)) - (X), P = (A, wP) at (1:0) and X = (s, t, w); returned
+    unnormalized as a 4-tuple over F.  phi(P, Q) is R for X = Q at (0:1),
+    and C_P is swept by R for X = P on the lines through kappa(P).
+
+    `origin` picks the group-law origin: "P" uses iota(P), "Q" uses iota(X);
+    the class has degree 1, so R does not depend on it.  A reducible fibre
+    raises `BitangentLine(bitangent)`, a singular origin `SingularHit`."""
+    if origin not in ("P", "Q"):
+        raise ValueError(f"origin must be 'P' or 'Q', got {origin!r}")
+    model, iota_P, Xc = _fibre(F, f, g, A, B, wP, X)
     try:
         if origin == "P":
-            R = neg_wrt(model, iota_P, Qc)
-        elif origin == "Q":
-            iota_Q = model.point(F.zero, F.one, -fQ - wQ)
-            R = lin_comb(model, iota_Q, [(2, iota_P), (-1, Qc)])
+            R = neg_wrt(model, iota_P, Xc)
         else:
-            raise ValueError(f"origin must be 'P' or 'Q', got {origin!r}")
+            s, t, w = X
+            iota_X = model.point(s, t, -model.a.evaluate(s, t) - w)
+            R = lin_comb(model, iota_X, [(2, iota_P), (-1, Xc)])
+    except ReducibleModel as exc:
+        raise BitangentLine(bitangent) from exc
     except SingularOrigin as exc:
         raise SingularHit(str(exc)) from exc
-    xyz = tuple(R.s * _f(F, A[i]) + R.t * _f(F, B[i]) for i in range(3))
-    return xyz + (R.w,)
+    return tuple(R.s * A[i] + R.t * B[i] for i in range(3)) + (R.w,)
+
+
+def _phi_core(F, f: TernForm, g: TernForm, P4, Q4, origin: str = "P"):
+    """phi on coordinate tuples (ints or elements of F); returns an
+    unnormalized 4-tuple over F."""
+    *A, wP = _as_field(F, P4)
+    *B, wQ = _as_field(F, Q4)
+    cross = (A[1] * B[2] - A[2] * B[1], A[2] * B[0] - A[0] * B[2], A[0] * B[1] - A[1] * B[0])
+    if all(F.is_zero(v) for v in cross):
+        raise SameImage("kappa(P) = kappa(Q)")
+    return _residual_core(F, f, g, A, B, wP, (F.zero, F.one, wQ),
+                          "the line through kappa(P), kappa(Q) is a bitangent", origin)
 
 
 def _f(F, v):
@@ -231,8 +237,7 @@ def _as_field(F, triple):
 
 def phi(S: SurfaceDP2, P: PointDP2, Q: PointDP2, origin: str = "P") -> PointDP2:
     """The unique point R of E_{P,Q} with (R) ~ 2(iota(P)) - (Q)."""
-    x, y, z, w = _phi_core(QQ, S.f, S.g, P.coords(), Q.coords(), origin=origin)
-    return on_surface(S, x, y, z, w)
+    return on_surface(S, *_phi_core(QQ, S.f, S.g, P.coords(), Q.coords(), origin=origin))
 
 
 # ---------------------------------------------------------------------------
@@ -240,25 +245,13 @@ def phi(S: SurfaceDP2, P: PointDP2, Q: PointDP2, origin: str = "P") -> PointDP2:
 
 
 def c_p_point(S: SurfaceDP2, P: PointDP2, param: tuple[int, int]) -> PointDP2:
-    """The residual point of |-2K - 2 iota(P) ... | on the pencil member:
-    R = neg_wrt(E_L, iota(P), P) for the line L through kappa(P) selected by
-    `param`.  For very general P these points sweep out C_P."""
-    L = LineParam.pencil_member(P.xyz(), param)
-    model = pullback_line(S, L)
-    if classify_model(model) is ModelClass.Reducible:
-        raise BitangentLine("pencil member is a bitangent line")
-    iota_P = geiser(S, P)
-    O = model.point(QQ.one, QQ.zero, Fraction(iota_P.w))
-    Pc = model.point(QQ.one, QQ.zero, Fraction(P.w))
-    try:
-        R = lin_comb(model, O, [(-1, Pc)])
-    except SingularOrigin as exc:
-        raise SingularHit(str(exc)) from exc
-    A, B = L.spanning()
-    x = R.s * A[0] + R.t * B[0]
-    y = R.s * A[1] + R.t * B[1]
-    z = R.s * A[2] + R.t * B[2]
-    return on_surface(S, x, y, z, R.w)
+    """The residual point R ~ 2(iota(P)) - (P) on the pencil member: the
+    line L through kappa(P) selected by `param`.  For very general P these
+    points sweep out C_P."""
+    A, B = LineParam.pencil_member(P.xyz(), param).spanning()
+    wP = Fraction(P.w)
+    R = _residual_core(QQ, S.f, S.g, A, B, wP, (QQ.one, QQ.zero, wP), "pencil member is a bitangent line")
+    return on_surface(S, *R)
 
 
 # ---------------------------------------------------------------------------
@@ -266,28 +259,23 @@ def c_p_point(S: SurfaceDP2, P: PointDP2, param: tuple[int, int]) -> PointDP2:
 
 
 def _tern_substitute(form: TernForm, m) -> TernForm:
-    """Pullback of the form along (x, y, z) -> M (x, y, z)."""
+    """Pullback of the form B along (x, y, z) -> M (x, y, z), M a 3x3 integer
+    matrix with columns a, b, c.  By Taylor's formula along c,
+    B(x a + y b + z c) = sum_k z^k (D^k B / k!)(x a + y b) with
+    D = sum_i c_i d/dx_i, so the coefficient of z^k is one `restrict_line`
+    of D^k B / k! to the line through a and b.  Dividing by k! needs
+    characteristic 0 or above deg B; every caller works over Q or F_p with
+    p >= 5 on forms of degree <= 4."""
     F = form.field
-    basis = []
-    for row in range(3):
-        basis.append(
-            TernForm(F, 1, {
-                (1, 0, 0): F.from_int(m[row][0]),
-                (0, 1, 0): F.from_int(m[row][1]),
-                (0, 0, 1): F.from_int(m[row][2]),
-            })
-        )
-    out = TernForm.zero(F, form.degree)
-    for (i, j, k), val in form.c.items():
-        term = TernForm(F, 0, {(0, 0, 0): val})
-        for _ in range(i):
-            term = term * basis[0]
-        for _ in range(j):
-            term = term * basis[1]
-        for _ in range(k):
-            term = term * basis[2]
-        out = out + term
-    return out
+    a, b, c = ([m[row][col] for row in range(3)] for col in range(3))
+    out, term = {}, form
+    for k in range(form.degree + 1):
+        if k:
+            parts = (term.deriv(i).scale(F.from_int(ci)) for i, ci in enumerate(c) if ci)
+            term = sum(parts, TernForm.zero(F, form.degree - k)).scale(F.one / F.from_int(k))
+        for i, v in enumerate(term.restrict_line(a, b).c):
+            out[(form.degree - k - i, i, k)] = v
+    return TernForm(F, form.degree, out)
 
 
 def _pencil_basis(p3):
@@ -402,13 +390,11 @@ def _u_phi_failure(S: SurfaceDP2, P: PointDP2, Q: PointDP2) -> str | None:
     of U_phi with P in U_0 and Q off C_P."""
     if kappa(P) == kappa(Q):
         return "SameImage"
-    model = pullback_generic(QQ, S.f, S.g, P.xyz(), Q.xyz())
+    model, iota_P, Qc = _fibre(QQ, S.f, S.g, P.xyz(), Q.xyz(), Fraction(P.w),
+                               (QQ.zero, QQ.one, Fraction(Q.w)))
     if classify_model(model) is ModelClass.Reducible:
         return "BitangentLine"
-    iota_P = geiser(S, P)
-    O = model.point(QQ.one, QQ.zero, Fraction(iota_P.w))
-    Qc = model.point(QQ.zero, QQ.one, Fraction(Q.w))
-    if not (model.is_smooth_at(O) and model.is_smooth_at(Qc)):
+    if not (model.is_smooth_at(iota_P) and model.is_smooth_at(Qc)):
         return "NonSmoothEndpoint"
     return None
 

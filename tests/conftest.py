@@ -238,6 +238,23 @@ def substitute_reference(q, m):
     return BinForm(F, n, out)
 
 
+def tern_substitute_reference(form, m):
+    """Reference pullback of a ternary form along (x, y, z) -> M (x, y, z):
+    each monomial expanded by repeated `TernForm` products of the linear
+    forms given by the rows of M."""
+    F = form.field
+    basis = [TernForm(F, 1, {(1, 0, 0): F.from_int(row[0]), (0, 1, 0): F.from_int(row[1]),
+                             (0, 0, 1): F.from_int(row[2])}) for row in m]
+    out = TernForm.zero(F, form.degree)
+    for (i, j, k), val in form.c.items():
+        term = TernForm(F, 0, {(0, 0, 0): val})
+        for lin, e in zip(basis, (i, j, k)):
+            for _ in range(e):
+                term = term * lin
+        out = out + term
+    return out
+
+
 def section_norm_on_line(f, g, vec, P3, D) -> Poly:
     """N(t) = q2^2 - lam f q2 - lam^2 g on the line P3 + t D, for the section
     vec = (lam, q2 in SEC_MONOMIALS) of |-2K_X|.  It is the product of

@@ -45,6 +45,23 @@ class TestContext:
         with pytest.raises(NotVeryGeneral):
             CoverContext.create(s0, PointDP2(1, 0, 0, 1))
 
+    def test_very_general_p0_is_classified_once(self, s0, random_surfaces, monkeypatch):
+        calls = []
+        real = covers.classify_point
+
+        def classify_point(S, P):
+            calls.append(P)
+            return real(S, P)
+
+        monkeypatch.setattr(covers, "classify_point", classify_point)
+        P0 = PointDP2(20, 15, 12, 481)
+        assert context_for(s0, P0).P0 == P0
+        assert calls == [P0]
+        calls.clear()
+        # a searched P0 is classified by the search alone
+        ctx = context_for(random_surfaces[0])
+        assert calls[-1] == ctx.P0 and calls.count(ctx.P0) == 1
+
     def test_search_failure_is_hard_error(self, s0):
         with pytest.raises(NotVeryGeneral):
             find_very_general_point(s0, height_bound=2)

@@ -16,7 +16,6 @@ from dp2.genus1 import (
     make_curve_point,
     neg_wrt,
     pullback_generic,
-    pullback_line,
     to_weierstrass,
 )
 
@@ -49,8 +48,8 @@ class TestPullback:
 
     def test_line_param_consistency(self, s0):
         L = LineParam.pencil_member((1, 0, 0), (1, 2))
-        M = pullback_line(s0, L)
         A, B = L.spanning()
+        M = pullback_generic(QQ, s0.f, s0.g, A, B)
         assert s0.g.evaluate(Fraction(A[0]), Fraction(A[1]), Fraction(A[2])) == M.b.evaluate(
             Fraction(1), Fraction(0)
         )

@@ -12,16 +12,19 @@ from conftest import (
     assert_norm_order,
     seeded_random_surface,
     square_by_yun,
+    tern_substitute_reference,
 )
 from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
-from dp2.covers import context_for, f1
+from dp2 import genus1, geometry
+from dp2.covers import context_for, f1, f2, in_u_inv
 from dp2.errors import DP2Error, EliminationDegenerate, NotVeryGeneral, SameImage, SingularBranchCurve
 from dp2.exactalg import (
     QQ,
     Poly,
     PrimeField,
+    TernForm,
     factor,
     modgcd,
     square_conditions,
@@ -46,6 +49,9 @@ from dp2.geometry import (
     _count_chart_zeros,
     _f,
     _pencil_basis,
+    _phi_core,
+    _residual_core,
+    _tern_substitute,
     c_p_point,
     classify_point,
     count_all_bitangents,
@@ -54,6 +60,7 @@ from dp2.geometry import (
     phi,
     phi_domain,
 )
+from dp2.genus1 import ModelClass, classify_model, pullback_generic
 from dp2.surface import PointDP2, PointP2, geiser, load_surface
 
 _U, _V = sp.symbols("_u _v")
@@ -187,6 +194,134 @@ class TestCP:
     def test_on_surface(self, s0):
         R = c_p_point(s0, P0, (3, 7))
         assert s0.equation_at(R.x, R.y, R.z, R.w)
+
+
+PHI_BITANGENT = "the line through kappa(P), kappa(Q) is a bitangent"
+PENCIL_BITANGENT = "pencil member is a bitangent line"
+CHORD = "chord-tangent arithmetic hit the singular point"
+ORIGIN = "origin is the singular point of the fiber"
+# pairs of X(F_p) where phi fails on a singular fibre: (surface, p, P, Q,
+# the message with origin "P", the message with origin "Q")
+SINGULAR_PAIRS = [
+    ("random2", 11, (1, 5, 9, 4), (1, 6, 8, 8), CHORD, ORIGIN),
+    ("random2", 11, (1, 6, 8, 8), (1, 5, 9, 4), ORIGIN, CHORD),
+    ("s0", 11, (1, 5, 9, 2), (1, 9, 2, 0), CHORD, ORIGIN),
+    ("s0", 11, (1, 9, 9, 0), (1, 7, 0, 9), ORIGIN, CHORD),
+]
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except DP2Error as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _bitangent_pairs(Sp):
+    """The pairs of points of X(F_p) with distinct kappa-images on a line of
+    P^2(F_p) whose fibre is reducible."""
+    p = Sp.p
+    lines = [(1, a, b) for a in range(p) for b in range(p)] + [(0, 1, b) for b in range(p)] + [(0, 0, 1)]
+    pairs = []
+    for L in lines:
+        on = [P for P in Sp.points() if sum(a * x for a, x in zip(L, P)) % p == 0]
+        images = sorted({P[:3] for P in on})
+        if len(images) >= 2:
+            model = pullback_generic(Sp.F, Sp.f, Sp.g, images[0], images[1])
+            if classify_model(model) is ModelClass.Reducible:
+                pairs.extend((P, Q) for P in on for Q in on if P[:3] != Q[:3])
+    return pairs
+
+
+class TestResidualCore:
+    """phi and C_P share `_residual_core`; its errors over F_p, where
+    reducible fibres and singular hits are common."""
+
+    @pytest.mark.parametrize("name, p", [("random2", 11), ("s0", 7)])
+    def test_reducible_fibres(self, name, p):
+        Sp = reduce_surface(load_surface(SURFACE_DIR / f"{name}.json"), p)
+        F = Sp.F
+        pairs = _bitangent_pairs(Sp)
+        assert pairs
+        for P, Q in pairs:
+            bitangent = ("BitangentLine", PHI_BITANGENT)
+            assert _outcome(lambda: phi_modp(Sp, P, Q)) == bitangent
+            for origin in ("P", "Q"):
+                assert _outcome(lambda: _phi_core(F, Sp.f, Sp.g, P, Q, origin)) == bitangent
+            # the same line as a pencil member through kappa(P), with X = P
+            wP = F.from_int(P[3])
+            pencil = _outcome(lambda: _residual_core(F, Sp.f, Sp.g, P[:3], Q[:3], wP, (F.one, F.zero, wP),
+                                                     PENCIL_BITANGENT))
+            assert pencil == ("BitangentLine", PENCIL_BITANGENT)
+
+    @pytest.mark.parametrize("name, p, P, Q, at_p, at_q", SINGULAR_PAIRS)
+    def test_singular_hits(self, name, p, P, Q, at_p, at_q):
+        Sp = reduce_surface(load_surface(SURFACE_DIR / f"{name}.json"), p)
+        assert _outcome(lambda: phi_modp(Sp, P, Q)) == ("SingularHit", at_p)
+        assert _outcome(lambda: _phi_core(Sp.F, Sp.f, Sp.g, P, Q, "Q")) == ("SingularHit", at_q)
+
+    def test_bad_origin_before_any_work(self, s0):
+        wP = QQ.from_int(P0.w)
+        with pytest.raises(ValueError, match="origin must be 'P' or 'Q'"):
+            _residual_core(QQ, None, None, P0.xyz(), Q1.xyz(), wP, (QQ.one, QQ.zero, wP), "", origin="R")
+        with pytest.raises(ValueError, match="origin must be 'P' or 'Q'"):
+            phi(s0, P0, Q1, origin="R")
+
+    def test_one_reducibility_test_per_call(self, s0, monkeypatch):
+        """`lin_comb` tests the fibre; phi and C_P add no test of their own."""
+        calls = []
+
+        def counting(M):
+            calls.append(M)
+            return classify_model(M)
+
+        monkeypatch.setattr(genus1, "classify_model", counting)
+        monkeypatch.setattr(geometry, "classify_model", counting)
+        assert phi(s0, P0, Q1) == PHI_P0_Q1
+        assert len(calls) == 1
+        calls.clear()
+        c_p_point(s0, P0, (3, 7))
+        assert len(calls) == 1
+
+    @seed(10)
+    @settings(max_examples=8, deadline=None, database=None)
+    @given(st.integers(min_value=34, max_value=10**6), st.integers(1, 6), st.integers(1, 6), st.integers(1, 6))
+    def test_involution_and_origin_on_unpinned_surfaces(self, n, u, v, k):
+        """Q = f2((u:v), (1:k)) in U_inv, off C_{P0} (a point of f1 lies on
+        C_{P0}, where phi(P0, Q) = P0): phi(P0, Q) does not depend on the
+        origin, and phi(P0, phi(P0, Q)) = Q where phi(P0, Q) is in U_inv."""
+        try:
+            ctx = context_for(seeded_random_surface(n))
+            Q = f2(ctx, ((u, v), (1, k)))
+        except DP2Error:
+            assume(False)
+        assume(in_u_inv(ctx, Q))
+        S = ctx.surface
+        R = phi(S, ctx.P0, Q, origin="P")
+        assert phi(S, ctx.P0, Q, origin="Q") == R
+        if in_u_inv(ctx, R):
+            assert phi(S, ctx.P0, R) == Q
+
+
+class TestTernSubstitute:
+    """Taylor's formula over `restrict_line` against the monomial-product
+    expansion."""
+
+    @seed(12)
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(
+        st.sampled_from([0, 5, 7, 11, 13]),
+        st.integers(0, 4),
+        st.lists(st.integers(-9, 9), min_size=15, max_size=15),
+        st.lists(st.integers(-5, 5), min_size=9, max_size=9),
+        st.booleans(),
+    )
+    def test_matches_monomial_products(self, p, degree, coeffs, entries, singular):
+        F = QQ if p == 0 else PrimeField(p)
+        monomials = [(i, j, degree - i - j) for i in range(degree + 1) for j in range(degree + 1 - i)]
+        form = TernForm(F, degree, {m: F.from_int(c) for m, c in zip(monomials, coeffs)})
+        m = [entries[0:3], entries[3:6], entries[0:3] if singular else entries[6:9]]
+        assert _tern_substitute(form, m) == tern_substitute_reference(form, m)
 
 
 class TestClassification:
