@@ -10,13 +10,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import BadParameter, BitangentLine, DP2Error, NotVeryGeneral, SingularHit
-from .exactalg import QQ
 from .geometry import (
     SectionMinus2K,
-    _matrix_rank,
     _section_row,
     _u_phi_failure,
     c_p_point,
@@ -25,7 +22,7 @@ from .geometry import (
     phi,
 )
 from .genus1 import _pencil_param
-from .surface import PointDP2, PointP2, SurfaceDP2, kappa, lift
+from .surface import PointDP2, PointP2, SurfaceDP2, lift
 
 _RNG_NAME = "python-random-mt19937"
 _SEARCH_HEIGHT = 24  # height bound of the search for a very general base point
@@ -79,20 +76,23 @@ class CoverContext:
 def find_very_general_point(S: SurfaceDP2, height_bound: int = _SEARCH_HEIGHT) -> PointDP2:
     """Bounded search for a very general rational point via small-height
     lifts; the very-general hypothesis is an input requirement, so failure
-    is a hard error."""
+    is a hard error.  Each point of P^2 is tried once, and only its first
+    lift is classified: `classify_point` reads kappa(P) and whether 2w + f
+    vanishes, and iota preserves both."""
+    seen = set()
     for h in range(1, height_bound + 1):
         for x in range(-h, h + 1):
             for y in range(-h, h + 1):
                 for z in range(0, h + 1):
-                    if max(abs(x), abs(y), z) != h or (x == 0 and y == 0 and z == 0):
+                    if max(abs(x), abs(y), z) != h:
                         continue
-                    try:
-                        p2 = PointP2.make(x, y, z)
-                    except ValueError:
+                    p2 = PointP2.make(x, y, z)
+                    if p2 in seen:
                         continue
-                    for P in lift(S, p2):
-                        if classify_point(S, P).is_very_general:
-                            return P
+                    seen.add(p2)
+                    lifts = lift(S, p2)
+                    if lifts and classify_point(S, lifts[0]).is_very_general:
+                        return lifts[0]
     raise NotVeryGeneral(f"no very general point of height <= {height_bound} found")
 
 
@@ -254,21 +254,37 @@ def generate_points(
 # dominance proxies
 
 
+def _rank_int(rows) -> int:
+    """Rank of an integer matrix by fraction-free (Bareiss) elimination.
+    After k pivots, each entry of the rows below them is the minor on the
+    pivot rows and that row, and the pivot columns and that column
+    (Sylvester's identity, which holds for any choice of columns), so the
+    division by the previous pivot is exact and the entries stay minors."""
+    m = [list(r) for r in rows]
+    rank, prev = 0, 1
+    for col in range(len(m[0]) if m else 0):
+        pivot = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        top = m[rank]
+        p = top[col]
+        for i in range(rank + 1, len(m)):
+            a = m[i][col]
+            m[i] = [(p * v - a * u) // prev for v, u in zip(m[i], top)]
+        prev = p
+        rank += 1
+    return rank
+
+
 def rank_minus2K(points) -> int:
     """Rank of the evaluation matrix of the 7 monomial sections of |-2K_X|
     (six degree-2 monomials and w); rank 7 means the points lie on no single
     curve of that linear system."""
-    rows = []
-    for P in points:
-        rows.append(_section_row(Fraction(P.x), Fraction(P.y), Fraction(P.z), Fraction(P.w)))
-    return _matrix_rank(QQ, rows, 7)
+    return _rank_int([_section_row(P.x, P.y, P.z, P.w) for P in points])
 
 
 def rank_minusK(points) -> int:
     """Rank of the evaluation matrix of the |-K_X| sections x, y, z on the
     kappa-images."""
-    rows = []
-    for P in points:
-        q = kappa(P)
-        rows.append([Fraction(q.x), Fraction(q.y), Fraction(q.z)])
-    return _matrix_rank(QQ, rows, 3)
+    return _rank_int([P.xyz() for P in points])

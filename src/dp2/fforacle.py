@@ -193,12 +193,10 @@ def base_locus_oracle(Sp: SurfaceModP, P: PointDP2, Q: PointDP2, R: PointDP2) ->
 
 
 def phi_modp(Sp: SurfaceModP, P4, Q4) -> tuple[int, int, int, int]:
-    """phi over F_p via the same group-law core as the exact computation."""
-    F = Sp.F
-    P = tuple(F.from_int(v) for v in P4)
-    Q = tuple(F.from_int(v) for v in Q4)
-    x, y, z, w = _phi_core(F, Sp.f, Sp.g, P, Q)
-    return _normalize_modp(F, x, y, z, w)
+    """phi over F_p via the same residual-point core as the exact
+    computation."""
+    x, y, z, w = _phi_core(Sp.F, Sp.f, Sp.g, P4, Q4)
+    return _normalize_modp(Sp.F, x, y, z, w)
 
 
 def bitangents_through_modp(Sp: SurfaceModP, p3) -> int:

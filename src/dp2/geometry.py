@@ -126,10 +126,6 @@ def _kernel(F, rows, ncols):
     return basis
 
 
-def _matrix_rank(F, rows, ncols) -> int:
-    return ncols - len(_kernel(F, rows, ncols))
-
-
 # ---------------------------------------------------------------------------
 # sections of |-2K_X|
 
@@ -182,11 +178,65 @@ def osculating_section(S: SurfaceDP2, P: PointDP2) -> SectionMinus2K:
 # phi
 
 
-def _fibre(F, f: TernForm, g: TernForm, A, B, wP, X):
-    """The fibre's model over the line (s:t) -> sA + tB, iota(P) on it at
-    (1:0) for P = (A, wP), and the point X = (s, t, w) on it."""
-    model = pullback_generic(F, f, g, A, B)
-    return model, model.point(F.one, F.zero, -model.a.c[0] - wP), model.point(*X)
+def _fibre_points(model, wP, X):
+    """iota(P) at (1:0) for P = (A, wP), and the point X = (s, t, w), on the
+    model of the fibre over the line (s:t) -> sA + tB."""
+    F = model.field
+    return model.point(F.one, F.zero, -model.a.c[0] - wP), model.point(*X)
+
+
+def _closed_form(model, wP, X):
+    """(R) ~ 2(iota(P)) - (X) on a smooth fibre w^2 + a w = b, as an
+    unnormalized (s, t, w), for X = Q over (0:1) or X = P; None where the
+    closed form does not apply, and the group law decides.
+
+    D_inf ~ (P) + (iota P) is the fibre class.  For a binary quadratic c,
+    w - c(s, t) is a section of 2 D_inf whose zeros lie over the roots of
+    e = c^2 + a c - b = (c - w)(c - w'), w' = -a - w the other branch, each
+    with the root's multiplicity: where the branches differ, c - w' is a
+    unit at a zero of c - w; where they meet, iota swaps the two factors.
+    With d = 2 w_P + a_0 != 0 the branch through P is unramified, with
+    slope w_1 = (b_1 - a_1 w_P) / d at P and next coefficient
+    w_2 = (b_2 - a_2 w_P - a_1 w_1 - w_1^2) / d.
+    - X = Q = (0 : 1 : w_Q): c = w_P s^2 + w_1 s t + w_Q t^2 meets P twice
+      and Q, so e = s t^2 (e_2 s + e_3 t), R = (e_3 : -e_2), and
+      2P + Q + R ~ 2 D_inf gives R ~ 2 iota(P) - Q.
+    - X = P: c = w_P s^2 + w_1 s t + w_2 t^2 meets P three times, so
+      e = t^3 (e_3 s + e_4 t), R = (e_4 : -e_3), and 3P + R ~ 2 D_inf.
+    To avoid division c is taken times m (m = d t^2 for X = (0, t, w),
+    w_Q = w / t^2; m = d^3 for X = P), e times m^2, and R is returned as
+    (m s, m t, m^2 w).
+
+    e_0 = 0 says that P lies on the fibre, e_4 = 0 (X = Q) that Q does;
+    e_1 and e_2 vanish by the choice of w_1, w_2.  The closed form is taken
+    only when these vanish, d != 0 and `classify_model` says Smooth, where
+    the group law has the same unique answer; everywhere else the group
+    law runs unchanged, with its own errors."""
+    F = model.field
+    s, t, w = X
+    a, b = model.a.c, model.b.c
+    d = wP + wP + a[0]
+    if F.is_zero(d):
+        return None
+    dw1 = b[1] - a[1] * wP  # d w_1
+    if F.is_zero(s) and not F.is_zero(t):  # X = Q
+        tt = t * t
+        m = d * tt
+        c = [m * wP, tt * dw1, d * w]
+        vanish, (i, j) = (0, 1, 4), (3, 2)
+    elif F.is_zero(t) and not F.is_zero(s) and w == wP * s * s:  # X = P
+        dd = d * d
+        m = dd * d
+        c = [m * wP, dd * dw1, dd * (b[2] - a[2] * wP) - d * a[1] * dw1 - dw1 * dw1]
+        vanish, (i, j) = (0, 1, 2), (4, 3)
+    else:
+        return None
+    c = BinForm(F, 2, c)
+    e = (c + model.a.scale(m)) * c + model.b.scale(-m * m)
+    if any(not F.is_zero(e.c[k]) for k in vanish) or classify_model(model) is not ModelClass.Smooth:
+        return None
+    rs, rt = e.c[i], -e.c[j]
+    return m * rs, m * rt, m * c.evaluate(rs, rt)
 
 
 def _residual_core(F, f: TernForm, g: TernForm, A, B, wP, X, bitangent: str, origin: str = "P"):
@@ -196,23 +246,30 @@ def _residual_core(F, f: TernForm, g: TernForm, A, B, wP, X, bitangent: str, ori
     and C_P is swept by R for X = P on the lines through kappa(P).
 
     `origin` picks the group-law origin: "P" uses iota(P), "Q" uses iota(X);
-    the class has degree 1, so R does not depend on it.  A reducible fibre
-    raises `BitangentLine(bitangent)`, a singular origin `SingularHit`."""
+    the class has degree 1, so R does not depend on it.  Origin "P" takes
+    `_closed_form` where it applies; the group law with origin "Q" stays an
+    independent check of it.  A reducible fibre raises
+    `BitangentLine(bitangent)`, a singular origin `SingularHit`."""
     if origin not in ("P", "Q"):
         raise ValueError(f"origin must be 'P' or 'Q', got {origin!r}")
-    model, iota_P, Xc = _fibre(F, f, g, A, B, wP, X)
-    try:
-        if origin == "P":
-            R = neg_wrt(model, iota_P, Xc)
-        else:
-            s, t, w = X
-            iota_X = model.point(s, t, -model.a.evaluate(s, t) - w)
-            R = lin_comb(model, iota_X, [(2, iota_P), (-1, Xc)])
-    except ReducibleModel as exc:
-        raise BitangentLine(bitangent) from exc
-    except SingularOrigin as exc:
-        raise SingularHit(str(exc)) from exc
-    return tuple(R.s * A[i] + R.t * B[i] for i in range(3)) + (R.w,)
+    model = pullback_generic(F, f, g, A, B)
+    R = _closed_form(model, wP, X) if origin == "P" else None
+    if R is None:
+        iota_P, Xc = _fibre_points(model, wP, X)
+        try:
+            if origin == "P":
+                Rc = neg_wrt(model, iota_P, Xc)
+            else:
+                s, t, w = X
+                iota_X = model.point(s, t, -model.a.evaluate(s, t) - w)
+                Rc = lin_comb(model, iota_X, [(2, iota_P), (-1, Xc)])
+        except ReducibleModel as exc:
+            raise BitangentLine(bitangent) from exc
+        except SingularOrigin as exc:
+            raise SingularHit(str(exc)) from exc
+        R = Rc.s, Rc.t, Rc.w
+    s, t, w = R
+    return tuple(s * A[i] + t * B[i] for i in range(3)) + (w,)
 
 
 def _phi_core(F, f: TernForm, g: TernForm, P4, Q4, origin: str = "P"):
@@ -390,8 +447,8 @@ def _u_phi_failure(S: SurfaceDP2, P: PointDP2, Q: PointDP2) -> str | None:
     of U_phi with P in U_0 and Q off C_P."""
     if kappa(P) == kappa(Q):
         return "SameImage"
-    model, iota_P, Qc = _fibre(QQ, S.f, S.g, P.xyz(), Q.xyz(), Fraction(P.w),
-                               (QQ.zero, QQ.one, Fraction(Q.w)))
+    model = pullback_generic(QQ, S.f, S.g, P.xyz(), Q.xyz())
+    iota_P, Qc = _fibre_points(model, Fraction(P.w), (QQ.zero, QQ.one, Fraction(Q.w)))
     if classify_model(model) is ModelClass.Reducible:
         return "BitangentLine"
     if not (model.is_smooth_at(iota_P) and model.is_smooth_at(Qc)):

@@ -182,10 +182,11 @@ class SurfaceDP2:
     g: TernForm  # degree 4, integer coefficients
     B: TernForm  # f^2 + 4g, cached
 
-    def equation_at(self, x, y, z, w) -> bool:
-        fx = self.f.evaluate(Fraction(x), Fraction(y), Fraction(z))
-        gx = self.g.evaluate(Fraction(x), Fraction(y), Fraction(z))
-        w = Fraction(w)
+    def equation_at(self, x: int, y: int, z: int, w: int) -> bool:
+        """Whether the integer point (x, y, z, w) satisfies w^2 + f w = g,
+        on ints: `validate_surface` makes f and g integral."""
+        fx, gx = (sum(v.numerator * x**i * y**j * z**k for (i, j, k), v in form.c.items())
+                  for form in (self.f, self.g))
         return w * w + fx * w == gx
 
 
@@ -291,9 +292,10 @@ def on_surface(S: SurfaceDP2, x, y, z, w) -> PointDP2:
     wn = w * lam * lam
     if wn.denominator != 1:
         raise NotOnSurface(f"w-coordinate {wn} not integral in primitive form")
+    wn = int(wn)
     if not S.equation_at(xi, yi, zi, wn):
         raise NotOnSurface(f"({x}:{y}:{z}:{w}) does not satisfy w^2 + fw = g")
-    return PointDP2(xi, yi, zi, int(wn))
+    return PointDP2(xi, yi, zi, wn)
 
 
 def kappa(P: PointDP2) -> PointP2:

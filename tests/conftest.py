@@ -17,11 +17,29 @@ from dp2.exactalg import (
 )
 from dp2.exactalg.factor import factor_univariate
 from dp2.exactalg.quotient import QuotientField
-from dp2.genus1 import _det3
-from dp2.geometry import SEC_MONOMIALS, _pencil_basis, _random_unimodular, _tern_substitute
-from dp2.surface import SurfaceDP2, validate_surface
+from dp2.errors import BitangentLine, ReducibleModel, SameImage, SingularHit, SingularOrigin
+from dp2.genus1 import LineParam, _det3, neg_wrt, pullback_generic
+from dp2.geometry import (
+    SEC_MONOMIALS,
+    _as_field,
+    _fibre_points,
+    _pencil_basis,
+    _random_unimodular,
+    _tern_substitute,
+)
+from dp2.surface import SurfaceDP2, on_surface, validate_surface
 
 SURFACE_DIR = Path(__file__).resolve().parent.parent / "surfaces"
+
+# the very general base point that `covers.find_very_general_point` finds on
+# each surface file
+PINNED_P0 = {
+    "random2": "1:1:0:-1",
+    "random3": "1:0:-1:-4",
+    "random5": "1:-1:-1:-5",
+    "s0": "20:15:-12:-481",
+    "s_k": "1:1:0:-1",
+}
 
 # seeds pinned so that (a) the branch quartic is smooth, (b) the surface has
 # the rational point (1:1:1:1), and (c) a small very general point exists
@@ -53,6 +71,41 @@ def seeded_random_surface(seed: int) -> SurfaceDP2:
     f = {k: v for k, v in f.items() if v}
     g = {k: v for k, v in g.items() if v}
     return validate_surface(TernForm(QQ, 2, f), TernForm(QQ, 4, g))
+
+
+def residual_by_group_law(F, f, g, A, B, wP, X, bitangent: str):
+    """Reference for `geometry._residual_core` with origin "P": the point
+    R ~ 2(iota(P)) - (X) by the group law with origin iota(P) on every
+    fibre, as the core computed it before its closed form."""
+    model = pullback_generic(F, f, g, A, B)
+    iota_P, Xc = _fibre_points(model, wP, X)
+    try:
+        R = neg_wrt(model, iota_P, Xc)
+    except ReducibleModel as exc:
+        raise BitangentLine(bitangent) from exc
+    except SingularOrigin as exc:
+        raise SingularHit(str(exc)) from exc
+    return tuple(R.s * A[i] + R.t * B[i] for i in range(3)) + (R.w,)
+
+
+def phi_core_by_group_law(F, f, g, P4, Q4):
+    """Reference for `geometry._phi_core` with origin "P"."""
+    *A, wP = _as_field(F, P4)
+    *B, wQ = _as_field(F, Q4)
+    cross = (A[1] * B[2] - A[2] * B[1], A[2] * B[0] - A[0] * B[2], A[0] * B[1] - A[1] * B[0])
+    if all(F.is_zero(v) for v in cross):
+        raise SameImage("kappa(P) = kappa(Q)")
+    return residual_by_group_law(F, f, g, A, B, wP, (F.zero, F.one, wQ),
+                                 "the line through kappa(P), kappa(Q) is a bitangent")
+
+
+def c_p_point_by_group_law(S: SurfaceDP2, P, param):
+    """Reference for `geometry.c_p_point`."""
+    A, B = LineParam.pencil_member(P.xyz(), param).spanning()
+    wP = Fraction(P.w)
+    R = residual_by_group_law(QQ, S.f, S.g, A, B, wP, (QQ.one, QQ.zero, wP),
+                              "pencil member is a bitangent line")
+    return on_surface(S, *R)
 
 
 class PolyRing:

@@ -1,6 +1,11 @@
 """Covers f1, f2, f3, f6 and the seeded generation engine."""
 
+from fractions import Fraction
+
 import pytest
+from conftest import PINNED_P0, SURFACE_DIR
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from dp2 import covers
 from dp2.covers import (
@@ -15,14 +20,16 @@ from dp2.covers import (
     find_very_general_point,
     generate_points,
     generate_points_with_stats,
+    _rank_int,
     in_u_inv,
     point_height,
     rank_minus2K,
     rank_minusK,
 )
 from dp2.errors import BadParameter, BitangentLine, DP2Error, NotVeryGeneral, SameImage
-from dp2.geometry import classify_point, phi
-from dp2.surface import PointDP2, kappa
+from dp2.exactalg import QQ
+from dp2.geometry import _kernel, classify_point, phi
+from dp2.surface import PointDP2, kappa, load_surface
 
 
 @pytest.fixture(scope="module")
@@ -61,6 +68,22 @@ class TestContext:
         # a searched P0 is classified by the search alone
         ctx = context_for(random_surfaces[0])
         assert calls[-1] == ctx.P0 and calls.count(ctx.P0) == 1
+
+    @pytest.mark.parametrize("name", sorted(PINNED_P0))
+    def test_search_classifies_each_point_of_p2_once(self, name, monkeypatch):
+        """P and iota(P) share their classification, so the search
+        classifies one lift per point of P^2, and finds the same P0."""
+        images = []
+        real = covers.classify_point
+
+        def classify_point(S, P):
+            images.append(kappa(P))
+            return real(S, P)
+
+        monkeypatch.setattr(covers, "classify_point", classify_point)
+        P0 = find_very_general_point(load_surface(SURFACE_DIR / f"{name}.json"))
+        assert str(P0) == PINNED_P0[name]
+        assert len(set(images)) == len(images) and images[-1] == kappa(P0)
 
     def test_search_failure_is_hard_error(self, s0):
         with pytest.raises(NotVeryGeneral):
@@ -233,6 +256,39 @@ class TestRankProxies:
             except BadParameter:
                 pass
         assert rank_minus2K(pts) <= 6
+
+
+def _rank_by_fractions(rows, ncols) -> int:
+    return ncols - len(_kernel(QQ, [[Fraction(v) for v in row] for row in rows], ncols))
+
+
+@st.composite
+def _int_matrices(draw):
+    """Integer matrices of up to 9 x 8, rank-deficient as the product of an
+    r x k and a k x c factor with k below both, or drawn entry by entry."""
+    r, c = draw(st.integers(0, 9)), draw(st.integers(1, 8))
+    big = st.integers(-(10**20), 10**20) | st.integers(-3, 3)
+    if draw(st.booleans()):
+        k = draw(st.integers(0, max(min(r, c) - 1, 0)))
+        left = draw(st.lists(st.lists(big, min_size=k, max_size=k), min_size=r, max_size=r))
+        right = draw(st.lists(st.lists(big, min_size=c, max_size=c), min_size=k, max_size=k))
+        return [[sum(a * right[i][j] for i, a in enumerate(row)) for j in range(c)] for row in left], c
+    return draw(st.lists(st.lists(big, min_size=c, max_size=c), min_size=r, max_size=r)), c
+
+
+class TestBareissRank:
+    @seed(21)
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(_int_matrices())
+    def test_matches_fraction_elimination(self, matrix):
+        rows, ncols = matrix
+        assert _rank_int(rows) == _rank_by_fractions(rows, ncols)
+
+    def test_rank_deficient_examples(self):
+        assert _rank_int([[2, 4, 6], [1, 2, 3], [0, 0, 0]]) == 1
+        assert _rank_int([[0, 0, 1], [0, 0, 2], [0, 3, 0]]) == 2
+        assert _rank_int([[6, 9], [4, 6]]) == 1
+        assert _rank_int([]) == 0
 
 
 class TestUInv:

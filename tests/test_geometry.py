@@ -4,12 +4,18 @@ Frozen values below were first validated by the independent finite-field
 base-locus oracle at several good primes, then pinned.
 """
 
+import random
+
 import pytest
 import sympy as sp
 from conftest import (
+    PINNED_P0,
     SURFACE_DIR,
     PolyRing,
     assert_norm_order,
+    c_p_point_by_group_law,
+    phi_core_by_group_law,
+    residual_by_group_law,
     seeded_random_surface,
     square_by_yun,
     tern_substitute_reference,
@@ -32,6 +38,7 @@ from dp2.exactalg import (
 from dp2.exactalg.factor import factor_univariate
 from dp2.exactalg.quotient import QuotientField
 from dp2.fforacle import (
+    _normalize_modp,
     _u0_section,
     bitangents_through_modp,
     good_prime,
@@ -44,6 +51,7 @@ from dp2.geometry import (
     _bitangent_frames,
     _chart_coefficients,
     _chart_lines_over_a4,
+    _closed_form,
     _count_all_bitangents_frame,
     _count_bitangents_core,
     _count_chart_zeros,
@@ -283,6 +291,23 @@ class TestResidualCore:
         c_p_point(s0, P0, (3, 7))
         assert len(calls) == 1
 
+    def test_closed_form_builds_no_weierstrass_model(self, s0, monkeypatch):
+        """phi and C_P on smooth fibres take the closed form; origin "Q"
+        still runs the group law."""
+        calls = []
+        real = genus1.to_weierstrass
+
+        def counting(M, O):
+            calls.append(O)
+            return real(M, O)
+
+        monkeypatch.setattr(genus1, "to_weierstrass", counting)
+        assert phi(s0, P0, Q1) == PHI_P0_Q1
+        c_p_point(s0, P0, (3, 7))
+        assert calls == []
+        assert phi(s0, P0, Q1, origin="Q") == PHI_P0_Q1
+        assert len(calls) == 1
+
     @seed(10)
     @settings(max_examples=8, deadline=None, database=None)
     @given(st.integers(min_value=34, max_value=10**6), st.integers(1, 6), st.integers(1, 6), st.integers(1, 6))
@@ -301,6 +326,81 @@ class TestResidualCore:
         assert phi(S, ctx.P0, Q, origin="Q") == R
         if in_u_inv(ctx, R):
             assert phi(S, ctx.P0, R) == Q
+
+
+def _outcome_any(fn):
+    """The value of fn(), or the type and message of any exception."""
+    try:
+        return fn()
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestClosedForm:
+    """`_closed_form` against the group law it replaces on smooth fibres:
+    the test-local references in conftest run the group law with origin
+    iota(P) everywhere, as `_residual_core` did before the closed form."""
+
+    @pytest.mark.parametrize("name, p", [("random2", 11), ("s0", 7)])
+    def test_phi_core_against_group_law(self, name, p, monkeypatch):
+        Sp = reduce_surface(load_surface(SURFACE_DIR / f"{name}.json"), p)
+        F = Sp.F
+        taken = []
+
+        def spy(*args):
+            taken.append(_closed_form(*args))
+            return taken[-1]
+
+        monkeypatch.setattr(geometry, "_closed_form", spy)
+
+        def normalized(fn):
+            out = _outcome_any(fn)
+            return out if isinstance(out[0], str) else _normalize_modp(F, *out)
+
+        pts = random.Random(13).sample(Sp.points(), 30)
+        for P in pts:
+            for Q in pts:
+                closed = normalized(lambda: _phi_core(F, Sp.f, Sp.g, P, Q, "P"))
+                assert closed == normalized(lambda: phi_core_by_group_law(F, Sp.f, Sp.g, P, Q)), (P, Q)
+                # the other origin raises the same type, with its own message
+                # on a singular fibre (see SINGULAR_PAIRS)
+                other = normalized(lambda: _phi_core(F, Sp.f, Sp.g, P, Q, "Q"))
+                assert closed[0] == other[0] and (isinstance(closed[0], str) or closed == other), (P, Q)
+        assert sum(R is not None for R in taken) > 400 and None in taken
+
+    @pytest.mark.parametrize("name", sorted(PINNED_P0))
+    def test_c_p_point_against_group_law(self, name):
+        S = load_surface(SURFACE_DIR / f"{name}.json")
+        P = PointDP2.parse(PINNED_P0[name])
+        for u in range(-3, 4):
+            for v in range(0, 4):
+                if (u, v) != (0, 0):
+                    expected = _outcome_any(lambda: c_p_point_by_group_law(S, P, (u, v)))
+                    assert _outcome_any(lambda: c_p_point(S, P, (u, v))) == expected, (u, v)
+
+    @pytest.mark.parametrize("P, Q, R, fibre", [
+        ((1, 1, 7, 8), (1, 0, 0, 10), (1, 0, 0, 1), ModelClass.Smooth),  # 2 w_P + a_0 = 0
+        ((1, 0, 1, 7), (1, 3, 5, 9), (0, 1, 5, 10), ModelClass.IrreducibleSingular),
+    ])
+    def test_fallback_on_random2_mod_11(self, P, Q, R, fibre):
+        Sp = reduce_surface(load_surface(SURFACE_DIR / "random2.json"), 11)
+        F = Sp.F
+        *A, wP = _as_field(F, P)
+        *B, wQ = _as_field(F, Q)
+        model = pullback_generic(F, Sp.f, Sp.g, A, B)
+        assert classify_model(model) is fibre
+        assert _closed_form(model, wP, (F.zero, F.one, wQ)) is None
+        assert phi_modp(Sp, P, Q) == R == _normalize_modp(F, *phi_core_by_group_law(F, Sp.f, Sp.g, P, Q))
+
+    def test_fallback_off_the_fibre(self, s0):
+        """A point off the fibre leaves the closed form, and the group law
+        raises its own ValueError."""
+        A, B = _as_field(QQ, P0.xyz()), _as_field(QQ, Q1.xyz())
+        wP, X = QQ.from_int(P0.w), (QQ.zero, QQ.one, QQ.from_int(Q1.w + 1))
+        assert _closed_form(pullback_generic(QQ, s0.f, s0.g, A, B), wP, X) is None
+        outcome = _outcome_any(lambda: _residual_core(QQ, s0.f, s0.g, A, B, wP, X, ""))
+        assert outcome == ("ValueError", "(0:1:2) not on the quartic model")
+        assert outcome == _outcome_any(lambda: residual_by_group_law(QQ, s0.f, s0.g, A, B, wP, X, ""))
 
 
 class TestTernSubstitute:
