@@ -65,13 +65,6 @@ class CoverContext:
     # BadParameter message of a bitangent or singular member
     members: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    @classmethod
-    def create(cls, S: SurfaceDP2, P0: PointDP2) -> "CoverContext":
-        cls_p = classify_point(S, P0)
-        if not cls_p.is_very_general:
-            raise NotVeryGeneral(f"base point {P0} is not very general")
-        return cls(surface=S, P0=P0, section=osculating_section(S, P0))
-
 
 def find_very_general_point(S: SurfaceDP2, height_bound: int = _SEARCH_HEIGHT) -> PointDP2:
     """Bounded search for a very general rational point via small-height

@@ -185,11 +185,9 @@ def pullback_generic(F, f: TernForm, g: TernForm, A, B) -> QuarticModel:
 def classify_model(M: QuarticModel) -> ModelClass:
     """Smooth / irreducible-singular / geometrically-reducible trichotomy."""
     q = M.q()
-    if is_square_binform(q):
-        return ModelClass.Reducible
-    if M.field.is_zero(disc_binary_quartic(q)):
-        return ModelClass.IrreducibleSingular
-    return ModelClass.Smooth
+    if not M.field.is_zero(disc_binary_quartic(q)):
+        return ModelClass.Smooth  # a square has discriminant 0
+    return ModelClass.Reducible if is_square_binform(q) else ModelClass.IrreducibleSingular
 
 
 # ---------------------------------------------------------------------------

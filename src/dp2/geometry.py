@@ -36,11 +36,8 @@ from .exactalg import (
 )
 from .genus1 import (
     LineParam,
-    ModelClass,
     _det3,
-    classify_model,
     lin_comb,
-    neg_wrt,
     pullback_generic,
 )
 from .surface import PointDP2, PointP2, SurfaceDP2, kappa, on_ramification, on_surface
@@ -178,65 +175,80 @@ def osculating_section(S: SurfaceDP2, P: PointDP2) -> SectionMinus2K:
 # phi
 
 
-def _fibre_points(model, wP, X):
-    """iota(P) at (1:0) for P = (A, wP), and the point X = (s, t, w), on the
-    model of the fibre over the line (s:t) -> sA + tB."""
-    F = model.field
-    return model.point(F.one, F.zero, -model.a.c[0] - wP), model.point(*X)
-
-
 def _closed_form(model, wP, X):
-    """(R) ~ 2(iota(P)) - (X) on a smooth fibre w^2 + a w = b, as an
-    unnormalized (s, t, w), for X = Q over (0:1) or X = P; None where the
-    closed form does not apply, and the group law decides.
+    """(R) ~ 2(iota(P)) - (X) on the fibre w^2 + a w = b, unnormalized as
+    (s, t, w), for X = Q = (0 : 1 : w_Q) or X = P = (1 : 0 : w_P), once
+    `_check_fibre` has passed: P, Q on the fibre, q = a^2 + 4b not a square,
+    iota(P) and X smooth.  D_inf ~ (P) + (iota P) ~ (X) + (iota X) is the
+    fibre class.  With d = 2 w_P + a_0 = 0, P = iota(P) is a ramification
+    point, so 2 (iota P) - X ~ D_inf - X ~ iota(X).
 
-    D_inf ~ (P) + (iota P) is the fibre class.  For a binary quadratic c,
+    Otherwise the branch through P is unramified.  For a binary quadratic c,
     w - c(s, t) is a section of 2 D_inf whose zeros lie over the roots of
     e = c^2 + a c - b = (c - w)(c - w'), w' = -a - w the other branch, each
     with the root's multiplicity: where the branches differ, c - w' is a
     unit at a zero of c - w; where they meet, iota swaps the two factors.
-    With d = 2 w_P + a_0 != 0 the branch through P is unramified, with
-    slope w_1 = (b_1 - a_1 w_P) / d at P and next coefficient
-    w_2 = (b_2 - a_2 w_P - a_1 w_1 - w_1^2) / d.
-    - X = Q = (0 : 1 : w_Q): c = w_P s^2 + w_1 s t + w_Q t^2 meets P twice
-      and Q, so e = s t^2 (e_2 s + e_3 t), R = (e_3 : -e_2), and
+    The branch through P has slope w_1 = (b_1 - a_1 w_P) / d at P and next
+    coefficient w_2 = (b_2 - a_2 w_P - a_1 w_1 - w_1^2) / d.
+    - X = Q: c = w_P s^2 + w_1 s t + w_Q t^2 meets P twice and Q, so
+      e = s t^2 (e_2 s + e_3 t), R = (e_3 : -e_2), and
       2P + Q + R ~ 2 D_inf gives R ~ 2 iota(P) - Q.
     - X = P: c = w_P s^2 + w_1 s t + w_2 t^2 meets P three times, so
       e = t^3 (e_3 s + e_4 t), R = (e_4 : -e_3), and 3P + R ~ 2 D_inf.
-    To avoid division c is taken times m (m = d t^2 for X = (0, t, w),
-    w_Q = w / t^2; m = d^3 for X = P), e times m^2, and R is returned as
-    (m s, m t, m^2 w).
-
-    e_0 = 0 says that P lies on the fibre, e_4 = 0 (X = Q) that Q does;
-    e_1 and e_2 vanish by the choice of w_1, w_2.  The closed form is taken
-    only when these vanish, d != 0 and `classify_model` says Smooth, where
-    the group law has the same unique answer; everywhere else the group
-    law runs unchanged, with its own errors."""
+    e_0 and (for X = Q) e_4 vanish as P and Q lie on the fibre, e_1 and e_2
+    by the choice of w_1, w_2.  The linear factor left is nonzero: e = 0
+    would make q = (2c + a)^2 a square.  The formula also holds on an
+    irreducible singular fibre: R is never its singular point, where q has
+    a double root and the branches meet, since c = w there would make that
+    a double root of e = (c + a/2)^2 - q/4.  That point lies over neither
+    (1:0), where q = d^2 != 0, nor X's parameter, X being smooth; so e would
+    have five roots counted with multiplicity, which forces e = 0.
+    To avoid division c is taken times m (m = d for X = Q, m = d^3 for
+    X = P), e times m^2, and R is returned as (m s, m t, m^2 w)."""
     F = model.field
     s, t, w = X
     a, b = model.a.c, model.b.c
     d = wP + wP + a[0]
     if F.is_zero(d):
-        return None
+        return s, t, -model.a.evaluate(s, t) - w
     dw1 = b[1] - a[1] * wP  # d w_1
-    if F.is_zero(s) and not F.is_zero(t):  # X = Q
-        tt = t * t
-        m = d * tt
-        c = [m * wP, tt * dw1, d * w]
-        vanish, (i, j) = (0, 1, 4), (3, 2)
-    elif F.is_zero(t) and not F.is_zero(s) and w == wP * s * s:  # X = P
+    if F.is_zero(t):  # X = P
         dd = d * d
         m = dd * d
         c = [m * wP, dd * dw1, dd * (b[2] - a[2] * wP) - d * a[1] * dw1 - dw1 * dw1]
-        vanish, (i, j) = (0, 1, 2), (4, 3)
-    else:
-        return None
+        i, j = 4, 3
+    else:  # X = Q
+        m = d
+        c = [d * wP, dw1, d * w]
+        i, j = 3, 2
     c = BinForm(F, 2, c)
     e = (c + model.a.scale(m)) * c + model.b.scale(-m * m)
-    if any(not F.is_zero(e.c[k]) for k in vanish) or classify_model(model) is not ModelClass.Smooth:
-        return None
     rs, rt = e.c[i], -e.c[j]
     return m * rs, m * rt, m * c.evaluate(rs, rt)
+
+
+def _check_fibre(model, wP, X, bitangent: str):
+    """The group law's errors for origin iota(P), in its order, read off
+    the coefficients, for X = (0 : 1 : w_Q) or (1 : 0 : w_P):
+    ValueError for iota(P), then X, off the fibre; `BitangentLine` for a
+    square q = a^2 + 4b; `SingularHit` for a singular iota(P), then X.
+    At (1 : 0 : w) the fibre reads w^2 + a_0 w = b_0, so q_0 = v^2 with
+    v = 2w + a_0, and the point is singular where v and q_1 vanish (a
+    double root of q there); at (0 : 1 : w) likewise with a_2, b_4, q_3."""
+    F = model.field
+    a, b, q = model.a.c, model.b.c, model.q()
+    singular = []
+    for s, t, w in ((F.one, F.zero, -a[0] - wP), X):
+        i = 0 if F.is_zero(t) else 2
+        if not F.is_zero(w * w + a[i] * w - b[i + i]):
+            raise ValueError(f"({s}:{t}:{w}) not on the quartic model")
+        singular.append(F.is_zero(w + w + a[i]) and F.is_zero(q.c[i + 1]))
+    if is_square_binform(q):
+        raise BitangentLine(bitangent)
+    if singular[0]:
+        raise SingularHit("origin is the singular point of the fiber")
+    if singular[1]:
+        raise SingularHit("chord-tangent arithmetic hit the singular point")
 
 
 def _residual_core(F, f: TernForm, g: TernForm, A, B, wP, X, bitangent: str, origin: str = "P"):
@@ -246,29 +258,28 @@ def _residual_core(F, f: TernForm, g: TernForm, A, B, wP, X, bitangent: str, ori
     and C_P is swept by R for X = P on the lines through kappa(P).
 
     `origin` picks the group-law origin: "P" uses iota(P), "Q" uses iota(X);
-    the class has degree 1, so R does not depend on it.  Origin "P" takes
-    `_closed_form` where it applies; the group law with origin "Q" stays an
-    independent check of it.  A reducible fibre raises
-    `BitangentLine(bitangent)`, a singular origin `SingularHit`."""
+    the class has degree 1, so R does not depend on it.  Origin "P" runs
+    `_check_fibre` and takes `_closed_form`; origin "Q" runs the group law
+    (`lin_comb`), an independent check of it.  Both raise, in this order,
+    ValueError for a point off the fibre, `BitangentLine(bitangent)` for a
+    reducible fibre and `SingularHit` for a singular iota(P) or X."""
     if origin not in ("P", "Q"):
         raise ValueError(f"origin must be 'P' or 'Q', got {origin!r}")
     model = pullback_generic(F, f, g, A, B)
-    R = _closed_form(model, wP, X) if origin == "P" else None
-    if R is None:
-        iota_P, Xc = _fibre_points(model, wP, X)
+    if origin == "P":
+        _check_fibre(model, wP, X, bitangent)
+        s, t, w = _closed_form(model, wP, X)
+    else:
+        s, t, w = X
+        iota_P, Xc = model.point(F.one, F.zero, -model.a.c[0] - wP), model.point(s, t, w)
+        iota_X = model.point(s, t, -model.a.evaluate(s, t) - w)
         try:
-            if origin == "P":
-                Rc = neg_wrt(model, iota_P, Xc)
-            else:
-                s, t, w = X
-                iota_X = model.point(s, t, -model.a.evaluate(s, t) - w)
-                Rc = lin_comb(model, iota_X, [(2, iota_P), (-1, Xc)])
+            Rc = lin_comb(model, iota_X, [(2, iota_P), (-1, Xc)])
         except ReducibleModel as exc:
             raise BitangentLine(bitangent) from exc
         except SingularOrigin as exc:
             raise SingularHit(str(exc)) from exc
-        R = Rc.s, Rc.t, Rc.w
-    s, t, w = R
+        s, t, w = Rc.s, Rc.t, Rc.w
     return tuple(s * A[i] + t * B[i] for i in range(3)) + (w,)
 
 
@@ -443,15 +454,13 @@ class PhiDomainVerdict:
 
 def _u_phi_failure(S: SurfaceDP2, P: PointDP2, Q: PointDP2) -> str | None:
     """Why (P, Q) lies outside U_phi -- "SameImage", "BitangentLine" or
-    "NonSmoothEndpoint" -- or None when it lies in U_phi.  U_inv is the part
-    of U_phi with P in U_0 and Q off C_P."""
-    if kappa(P) == kappa(Q):
-        return "SameImage"
-    model = pullback_generic(QQ, S.f, S.g, P.xyz(), Q.xyz())
-    iota_P, Qc = _fibre_points(model, Fraction(P.w), (QQ.zero, QQ.one, Fraction(Q.w)))
-    if classify_model(model) is ModelClass.Reducible:
-        return "BitangentLine"
-    if not (model.is_smooth_at(iota_P) and model.is_smooth_at(Qc)):
+    "NonSmoothEndpoint", from the error phi raises -- or None when it lies
+    in U_phi.  U_inv is the part of U_phi with P in U_0 and Q off C_P."""
+    try:
+        _phi_core(QQ, S.f, S.g, P.coords(), Q.coords())
+    except (SameImage, BitangentLine) as exc:
+        return type(exc).__name__
+    except SingularHit:
         return "NonSmoothEndpoint"
     return None
 

@@ -22,7 +22,6 @@ from dp2.genus1 import LineParam, _det3, neg_wrt, pullback_generic
 from dp2.geometry import (
     SEC_MONOMIALS,
     _as_field,
-    _fibre_points,
     _pencil_basis,
     _random_unimodular,
     _tern_substitute,
@@ -71,6 +70,13 @@ def seeded_random_surface(seed: int) -> SurfaceDP2:
     f = {k: v for k, v in f.items() if v}
     g = {k: v for k, v in g.items() if v}
     return validate_surface(TernForm(QQ, 2, f), TernForm(QQ, 4, g))
+
+
+def _fibre_points(model, wP, X):
+    """iota(P) at (1:0) for P = (A, wP), and the point X = (s, t, w), on the
+    model of the fibre over the line (s:t) -> sA + tB."""
+    F = model.field
+    return model.point(F.one, F.zero, -model.a.c[0] - wP), model.point(*X)
 
 
 def residual_by_group_law(F, f, g, A, B, wP, X, bitangent: str):

@@ -276,15 +276,21 @@ class TestResidualCore:
             phi(s0, P0, Q1, origin="R")
 
     def test_one_reducibility_test_per_call(self, s0, monkeypatch):
-        """`lin_comb` tests the fibre; phi and C_P add no test of their own."""
+        """Origin "P" tests the fibre by one square test of q = a^2 + 4b,
+        and never asks `classify_model`."""
         calls = []
+        real = geometry.is_square_binform
 
-        def counting(M):
-            calls.append(M)
-            return classify_model(M)
+        def counting(q):
+            calls.append(q)
+            return real(q)
 
-        monkeypatch.setattr(genus1, "classify_model", counting)
-        monkeypatch.setattr(geometry, "classify_model", counting)
+        def refuse(M):
+            raise AssertionError("classify_model on origin P")
+
+        monkeypatch.setattr(genus1, "is_square_binform", counting)
+        monkeypatch.setattr(geometry, "is_square_binform", counting)
+        monkeypatch.setattr(genus1, "classify_model", refuse)
         assert phi(s0, P0, Q1) == PHI_P0_Q1
         assert len(calls) == 1
         calls.clear()
@@ -292,8 +298,8 @@ class TestResidualCore:
         assert len(calls) == 1
 
     def test_closed_form_builds_no_weierstrass_model(self, s0, monkeypatch):
-        """phi and C_P on smooth fibres take the closed form; origin "Q"
-        still runs the group law."""
+        """phi and C_P take the closed form on every fibre: smooth, with
+        2 w_P + a_0 = 0, or singular; origin "Q" still runs the group law."""
         calls = []
         real = genus1.to_weierstrass
 
@@ -304,6 +310,12 @@ class TestResidualCore:
         monkeypatch.setattr(genus1, "to_weierstrass", counting)
         assert phi(s0, P0, Q1) == PHI_P0_Q1
         c_p_point(s0, P0, (3, 7))
+        for name, p, P, Q, at_p, _ in SINGULAR_PAIRS:
+            Sp = reduce_surface(load_surface(SURFACE_DIR / f"{name}.json"), p)
+            assert _outcome(lambda: phi_modp(Sp, P, Q)) == ("SingularHit", at_p)
+        Sp = reduce_surface(load_surface(SURFACE_DIR / "random2.json"), 11)
+        for P, Q, R, _ in FIBRE_PINS:
+            assert phi_modp(Sp, P, Q) == R
         assert calls == []
         assert phi(s0, P0, Q1, origin="Q") == PHI_P0_Q1
         assert len(calls) == 1
@@ -336,10 +348,18 @@ def _outcome_any(fn):
         return type(exc).__name__, str(exc)
 
 
+# phi on random2 mod 11 where the closed form leaves the generic case:
+# (P, Q, phi(P, Q), the fibre's class)
+FIBRE_PINS = [
+    ((1, 1, 7, 8), (1, 0, 0, 10), (1, 0, 0, 1), ModelClass.Smooth),  # 2 w_P + a_0 = 0
+    ((1, 0, 1, 7), (1, 3, 5, 9), (0, 1, 5, 10), ModelClass.IrreducibleSingular),
+]
+
+
 class TestClosedForm:
-    """`_closed_form` against the group law it replaces on smooth fibres:
-    the test-local references in conftest run the group law with origin
-    iota(P) everywhere, as `_residual_core` did before the closed form."""
+    """`_closed_form` against the group law it replaced: the test-local
+    references in conftest run the group law with origin iota(P) on every
+    fibre, as `_residual_core` did before the closed form."""
 
     @pytest.mark.parametrize("name, p", [("random2", 11), ("s0", 7)])
     def test_phi_core_against_group_law(self, name, p, monkeypatch):
@@ -347,9 +367,10 @@ class TestClosedForm:
         F = Sp.F
         taken = []
 
-        def spy(*args):
-            taken.append(_closed_form(*args))
-            return taken[-1]
+        def spy(model, wP, X):
+            d_zero = F.is_zero(wP + wP + model.a.c[0])
+            taken.append((d_zero, classify_model(model)))
+            return _closed_form(model, wP, X)
 
         monkeypatch.setattr(geometry, "_closed_form", spy)
 
@@ -366,7 +387,13 @@ class TestClosedForm:
                 # on a singular fibre (see SINGULAR_PAIRS)
                 other = normalized(lambda: _phi_core(F, Sp.f, Sp.g, P, Q, "Q"))
                 assert closed[0] == other[0] and (isinstance(closed[0], str) or closed == other), (P, Q)
-        assert sum(R is not None for R in taken) > 400 and None in taken
+        # every returned point comes from the closed form, including some
+        # with 2 w_P + a_0 = 0 and, on random2 (s0 mod 7 meets no singular
+        # fibre here), some on a singular fibre
+        assert len(taken) > 400
+        assert any(d_zero for d_zero, _ in taken)
+        singular = any(fibre is ModelClass.IrreducibleSingular for _, fibre in taken)
+        assert singular == (name == "random2")
 
     @pytest.mark.parametrize("name", sorted(PINNED_P0))
     def test_c_p_point_against_group_law(self, name):
@@ -378,26 +405,22 @@ class TestClosedForm:
                     expected = _outcome_any(lambda: c_p_point_by_group_law(S, P, (u, v)))
                     assert _outcome_any(lambda: c_p_point(S, P, (u, v))) == expected, (u, v)
 
-    @pytest.mark.parametrize("P, Q, R, fibre", [
-        ((1, 1, 7, 8), (1, 0, 0, 10), (1, 0, 0, 1), ModelClass.Smooth),  # 2 w_P + a_0 = 0
-        ((1, 0, 1, 7), (1, 3, 5, 9), (0, 1, 5, 10), ModelClass.IrreducibleSingular),
-    ])
+    @pytest.mark.parametrize("P, Q, R, fibre", FIBRE_PINS)
     def test_fallback_on_random2_mod_11(self, P, Q, R, fibre):
+        """phi with 2 w_P + a_0 = 0, and on an irreducible singular fibre."""
         Sp = reduce_surface(load_surface(SURFACE_DIR / "random2.json"), 11)
         F = Sp.F
         *A, wP = _as_field(F, P)
         *B, wQ = _as_field(F, Q)
         model = pullback_generic(F, Sp.f, Sp.g, A, B)
         assert classify_model(model) is fibre
-        assert _closed_form(model, wP, (F.zero, F.one, wQ)) is None
+        assert F.is_zero(wP + wP + model.a.c[0]) == (fibre is ModelClass.Smooth)
         assert phi_modp(Sp, P, Q) == R == _normalize_modp(F, *phi_core_by_group_law(F, Sp.f, Sp.g, P, Q))
 
     def test_fallback_off_the_fibre(self, s0):
-        """A point off the fibre leaves the closed form, and the group law
-        raises its own ValueError."""
+        """A point off the fibre raises the group law's ValueError."""
         A, B = _as_field(QQ, P0.xyz()), _as_field(QQ, Q1.xyz())
         wP, X = QQ.from_int(P0.w), (QQ.zero, QQ.one, QQ.from_int(Q1.w + 1))
-        assert _closed_form(pullback_generic(QQ, s0.f, s0.g, A, B), wP, X) is None
         outcome = _outcome_any(lambda: _residual_core(QQ, s0.f, s0.g, A, B, wP, X, ""))
         assert outcome == ("ValueError", "(0:1:2) not on the quartic model")
         assert outcome == _outcome_any(lambda: residual_by_group_law(QQ, s0.f, s0.g, A, B, wP, X, ""))
@@ -575,6 +598,31 @@ class TestPhiDomain:
         v = phi_domain(s0, P0, Qc)
         assert v.in_U_phi and not v.in_U_inv
         assert v.failure_reason == "SecondOnCP"
+
+    @pytest.mark.parametrize("name", sorted(PINNED_P0))
+    def test_u_phi_agrees_with_phi(self, name):
+        """(P, Q) lies in U_phi exactly when phi returns; otherwise the
+        verdict names phi's error."""
+        S = load_surface(SURFACE_DIR / f"{name}.json")
+        ctx = context_for(S, PointDP2.parse(PINNED_P0[name]))
+        pts = [ctx.P0, geiser(S, ctx.P0)]
+        for args in [(1, 1), (1, 2), (2, -1), ((1, 1), (1, 2)), ((1, 3), (2, 1))]:
+            try:
+                pts.append(f2(ctx, args) if isinstance(args[0], tuple) else f1(ctx, args))
+            except DP2Error:
+                pass
+        reason = {"SameImage": "SameImage", "BitangentLine": "BitangentLine", "SingularHit": "NonSmoothEndpoint"}
+        seen = set()
+        for P in pts:
+            for Q in pts:
+                verdict = phi_domain(S, P, Q)
+                outcome = _outcome(lambda: phi(S, P, Q))
+                if isinstance(outcome, PointDP2):
+                    assert verdict.in_U_phi and verdict.failure_reason in (None, "FirstNotInU0", "SecondOnCP")
+                else:
+                    assert not verdict.in_U_phi and verdict.failure_reason == reason[outcome[0]], (P, Q)
+                seen.add(verdict.failure_reason)
+        assert "SameImage" in seen and len(seen) > 2
 
 
 class TestAllBitangents:
