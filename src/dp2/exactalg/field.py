@@ -1,21 +1,14 @@
 """Coefficient fields used throughout: Q (as fractions.Fraction), prime fields
 F_p, and field adapters so polynomial code can run over either.
 
-An adapter exposes `zero`, `one`, `from_int`, `is_zero`, `is_square` and
-`sqrt`; elements themselves carry the arithmetic through operator overloading.
+An adapter exposes `zero`, `one`, `char`, `from_int` and `is_zero`; F_p's
+adds `is_square` and `sqrt`.  Elements themselves carry the arithmetic
+through operator overloading.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
-
-
-def _is_square_int(n: int) -> bool:
-    if n < 0:
-        return False
-    r = isqrt(n)
-    return r * r == n
 
 
 class RationalField:
@@ -32,18 +25,6 @@ class RationalField:
     @staticmethod
     def is_zero(a) -> bool:
         return a == 0
-
-    @staticmethod
-    def is_square(a) -> bool:
-        a = Fraction(a)
-        return _is_square_int(a.numerator) and _is_square_int(a.denominator)
-
-    @staticmethod
-    def sqrt(a):
-        a = Fraction(a)
-        if not RationalField.is_square(a):
-            raise ValueError("not a rational square")
-        return Fraction(isqrt(a.numerator), isqrt(a.denominator))
 
 
 QQ = RationalField()

@@ -290,14 +290,12 @@ class BinForm:
         return all(self.field.is_zero(a) for a in self.c)
 
     def evaluate(self, s, t):
-        acc = self.field.zero
-        for i, a in enumerate(self.c):
-            term = a
-            for _ in range(self.degree - i):
-                term = term * s
-            for _ in range(i):
-                term = term * t
-            acc = acc + term
+        """Horner's rule, homogeneous: after c_i the sum is
+        c_0 s^i + c_1 s^(i-1) t + ... + c_i t^i."""
+        acc, tk = self.c[0], self.field.one
+        for a in self.c[1:]:
+            tk = tk * t
+            acc = acc * s + a * tk
         return acc
 
     def to_poly(self) -> Poly:
@@ -507,18 +505,7 @@ class TernForm:
         return self.c.get((i, j, k), self.field.zero)
 
     def evaluate(self, x, y, z):
-        F = self.field
-        acc = F.zero
-        for (i, j, k), val in self.c.items():
-            term = val
-            for _ in range(i):
-                term = term * x
-            for _ in range(j):
-                term = term * y
-            for _ in range(k):
-                term = term * z
-            acc = acc + term
-        return acc
+        return sum((v * x**i * y**j * z**k for (i, j, k), v in self.c.items()), self.field.zero)
 
     def __add__(self, other):
         if self.degree != other.degree:

@@ -11,23 +11,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (
-    BadPrime,
-    BitangentLine,
-    DP2Error,
-    NotVeryGeneral,
-    SameImage,
-    SingularHit,
-    UnexpectedDimension,
-)
+from .errors import BadPrime, DP2Error, UnexpectedDimension
 from .exactalg import PRIME_TEST_BOUND, PrimeField, TernForm, is_prime
 from .geometry import (
     _count_bitangents_core,
     _kernel,
-    _osculating_core,
     _phi_core,
     _section_condition_rows,
     _section_row,
+    _section_value,
+    _u0_core,
 )
 from .surface import PointDP2, SurfaceDP2, _is_smooth_quartic
 
@@ -150,10 +143,6 @@ def on_ramification_modp(Sp: SurfaceModP, P4) -> bool:
 # base-locus oracle for phi
 
 
-def _section_value(F, vec, P4):
-    return sum(a * b for a, b in zip(vec, _section_row(*(F.from_int(v) for v in P4))))
-
-
 def _base_locus_sections(Sp: SurfaceModP, Pm, Qm) -> list:
     """Basis of the 3-dimensional space of sections lambda*w + q2 vanishing
     to order >= 2 at Pm and >= 1 at Qm."""
@@ -243,36 +232,24 @@ class SurjectivityReport:
         }
 
 
-def _u0_section(Sp: SurfaceModP, P4):
-    """Osculating-section vector for P in U_0 mod p, else None."""
-    if on_ramification_modp(Sp, P4):
-        return None
-    if bitangents_through_modp(Sp, P4[:3]) != 0:
-        return None
-    try:
-        return _osculating_core(Sp.F, Sp.f, Sp.g, P4)
-    except NotVeryGeneral:
-        return None
-
-
 def phi_surjectivity(Sp: SurfaceModP) -> SurjectivityReport:
     """Exhaustive search for phi-preimages of every point of X(F_p) over pairs
-    in U_inv(F_p); reported, never asserted."""
+    in U_inv(F_p); reported, never asserted.  The base points P run through
+    X(F_p) in order, and U_0 membership (`_u0_core`) is decided only for
+    the P reached before every point is hit."""
     p, F = Sp.p, Sp.F
     if p > 31:
         raise BadPrime("surjectivity sweep limited to p <= 31")
     pts = Sp.points()
     total = len(pts)
     remaining = set(pts)
-    sections = {}
-    for P4 in pts:
-        sec = _u0_section(Sp, P4)
-        if sec is not None:
-            sections[P4] = sec
     pairs_tried = 0
-    for P4, sec in sections.items():
+    for P4 in pts:
         if not remaining:
             break
+        sec = _u0_core(F, Sp.f, Sp.g, Sp.B, P4)
+        if sec is None:
+            continue
         for Q4 in pts:
             if not remaining:
                 break
@@ -282,7 +259,7 @@ def phi_surjectivity(Sp: SurfaceModP) -> SurjectivityReport:
                 pairs_tried += 1
                 try:
                     R4 = phi_modp(Sp, P4, Q4)
-                except (SameImage, BitangentLine, SingularHit, DP2Error):
+                except DP2Error:
                     continue
                 remaining.discard(R4)
     missed = tuple(sorted(remaining))

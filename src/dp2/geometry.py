@@ -55,6 +55,11 @@ def _section_row(x, y, z, w) -> list:
     return [w, x * x, y * y, z * z, x * y, x * z, y * z]
 
 
+def _section_value(F, vec, P4):
+    """The section with vector `vec` over F at the integer point P4."""
+    return sum(a * b for a, b in zip(vec, _section_row(*_as_field(F, P4))))
+
+
 def _section_condition_rows(F, f: TernForm, g: TernForm, P4, order: int):
     """Rows of the linear system 'lambda*w + q2 vanishes to order >= `order`
     at P on X', in the basis (lambda, SEC_MONOMIALS), for order <= 3 and P
@@ -135,8 +140,7 @@ class SectionMinus2K:
     q2: TernForm  # degree 2, integer coefficients over Q
 
     def evaluate(self, P: PointDP2) -> Fraction:
-        row = _section_row(Fraction(P.x), Fraction(P.y), Fraction(P.z), Fraction(P.w))
-        return sum(a * b for a, b in zip(self.vector(), row))
+        return _section_value(QQ, self.vector(), P.coords())
 
     def vector(self) -> list[Fraction]:
         return [Fraction(self.lam)] + [self.q2.coeff(*m) for m in SEC_MONOMIALS]
@@ -158,6 +162,27 @@ def _osculating_core(F, f: TernForm, g: TernForm, P4):
     if F.is_zero(vec[0]):
         raise NotVeryGeneral("osculating section degenerates (lambda = 0)")
     return vec
+
+
+def _u0_core(F, f: TernForm, g: TernForm, B: TernForm, P4):
+    """The osculating vector of `_osculating_core` at P when P lies in U_0,
+    else None; F is Q or F_p, P4 a 4-tuple of ints.  P lies in U_0 when it
+    is off the ramification divisor 2w + f = 0 and on none of the 56
+    exceptional curves, i.e. no bitangent of B passes through kappa(P).
+
+    Off the ramification divisor the osculating system cannot degenerate
+    (char F != 2).  There kappa is etale at P, so a conic q2 pulled back
+    to X vanishes at P to its order at kappa(P), at most 2 unless q2 = 0.
+    A nonzero section of order >= 3 at P therefore has lambda != 0, and
+    the kernel has dimension exactly 1: two independent solutions would
+    combine to one with lambda = 0.  The kernel is never zero: the 7 rows
+    are combinations of the 6 coefficients of the section's 2-jet at P."""
+    *P3, w = _as_field(F, P4)
+    if F.is_zero(w + w + f.evaluate(*P3)):
+        return None
+    if _count_bitangents_core(F, B, P4[:3]):
+        return None
+    return _osculating_core(F, f, g, P4)
 
 
 def osculating_section(S: SurfaceDP2, P: PointDP2) -> SectionMinus2K:
@@ -469,11 +494,10 @@ def phi_domain(S: SurfaceDP2, P: PointDP2, Q: PointDP2) -> PhiDomainVerdict:
     reason = _u_phi_failure(S, P, Q)
     if reason is not None:
         return PhiDomainVerdict(False, False, reason)
-    cls = classify_point(S, P)
-    if not cls.is_very_general:
+    vec = _u0_core(QQ, S.f, S.g, S.B, P.coords())
+    if vec is None:
         return PhiDomainVerdict(True, False, "FirstNotInU0")
-    section = osculating_section(S, P)
-    if section.evaluate(Q) == 0:
+    if _section_value(QQ, vec, Q.coords()) == 0:
         return PhiDomainVerdict(True, False, "SecondOnCP")
     return PhiDomainVerdict(True, True, None)
 

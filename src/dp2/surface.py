@@ -183,11 +183,15 @@ class SurfaceDP2:
     B: TernForm  # f^2 + 4g, cached
 
     def equation_at(self, x: int, y: int, z: int, w: int) -> bool:
-        """Whether the integer point (x, y, z, w) satisfies w^2 + f w = g,
-        on ints: `validate_surface` makes f and g integral."""
-        fx, gx = (sum(v.numerator * x**i * y**j * z**k for (i, j, k), v in form.c.items())
-                  for form in (self.f, self.g))
-        return w * w + fx * w == gx
+        """Whether the integer point (x, y, z, w) satisfies w^2 + f w = g."""
+        fx = _int_value(self.f, x, y, z)
+        return w * w + fx * w == _int_value(self.g, x, y, z)
+
+
+def _int_value(form: TernForm, x: int, y: int, z: int) -> int:
+    """f or g of a surface at an integer point, on ints: `validate_surface`
+    makes f and g integral."""
+    return sum(v.numerator * x**i * y**j * z**k for (i, j, k), v in form.c.items())
 
 
 def _coprime_base(nums) -> list[int]:
@@ -303,28 +307,23 @@ def kappa(P: PointDP2) -> PointP2:
 
 
 def geiser(S: SurfaceDP2, P: PointDP2) -> PointDP2:
-    fx = S.f.evaluate(Fraction(P.x), Fraction(P.y), Fraction(P.z))
-    return PointDP2(P.x, P.y, P.z, int(-fx - P.w))
+    return PointDP2(P.x, P.y, P.z, -_int_value(S.f, *P.xyz()) - P.w)
 
 
 def on_ramification(S: SurfaceDP2, P: PointDP2) -> bool:
-    fx = S.f.evaluate(Fraction(P.x), Fraction(P.y), Fraction(P.z))
-    return 2 * P.w + fx == 0
+    return 2 * P.w + _int_value(S.f, *P.xyz()) == 0
 
 
 def lift(S: SurfaceDP2, p: PointP2) -> list[PointDP2]:
-    """All rational points of X above p: roots of w^2 + f w - g = 0."""
-    fx = S.f.evaluate(Fraction(p.x), Fraction(p.y), Fraction(p.z))
-    gx = S.g.evaluate(Fraction(p.x), Fraction(p.y), Fraction(p.z))
+    """All rational points of X above p: the roots (-f +- r) / 2 of
+    w^2 + f w - g = 0, r^2 = f^2 + 4g.  They are integral: f^2 + 4g is
+    f^2 mod 4, so r has the parity of f."""
+    fx, gx = _int_value(S.f, *p.coords()), _int_value(S.g, *p.coords())
     disc = fx * fx + 4 * gx
-    if disc < 0 or not QQ.is_square(disc):
+    r = isqrt(max(disc, 0))
+    if r * r != disc:
         return []
-    r = QQ.sqrt(disc)
-    ws = sorted({Fraction(-fx + r, 2), Fraction(-fx - r, 2)})
-    out = []
-    for w in ws:
-        out.append(PointDP2(p.x, p.y, p.z, int(w)))
-    return out
+    return [PointDP2(p.x, p.y, p.z, w) for w in sorted({(-fx - r) // 2, (-fx + r) // 2})]
 
 
 # ---------------------------------------------------------------------------

@@ -17,14 +17,29 @@ from dp2.exactalg import (
 )
 from dp2.exactalg.factor import factor_univariate
 from dp2.exactalg.quotient import QuotientField
-from dp2.errors import BitangentLine, ReducibleModel, SameImage, SingularHit, SingularOrigin
+from dp2.errors import (
+    BitangentLine,
+    DP2Error,
+    NotVeryGeneral,
+    ReducibleModel,
+    SameImage,
+    SingularHit,
+    SingularOrigin,
+)
+from dp2.fforacle import SurjectivityReport, bitangents_through_modp, on_ramification_modp, phi_modp
 from dp2.genus1 import LineParam, _det3, neg_wrt, pullback_generic
 from dp2.geometry import (
     SEC_MONOMIALS,
+    PhiDomainVerdict,
     _as_field,
+    _osculating_core,
     _pencil_basis,
     _random_unimodular,
+    _section_value,
     _tern_substitute,
+    _u_phi_failure,
+    classify_point,
+    osculating_section,
 )
 from dp2.surface import SurfaceDP2, on_surface, validate_surface
 
@@ -112,6 +127,55 @@ def c_p_point_by_group_law(S: SurfaceDP2, P, param):
     R = residual_by_group_law(QQ, S.f, S.g, A, B, wP, (QQ.one, QQ.zero, wP),
                               "pencil member is a bitangent line")
     return on_surface(S, *R)
+
+
+def phi_surjectivity_eager(Sp) -> SurjectivityReport:
+    """Reference for `fforacle.phi_surjectivity`: U_0 decided first for
+    every point of X(F_p), by the oracle's own test (ramification, then the
+    bitangents through kappa(P), then the osculating system), and the
+    sweep run over the points found in U_0, in order."""
+    F = Sp.F
+    pts = Sp.points()
+    sections = {}
+    for P4 in pts:
+        if on_ramification_modp(Sp, P4) or bitangents_through_modp(Sp, P4[:3]) != 0:
+            continue
+        try:
+            sections[P4] = _osculating_core(F, Sp.f, Sp.g, P4)
+        except NotVeryGeneral:
+            continue
+    remaining = set(pts)
+    pairs_tried = 0
+    for P4, sec in sections.items():
+        if not remaining:
+            break
+        for Q4 in pts:
+            if not remaining:
+                break
+            if Q4[:3] == P4[:3]:
+                continue
+            if not F.is_zero(_section_value(F, sec, Q4)):
+                pairs_tried += 1
+                try:
+                    remaining.discard(phi_modp(Sp, P4, Q4))
+                except DP2Error:
+                    continue
+    missed = tuple(sorted(remaining))
+    return SurjectivityReport(p=Sp.p, total=len(pts), hit=len(pts) - len(missed), missed=missed,
+                              pairs_tried=pairs_tried)
+
+
+def phi_domain_by_classification(S: SurfaceDP2, P, Q) -> PhiDomainVerdict:
+    """Reference for `geometry.phi_domain`: U_0 read off `classify_point`,
+    the curve C_P off the primitive `osculating_section`."""
+    reason = _u_phi_failure(S, P, Q)
+    if reason is not None:
+        return PhiDomainVerdict(False, False, reason)
+    if not classify_point(S, P).is_very_general:
+        return PhiDomainVerdict(True, False, "FirstNotInU0")
+    if osculating_section(S, P).evaluate(Q) == 0:
+        return PhiDomainVerdict(True, False, "SecondOnCP")
+    return PhiDomainVerdict(True, True, None)
 
 
 class PolyRing:

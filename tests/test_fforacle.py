@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import sympy as sp
 import pytest
-from conftest import SURFACE_DIR, assert_norm_order
+from conftest import SURFACE_DIR, assert_norm_order, phi_surjectivity_eager
 
+from dp2 import fforacle
 from dp2.errors import BadPrime, UnexpectedDimension
 from dp2.exactalg import PRIME_TEST_BOUND, QQ, TernForm, factor
 from dp2.exactalg.quotient import QuotientField
@@ -211,6 +212,27 @@ class TestSurjectivity:
         assert rep.hit == 122
         assert rep.missed == ()
         assert rep.hit + len(rep.missed) == rep.total
+
+    @pytest.mark.parametrize("name, p", [("random2", 11), ("s0", 11), ("s0", 17)])
+    def test_matches_eager_reference(self, name, p):
+        """Deciding U_0 only for the base points the sweep reaches changes no
+        report; s0 mod 17 has no point in U_0 (criterion 8's hit 0)."""
+        Sp = reduce_surface(load_surface(SURFACE_DIR / f"{name}.json"), p)
+        assert phi_surjectivity(Sp).as_dict() == phi_surjectivity_eager(Sp).as_dict()
+
+    def test_u0_decided_only_for_base_points_reached(self, monkeypatch):
+        """random2 mod 11: every point is hit from the first three base
+        points, so U_0 is decided three times, not for all 111 points."""
+        real, calls = fforacle._u0_core, []
+
+        def counting(*args):
+            calls.append(args[-1])
+            return real(*args)
+
+        monkeypatch.setattr(fforacle, "_u0_core", counting)
+        rep = phi_surjectivity(reduce_surface(load_surface(SURFACE_DIR / "random2.json"), 11))
+        assert rep.hit == rep.total == 111
+        assert len(calls) == 3
 
     def test_large_prime_rejected(self, s0):
         Sp = reduce_surface(s0, 37)

@@ -15,6 +15,7 @@ from conftest import (
     assert_norm_order,
     c_p_point_by_group_law,
     phi_core_by_group_law,
+    phi_domain_by_classification,
     residual_by_group_law,
     seeded_random_surface,
     square_by_yun,
@@ -39,9 +40,9 @@ from dp2.exactalg.factor import factor_univariate
 from dp2.exactalg.quotient import QuotientField
 from dp2.fforacle import (
     _normalize_modp,
-    _u0_section,
     bitangents_through_modp,
     good_prime,
+    on_ramification_modp,
     phi_modp,
     reduce_point,
     reduce_surface,
@@ -56,10 +57,12 @@ from dp2.geometry import (
     _count_bitangents_core,
     _count_chart_zeros,
     _f,
+    _osculating_core,
     _pencil_basis,
     _phi_core,
     _residual_core,
     _tern_substitute,
+    _u0_core,
     c_p_point,
     classify_point,
     count_all_bitangents,
@@ -125,11 +128,23 @@ class TestSectionRowsByNorm:
         Sp = reduce_surface(load_surface(SURFACE_DIR / f"{name}.json"), 11)
         checked = 0
         for P4 in Sp.points():
-            vec = _u0_section(Sp, P4)
+            vec = _u0_core(Sp.F, Sp.f, Sp.g, Sp.B, P4)
             if vec is not None:
                 assert_norm_order(Sp.f, Sp.g, vec, P4, 3, seed=checked)
                 checked += 1
         assert checked > 20
+
+    @pytest.mark.parametrize("name, n_off, n_exceptional", [("random2", 96, 0), ("s0", 110, 6)])
+    def test_osculating_core_never_degenerates_off_ramification_mod_11(self, name, n_off, n_exceptional):
+        """`_u0_core`'s claim: off the ramification divisor the osculating
+        system has a one-dimensional kernel with lambda != 0, on the
+        exceptional curves too, so `_osculating_core` never raises there."""
+        Sp = reduce_surface(load_surface(SURFACE_DIR / f"{name}.json"), 11)
+        off = [P4 for P4 in Sp.points() if not on_ramification_modp(Sp, P4)]
+        for P4 in off:
+            _osculating_core(Sp.F, Sp.f, Sp.g, P4)
+        assert len(off) == n_off
+        assert sum(1 for P4 in off if bitangents_through_modp(Sp, P4[:3])) == n_exceptional
 
     @seed(9)
     @settings(max_examples=8, deadline=None, database=None)
@@ -602,10 +617,12 @@ class TestPhiDomain:
     @pytest.mark.parametrize("name", sorted(PINNED_P0))
     def test_u_phi_agrees_with_phi(self, name):
         """(P, Q) lies in U_phi exactly when phi returns; otherwise the
-        verdict names phi's error."""
+        verdict names phi's error.  Every verdict matches the one read off
+        `classify_point` and `osculating_section`; s0's Eckardt point
+        (1:0:0:1) adds the case FirstNotInU0."""
         S = load_surface(SURFACE_DIR / f"{name}.json")
         ctx = context_for(S, PointDP2.parse(PINNED_P0[name]))
-        pts = [ctx.P0, geiser(S, ctx.P0)]
+        pts = [ctx.P0, geiser(S, ctx.P0)] + ([PointDP2(1, 0, 0, 1)] if name == "s0" else [])
         for args in [(1, 1), (1, 2), (2, -1), ((1, 1), (1, 2)), ((1, 3), (2, 1))]:
             try:
                 pts.append(f2(ctx, args) if isinstance(args[0], tuple) else f1(ctx, args))
@@ -616,6 +633,7 @@ class TestPhiDomain:
         for P in pts:
             for Q in pts:
                 verdict = phi_domain(S, P, Q)
+                assert verdict == phi_domain_by_classification(S, P, Q), (P, Q)
                 outcome = _outcome(lambda: phi(S, P, Q))
                 if isinstance(outcome, PointDP2):
                     assert verdict.in_U_phi and verdict.failure_reason in (None, "FirstNotInU0", "SecondOnCP")
@@ -623,6 +641,7 @@ class TestPhiDomain:
                     assert not verdict.in_U_phi and verdict.failure_reason == reason[outcome[0]], (P, Q)
                 seen.add(verdict.failure_reason)
         assert "SameImage" in seen and len(seen) > 2
+        assert name != "s0" or "FirstNotInU0" in seen
 
 
 class TestAllBitangents:

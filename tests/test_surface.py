@@ -4,6 +4,7 @@ file format."""
 import random
 import time
 from fractions import Fraction
+from math import isqrt
 from pathlib import Path
 
 import pytest
@@ -223,6 +224,38 @@ class TestLift:
 
     def test_ramified_lift(self, sk):
         assert lift(sk, PointP2(0, 0, 1)) == [PointDP2(0, 0, 1, 0)]
+
+    @pytest.mark.parametrize("name", ["s0", "s_k", "random2", "random3", "random5"])
+    def test_matches_fraction_reference(self, name):
+        """`lift` on ints against f and g evaluated on Fractions and the
+        root taken over Q, on seeded points of P^2 of heights 4 to 10^20,
+        and at a known point of s0 of height 288600."""
+        S = load_surface(SURFACE_DIR / f"{name}.json")
+        rng = random.Random(name)
+        pts = [PointP2(288600, 130111, 173160)]
+        for bound in (4, 4, 4, 10**3, 10**20):
+            pts += [PointP2.make(*xyz) for xyz in (
+                [rng.randint(-bound, bound) for _ in range(3)] for _ in range(60)) if any(xyz)]
+        counts = set()
+        for p in pts:
+            got = lift(S, p)
+            assert got == _lift_by_fractions(S, p), p
+            counts.add(len(got))
+        assert {0, 2} <= counts
+
+
+def _lift_by_fractions(S, p):
+    """Reference for `lift`: f, g and the root of f^2 + 4g over Q."""
+    fx, gx = (h.evaluate(*map(Fraction, p.coords())) for h in (S.f, S.g))
+    disc = fx * fx + 4 * gx
+    if disc < 0:
+        return []
+    r = Fraction(isqrt(disc.numerator), isqrt(disc.denominator))
+    if r * r != disc:
+        return []
+    ws = sorted({(-fx + r) / 2, (-fx - r) / 2})
+    assert all(w.denominator == 1 for w in ws)
+    return [PointDP2(p.x, p.y, p.z, int(w)) for w in ws]
 
 
 class TestFileFormat:
