@@ -88,7 +88,6 @@ def build_parser() -> _Parser:
     common(p)
     p.add_argument("--primes", default="5,7,11,13",
                    help=f"comma-separated primes, each at most {MAX_ORACLE_PRIME}")
-    p.add_argument("--seed", type=int, default=1)
 
     p = sub.add_parser("verify", help="run the seeded invariant suite")
     common(p)

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from .errors import BadParameter, BitangentLine, DP2Error, NotVeryGeneral, SingularHit
 from .geometry import (
     SectionMinus2K,
+    _pencil_param,
     _section_row,
     _u_phi_failure,
     c_p_point,
@@ -21,7 +22,6 @@ from .geometry import (
     osculating_section,
     phi,
 )
-from .genus1 import _pencil_param
 from .surface import PointDP2, PointP2, SurfaceDP2, lift
 
 _RNG_NAME = "python-random-mt19937"
@@ -206,12 +206,19 @@ def generate_points_with_stats(
     arity = cover_arity(cover)
     params = _sample_params(random.Random(seed), budget, arity)
 
+    # each distinct tuple is evaluated once (None for a DP2Error); a repeat
+    # still counts in succeeded, failed and filtered
+    values: dict[ParamTuple, PointDP2 | None] = {}
     seen: dict[PointDP2, GeneratedPoint] = {}
     succeeded = filtered = 0
     for pt in params:
-        try:
-            P = evaluate_cover(ctx, cover, pt)
-        except DP2Error:
+        if pt not in values:
+            try:
+                values[pt] = evaluate_cover(ctx, cover, pt)
+            except DP2Error:
+                values[pt] = None
+        P = values[pt]
+        if P is None:
             continue
         succeeded += 1
         if P in seen:

@@ -1,4 +1,6 @@
-"""Genus-1 quartic fibers E_L = kappa^{-1}(L) and their group-law engine.
+"""Genus-1 quartic fibers E_L = kappa^{-1}(L) and their group-law engine:
+the reference behind `phi(..., origin="Q")`, the independent check of the
+closed form in `geometry`, which imports this module only there.
 
 A fiber is modeled as w^2 + a(s,t) w = b(s,t) in the weighted plane P(1,1,2)
 over the parametrized line L.  Completing the square (v = 2w + a) gives
@@ -13,9 +15,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from math import gcd as igcd
 
-from .errors import BadParameter, ReducibleModel, SingularHit, SingularOrigin
+from .errors import ReducibleModel, SingularHit, SingularOrigin
 from .exactalg import (
     BinForm,
     RationalField,
@@ -24,86 +25,6 @@ from .exactalg import (
     disc_binary_quartic,
     is_square_binform,
 )
-
-
-def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, u, v) with u*a + v*b = g = gcd(a, b) >= 0."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
-
-def _det3(m) -> int:
-    """Determinant of a 3x3 matrix given as a list of rows."""
-    return (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    )
-
-
-def complete_unimodular(v: tuple[int, int, int]) -> tuple[tuple, tuple]:
-    """Two integer vectors e1, e2 with det[v, e1, e2] = 1 (v primitive)."""
-    x, y, z = v
-    if igcd(igcd(x, y), z) != 1:
-        raise ValueError("vector must be primitive")
-    g1, a, b = _ext_gcd(x, y)
-    if g1 == 0:
-        # x = y = 0, z = +-1
-        return (1, 0, 0), (0, 1, 0)
-    _, c, d = _ext_gcd(g1, z)
-    e1 = (-b, a, 0)
-    e2 = (-d * x // g1, -d * y // g1, c)
-    det = _det3([[x, e1[0], e2[0]], [y, e1[1], e2[1]], [z, e1[2], e2[2]]])
-    if det not in (1, -1):
-        raise AssertionError(f"completion not unimodular: det = {det}")
-    return e1, e2
-
-
-def _pencil_param(pair) -> tuple[int, int]:
-    """Coprime sign-normalized representative (u:v) of a point of P^1."""
-    u, v = int(pair[0]), int(pair[1])
-    if u == 0 and v == 0:
-        raise BadParameter("parameter (0:0) is not a point of P^1")
-    g = igcd(u, v)
-    u, v = u // g, v // g
-    if u < 0 or (u == 0 and v < 0):
-        u, v = -u, -v
-    return u, v
-
-
-@dataclass(frozen=True)
-class LineParam:
-    """A member of the pencil of lines through a base point.
-
-    The parametrization of the selected line is (s:t) |-> s*base + t*second
-    with second = u*aux1 + v*aux2; [base, aux1, aux2] is unimodular over Z.
-    """
-
-    base: tuple[int, int, int]
-    aux1: tuple[int, int, int]
-    aux2: tuple[int, int, int]
-    param: tuple[int, int]
-
-    @classmethod
-    def pencil_member(cls, base: tuple[int, int, int], param: tuple[int, int]) -> "LineParam":
-        e1, e2 = complete_unimodular(base)
-        return cls(base=base, aux1=e1, aux2=e2, param=_pencil_param(param))
-
-    def second(self) -> tuple[int, int, int]:
-        u, v = self.param
-        return tuple(u * self.aux1[i] + v * self.aux2[i] for i in range(3))
-
-    def spanning(self) -> tuple[tuple, tuple]:
-        return self.base, self.second()
 
 
 class ModelClass(enum.Enum):

@@ -11,10 +11,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, prod
+from math import comb, gcd, prod
 from typing import TYPE_CHECKING
 
 from .errors import (
+    BadParameter,
     BitangentLine,
     EliminationDegenerate,
     NotVeryGeneral,
@@ -33,12 +34,6 @@ from .exactalg import (
     poly_gcd,
     square_conditions,
     squarefree_factor,
-)
-from .genus1 import (
-    LineParam,
-    _det3,
-    lin_comb,
-    pullback_generic,
 )
 from .surface import PointDP2, PointP2, SurfaceDP2, kappa, on_ramification, on_surface
 
@@ -200,7 +195,7 @@ def osculating_section(S: SurfaceDP2, P: PointDP2) -> SectionMinus2K:
 # phi
 
 
-def _closed_form(model, wP, X):
+def _closed_form(F, a: BinForm, b: BinForm, wP, X):
     """(R) ~ 2(iota(P)) - (X) on the fibre w^2 + a w = b, unnormalized as
     (s, t, w), for X = Q = (0 : 1 : w_Q) or X = P = (1 : 0 : w_P), once
     `_check_fibre` has passed: P, Q on the fibre, q = a^2 + 4b not a square,
@@ -230,29 +225,28 @@ def _closed_form(model, wP, X):
     have five roots counted with multiplicity, which forces e = 0.
     To avoid division c is taken times m (m = d for X = Q, m = d^3 for
     X = P), e times m^2, and R is returned as (m s, m t, m^2 w)."""
-    F = model.field
     s, t, w = X
-    a, b = model.a.c, model.b.c
-    d = wP + wP + a[0]
+    ac, bc = a.c, b.c
+    d = wP + wP + ac[0]
     if F.is_zero(d):
-        return s, t, -model.a.evaluate(s, t) - w
-    dw1 = b[1] - a[1] * wP  # d w_1
+        return s, t, -a.evaluate(s, t) - w
+    dw1 = bc[1] - ac[1] * wP  # d w_1
     if F.is_zero(t):  # X = P
         dd = d * d
         m = dd * d
-        c = [m * wP, dd * dw1, dd * (b[2] - a[2] * wP) - d * a[1] * dw1 - dw1 * dw1]
+        c = [m * wP, dd * dw1, dd * (bc[2] - ac[2] * wP) - d * ac[1] * dw1 - dw1 * dw1]
         i, j = 4, 3
     else:  # X = Q
         m = d
         c = [d * wP, dw1, d * w]
         i, j = 3, 2
     c = BinForm(F, 2, c)
-    e = (c + model.a.scale(m)) * c + model.b.scale(-m * m)
+    e = (c + a.scale(m)) * c + b.scale(-m * m)
     rs, rt = e.c[i], -e.c[j]
     return m * rs, m * rt, m * c.evaluate(rs, rt)
 
 
-def _check_fibre(model, wP, X, bitangent: str):
+def _check_fibre(F, a: BinForm, b: BinForm, wP, X, bitangent: str):
     """The group law's errors for origin iota(P), in its order, read off
     the coefficients, for X = (0 : 1 : w_Q) or (1 : 0 : w_P):
     ValueError for iota(P), then X, off the fibre; `BitangentLine` for a
@@ -260,14 +254,14 @@ def _check_fibre(model, wP, X, bitangent: str):
     At (1 : 0 : w) the fibre reads w^2 + a_0 w = b_0, so q_0 = v^2 with
     v = 2w + a_0, and the point is singular where v and q_1 vanish (a
     double root of q there); at (0 : 1 : w) likewise with a_2, b_4, q_3."""
-    F = model.field
-    a, b, q = model.a.c, model.b.c, model.q()
+    q = a * a + b.scale(F.from_int(4))
+    ac, bc = a.c, b.c
     singular = []
-    for s, t, w in ((F.one, F.zero, -a[0] - wP), X):
+    for s, t, w in ((F.one, F.zero, -ac[0] - wP), X):
         i = 0 if F.is_zero(t) else 2
-        if not F.is_zero(w * w + a[i] * w - b[i + i]):
+        if not F.is_zero(w * w + ac[i] * w - bc[i + i]):
             raise ValueError(f"({s}:{t}:{w}) not on the quartic model")
-        singular.append(F.is_zero(w + w + a[i]) and F.is_zero(q.c[i + 1]))
+        singular.append(F.is_zero(w + w + ac[i]) and F.is_zero(q.c[i + 1]))
     if is_square_binform(q):
         raise BitangentLine(bitangent)
     if singular[0]:
@@ -284,17 +278,21 @@ def _residual_core(F, f: TernForm, g: TernForm, A, B, wP, X, bitangent: str, ori
 
     `origin` picks the group-law origin: "P" uses iota(P), "Q" uses iota(X);
     the class has degree 1, so R does not depend on it.  Origin "P" runs
-    `_check_fibre` and takes `_closed_form`; origin "Q" runs the group law
-    (`lin_comb`), an independent check of it.  Both raise, in this order,
-    ValueError for a point off the fibre, `BitangentLine(bitangent)` for a
-    reducible fibre and `SingularHit` for a singular iota(P) or X."""
+    `_check_fibre` and takes `_closed_form` on the fibre's forms a, b;
+    origin "Q" runs the group law of `genus1` (`lin_comb`), an independent
+    check of it, imported only here.  Both raise, in this order, ValueError
+    for a point off the fibre, `BitangentLine(bitangent)` for a reducible
+    fibre and `SingularHit` for a singular iota(P) or X."""
     if origin not in ("P", "Q"):
         raise ValueError(f"origin must be 'P' or 'Q', got {origin!r}")
-    model = pullback_generic(F, f, g, A, B)
     if origin == "P":
-        _check_fibre(model, wP, X, bitangent)
-        s, t, w = _closed_form(model, wP, X)
+        a, b = f.restrict_line(A, B), g.restrict_line(A, B)
+        _check_fibre(F, a, b, wP, X, bitangent)
+        s, t, w = _closed_form(F, a, b, wP, X)
     else:
+        from .genus1 import lin_comb, pullback_generic
+
+        model = pullback_generic(F, f, g, A, B)
         s, t, w = X
         iota_P, Xc = model.point(F.one, F.zero, -model.a.c[0] - wP), model.point(s, t, w)
         iota_X = model.point(s, t, -model.a.evaluate(s, t) - w)
@@ -337,11 +335,75 @@ def phi(S: SurfaceDP2, P: PointDP2, Q: PointDP2, origin: str = "P") -> PointDP2:
 # C_P via the pencil
 
 
+def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, u, v) with u*a + v*b = g = gcd(a, b) >= 0."""
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    if old_r < 0:
+        old_r, old_s, old_t = -old_r, -old_s, -old_t
+    return old_r, old_s, old_t
+
+
+def _det3(m) -> int:
+    """Determinant of a 3x3 matrix given as a list of rows."""
+    return (
+        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
+    )
+
+
+def complete_unimodular(v: tuple[int, int, int]) -> tuple[tuple, tuple]:
+    """Two integer vectors e1, e2 with det[v, e1, e2] = 1 (v primitive)."""
+    x, y, z = v
+    if gcd(x, y, z) != 1:
+        raise ValueError("vector must be primitive")
+    g1, a, b = _ext_gcd(x, y)
+    if g1 == 0:
+        # x = y = 0, z = +-1
+        return (1, 0, 0), (0, 1, 0)
+    _, c, d = _ext_gcd(g1, z)
+    e1 = (-b, a, 0)
+    e2 = (-d * x // g1, -d * y // g1, c)
+    det = _det3([[x, e1[0], e2[0]], [y, e1[1], e2[1]], [z, e1[2], e2[2]]])
+    if det not in (1, -1):
+        raise AssertionError(f"completion not unimodular: det = {det}")
+    return e1, e2
+
+
+def _pencil_param(pair) -> tuple[int, int]:
+    """Coprime sign-normalized representative (u:v) of a point of P^1."""
+    u, v = int(pair[0]), int(pair[1])
+    if u == 0 and v == 0:
+        raise BadParameter("parameter (0:0) is not a point of P^1")
+    g = gcd(u, v)
+    u, v = u // g, v // g
+    if u < 0 or (u == 0 and v < 0):
+        u, v = -u, -v
+    return u, v
+
+
+def _pencil_line(base: tuple[int, int, int], param) -> tuple[tuple, tuple]:
+    """The member of the pencil of lines through `base` selected by `param`,
+    parametrized as (s:t) |-> s*A + t*B with A = base and B = u*e1 + v*e2,
+    where e1, e2 complete `base` to a unimodular basis of Z^3 and (u:v) is
+    `param` normalized."""
+    e1, e2 = complete_unimodular(base)
+    u, v = _pencil_param(param)
+    return base, tuple(u * c1 + v * c2 for c1, c2 in zip(e1, e2))
+
+
 def c_p_point(S: SurfaceDP2, P: PointDP2, param: tuple[int, int]) -> PointDP2:
     """The residual point R ~ 2(iota(P)) - (P) on the pencil member: the
     line L through kappa(P) selected by `param`.  For very general P these
     points sweep out C_P."""
-    A, B = LineParam.pencil_member(P.xyz(), param).spanning()
+    A, B = _pencil_line(P.xyz(), param)
     wP = Fraction(P.w)
     R = _residual_core(QQ, S.f, S.g, A, B, wP, (QQ.one, QQ.zero, wP), "pencil member is a bitangent line")
     return on_surface(S, *R)

@@ -43,9 +43,15 @@ class PointP2:
     z: int
 
     @classmethod
-    def make(cls, x, y, z) -> "PointP2":
-        xi, yi, zi, _ = _normalize_xyz(Fraction(x), Fraction(y), Fraction(z))
-        return cls(xi, yi, zi)
+    def make(cls, x: int, y: int, z: int) -> "PointP2":
+        """The point (x:y:z) of integers: divided by their gcd, first
+        nonzero entry positive."""
+        g = igcd(x, y, z)
+        if g == 0:
+            raise ValueError("(0, 0, 0) is not a projective point")
+        if next(n for n in (x, y, z) if n) < 0:
+            g = -g
+        return cls(x // g, y // g, z // g)
 
     def coords(self) -> tuple[int, int, int]:
         return (self.x, self.y, self.z)

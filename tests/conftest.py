@@ -27,13 +27,15 @@ from dp2.errors import (
     SingularOrigin,
 )
 from dp2.fforacle import SurjectivityReport, bitangents_through_modp, on_ramification_modp, phi_modp
-from dp2.genus1 import LineParam, _det3, neg_wrt, pullback_generic
+from dp2.genus1 import neg_wrt, pullback_generic
 from dp2.geometry import (
     SEC_MONOMIALS,
     PhiDomainVerdict,
     _as_field,
+    _det3,
     _osculating_core,
     _pencil_basis,
+    _pencil_line,
     _random_unimodular,
     _section_value,
     _tern_substitute,
@@ -122,7 +124,7 @@ def phi_core_by_group_law(F, f, g, P4, Q4):
 
 def c_p_point_by_group_law(S: SurfaceDP2, P, param):
     """Reference for `geometry.c_p_point`."""
-    A, B = LineParam.pencil_member(P.xyz(), param).spanning()
+    A, B = _pencil_line(P.xyz(), param)
     wP = Fraction(P.w)
     R = residual_by_group_law(QQ, S.f, S.g, A, B, wP, (QQ.one, QQ.zero, wP),
                               "pencil member is a bitangent line")

@@ -211,7 +211,8 @@ class TestVerify:
 
 
 # run in a fresh interpreter: the six commands on pinned surfaces, then the
-# bitangent count, the one path that still loads sympy
+# bitangent count, the one path that still loads sympy; genus1 is loaded by
+# verify, the last command, alone
 IMPORT_GUARD = """
 import contextlib, io, sys
 from dp2.cli import main
@@ -225,6 +226,8 @@ for argv in [
 ]:
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv.split()) == 0, argv
+    # only origin "Q", which verify runs, uses the group law of genus1
+    assert ("dp2.genus1" in sys.modules) == argv.startswith("verify"), argv
 assert "sympy" not in sys.modules, "a CLI command imported sympy"
 from dp2.geometry import count_all_bitangents
 from dp2.surface import load_surface
@@ -253,6 +256,11 @@ class TestUsage:
         code, _, err = run(capsys, command, "--surface", S0, *point, "--jobs", "2")
         assert code == 1
         assert "--jobs" in err
+
+    def test_oracle_takes_no_seed(self, capsys):
+        code, _, err = run(capsys, "oracle", "--surface", S0, "--primes", "5", "--seed", "1")
+        assert code == 1
+        assert "--seed" in err
 
     def test_no_args(self, capsys):
         code = main([])

@@ -1,6 +1,8 @@
 """Covers f1, f2, f3, f6 and the seeded generation engine."""
 
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from conftest import PINNED_P0, SURFACE_DIR
@@ -8,6 +10,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from dp2 import covers
+from dp2.cli import main
 from dp2.covers import (
     CoverContext,
     ParamTuple,
@@ -191,8 +194,6 @@ class TestCompositions:
             f6(ctx_r, half + half)
 
     def test_f3_success_rate_positive(self, ctx_r):
-        import random
-
         rng = random.Random(11)
         ok = 0
         for _ in range(30):
@@ -227,6 +228,26 @@ class TestGenerate:
         assert all(gp.height <= bound for gp in pts)
         assert stats.attempted == 60
         assert stats.succeeded + stats.failed == 60
+
+    def test_each_distinct_tuple_is_evaluated_once(self, capsys, monkeypatch):
+        """The golden f2 run on random2 (budget 50, seed 1) draws repeated
+        parameter tuples: each distinct one is evaluated once, and the
+        output is still the golden transcript's."""
+        calls = []
+        real = covers.evaluate_cover
+
+        def evaluate_cover(ctx, cover, params):
+            calls.append(params)
+            return real(ctx, cover, params)
+
+        monkeypatch.setattr(covers, "evaluate_cover", evaluate_cover)
+        line = "generate --surface surfaces/random2.json --cover f2 --budget 50 --seed 1"
+        argv = [str(SURFACE_DIR.parent / a) if a.startswith("surfaces/") else a for a in line.split()]
+        assert main(argv) == 0
+        drawn = covers._sample_params(random.Random(1), 50, 2)
+        assert len(calls) == len(set(calls)) == len(set(drawn)) < 50
+        golden = (Path(__file__).parent / "golden_cli.txt").read_text(encoding="utf-8")
+        assert capsys.readouterr().out == golden.split(f"$ dp2 {line}\n")[1].split("exit ")[0]
 
     def test_bad_arguments(self, ctx_r):
         with pytest.raises(BadParameter):

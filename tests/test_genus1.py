@@ -8,29 +8,14 @@ import pytest
 from dp2.errors import ReducibleModel
 from dp2.exactalg import QQ
 from dp2.genus1 import (
-    LineParam,
     ModelClass,
     classify_model,
-    complete_unimodular,
     lin_comb,
     make_curve_point,
     neg_wrt,
     pullback_generic,
     to_weierstrass,
 )
-
-
-class TestCompleteUnimodular:
-    @pytest.mark.parametrize("v", [(1, 0, 0), (0, 0, 1), (2, 3, 5), (-4, 6, 9), (20, 15, 12)])
-    def test_determinant_one(self, v):
-        e1, e2 = complete_unimodular(v)
-        m = [v, e1, e2]
-        det = (
-            m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-        )
-        assert det in (1, -1)
 
 
 class TestPullback:
@@ -45,14 +30,6 @@ class TestPullback:
         M = pullback_generic(QQ, sk.f, sk.g, (0, 1, 0), (0, 0, 1))
         assert all(c == 0 for c in M.a.c)
         assert M.b.c == [Fraction(0), Fraction(1), 0, 0, 0]
-
-    def test_line_param_consistency(self, s0):
-        L = LineParam.pencil_member((1, 0, 0), (1, 2))
-        A, B = L.spanning()
-        M = pullback_generic(QQ, s0.f, s0.g, A, B)
-        assert s0.g.evaluate(Fraction(A[0]), Fraction(A[1]), Fraction(A[2])) == M.b.evaluate(
-            Fraction(1), Fraction(0)
-        )
 
 
 class TestClassify:

@@ -59,19 +59,21 @@ from dp2.geometry import (
     _f,
     _osculating_core,
     _pencil_basis,
+    _pencil_line,
     _phi_core,
     _residual_core,
     _tern_substitute,
     _u0_core,
     c_p_point,
     classify_point,
+    complete_unimodular,
     count_all_bitangents,
     count_bitangents_through,
     osculating_section,
     phi,
     phi_domain,
 )
-from dp2.genus1 import ModelClass, classify_model, pullback_generic
+from dp2.genus1 import ModelClass, QuarticModel, classify_model, pullback_generic
 from dp2.surface import PointDP2, PointP2, geiser, load_surface
 
 _U, _V = sp.symbols("_u _v")
@@ -217,6 +219,27 @@ class TestCP:
     def test_on_surface(self, s0):
         R = c_p_point(s0, P0, (3, 7))
         assert s0.equation_at(R.x, R.y, R.z, R.w)
+
+
+class TestCompleteUnimodular:
+    @pytest.mark.parametrize("v", [(1, 0, 0), (0, 0, 1), (2, 3, 5), (-4, 6, 9), (20, 15, 12)])
+    def test_determinant_one(self, v):
+        e1, e2 = complete_unimodular(v)
+        m = [v, e1, e2]
+        det = (
+            m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
+        )
+        assert det in (1, -1)
+
+
+class TestPencilLine:
+    def test_line_param_consistency(self, s0):
+        A, B = _pencil_line((1, 0, 0), (2, 4))
+        e1, e2 = complete_unimodular((1, 0, 0))
+        assert A == (1, 0, 0) and B == tuple(a + 2 * b for a, b in zip(e1, e2))
+        assert s0.g.evaluate(*A) == s0.g.restrict_line(A, B).evaluate(1, 0)
 
 
 PHI_BITANGENT = "the line through kappa(P), kappa(Q) is a bitangent"
@@ -382,10 +405,10 @@ class TestClosedForm:
         F = Sp.F
         taken = []
 
-        def spy(model, wP, X):
-            d_zero = F.is_zero(wP + wP + model.a.c[0])
-            taken.append((d_zero, classify_model(model)))
-            return _closed_form(model, wP, X)
+        def spy(F, a, b, wP, X):
+            d_zero = F.is_zero(wP + wP + a.c[0])
+            taken.append((d_zero, classify_model(QuarticModel(a, b))))
+            return _closed_form(F, a, b, wP, X)
 
         monkeypatch.setattr(geometry, "_closed_form", spy)
 

@@ -19,6 +19,7 @@ from dp2.geometry import _random_unimodular, _tern_substitute
 from dp2.surface import (
     PointDP2,
     _is_smooth_quartic,
+    _normalize_xyz,
     PointP2,
     geiser,
     kappa,
@@ -195,6 +196,18 @@ class TestPoints:
             PointDP2.parse("1:2")
         with pytest.raises(ValueError):
             PointDP2.parse("0:0:0:1")
+
+    def test_p2_make_on_ints_matches_fraction_normalization(self):
+        """`PointP2.make` divides by the gcd and fixes the sign on ints, as
+        `_normalize_xyz` does through Fractions."""
+        rng = random.Random(7)
+        triples = [(0, 0, -3), (0, -4, 6), (-6, 9, 0), (12, -18, 30)]
+        triples += [tuple(rng.randint(-50, 50) for _ in range(3)) for _ in range(200)]
+        for xyz in triples:
+            if any(xyz):
+                assert PointP2.make(*xyz).coords() == _normalize_xyz(*map(Fraction, xyz))[:3], xyz
+        with pytest.raises(ValueError, match="not a projective point"):
+            PointP2.make(0, 0, 0)
 
     def test_kappa(self, sk):
         assert kappa(PointDP2(0, 0, 1, 0)) == PointP2(0, 0, 1)
