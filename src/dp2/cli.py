@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from . import covers, fforacle
 from .errors import (
@@ -20,8 +21,10 @@ from .errors import (
     EliminationDegenerate,
     UnexpectedDimension,
 )
+from .exactalg import QQ
 from .geometry import (
     SEC_MONOMIALS,
+    _section_value,
     classify_point,
     c_p_point,
     osculating_section,
@@ -140,7 +143,7 @@ def cmd_classify(args) -> int:
     S = _load_surface(args.surface)
     P = _require_on_surface(S, _parse_point(args.point))
     cls = classify_point(S, P)
-    _emit([{"command": "classify", "point": str(P), "classification": cls.as_dict()}], args.format)
+    _emit([{"command": "classify", "point": str(P), "classification": asdict(cls)}], args.format)
     return EXIT_OK
 
 
@@ -151,7 +154,7 @@ def cmd_phi(args) -> int:
     P = _require_on_surface(S, _parse_point(args.point[0]))
     Q = _require_on_surface(S, _parse_point(args.point[1]))
     verdict = phi_domain(S, P, Q)
-    rec = {"command": "phi", "P": str(P), "Q": str(Q), "domain": verdict.as_dict()}
+    rec = {"command": "phi", "P": str(P), "Q": str(Q), "domain": asdict(verdict)}
     try:
         R = phi(S, P, Q)
     except DP2Error as exc:
@@ -184,11 +187,11 @@ def cmd_curve(args) -> int:
         "P": str(P),
         "param": f"{param[0]}:{param[1]}",
         "section": {
-            "lambda": section.lam,
-            "q2": [[i, j, k, str(section.q2.coeff(i, j, k))] for (i, j, k) in SEC_MONOMIALS],
+            "lambda": section[0],
+            "q2": [[*m, str(c)] for m, c in zip(SEC_MONOMIALS, section[1:])],
         },
         "point": str(R),
-        "section_vanishes_at_point": section.evaluate(R) == 0,
+        "section_vanishes_at_point": _section_value(QQ, section, R.coords()) == 0,
     }
     _emit([rec], args.format)
     return EXIT_OK
@@ -351,7 +354,7 @@ def cmd_verify(args) -> int:
         except DP2Error:
             continue
         n += 1
-        if ctx.section.evaluate(R) == 0:
+        if _section_value(QQ, ctx.section, R.coords()) == 0:
             ok += 1
     prop("cp_section_agreement", n, ok)
 

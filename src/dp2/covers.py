@@ -12,14 +12,16 @@ import random
 from dataclasses import dataclass, field
 
 from .errors import BadParameter, BitangentLine, DP2Error, NotVeryGeneral, SingularHit
+from .exactalg import QQ, content_primitive_ints
 from .geometry import (
-    SectionMinus2K,
+    _osculating_core,
     _pencil_param,
     _section_row,
+    _section_value,
+    _u0_core,
     _u_phi_failure,
     c_p_point,
     classify_point,
-    osculating_section,
     phi,
 )
 from .surface import PointDP2, PointP2, SurfaceDP2, lift
@@ -60,7 +62,7 @@ class CoverContext:
 
     surface: SurfaceDP2
     P0: PointDP2
-    section: SectionMinus2K  # osculating section cutting out C_{P0}
+    section: tuple[int, ...]  # `osculating_section` at P0, cutting out C_{P0}
     # f1's outcome per normalised pencil parameter: the point, or the
     # BadParameter message of a bitangent or singular member
     members: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -90,11 +92,14 @@ def find_very_general_point(S: SurfaceDP2, height_bound: int = _SEARCH_HEIGHT) -
 
 
 def context_for(S: SurfaceDP2, P0: PointDP2 | None = None) -> CoverContext:
-    """Context at P0 if very general, else at the first very general point
-    found by bounded search, which classifies each candidate once."""
-    if P0 is None or not classify_point(S, P0).is_very_general:
+    """Context at P0 if very general (one `_u0_core` call decides it and
+    gives the section), else at the first very general point found by
+    bounded search, which classifies each candidate once."""
+    vec = None if P0 is None else _u0_core(QQ, S.f, S.g, S.B, P0.coords())
+    if vec is None:
         P0 = find_very_general_point(S)
-    return CoverContext(surface=S, P0=P0, section=osculating_section(S, P0))
+        vec = _osculating_core(QQ, S.f, S.g, P0.coords())
+    return CoverContext(surface=S, P0=P0, section=content_primitive_ints(vec)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +165,7 @@ def in_u_inv(ctx: CoverContext, Q: PointDP2) -> bool:
     be very general and its cached osculating section."""
     if _u_phi_failure(ctx.surface, ctx.P0, Q) is not None:
         return False
-    return ctx.section.evaluate(Q) != 0
+    return _section_value(QQ, ctx.section, Q.coords()) != 0
 
 
 # ---------------------------------------------------------------------------

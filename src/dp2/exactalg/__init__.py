@@ -12,6 +12,7 @@ from .poly import (
     is_square_binform,
     poly_gcd,
     poly_xgcd,
+    primitive_ints,
     square_conditions,
     squarefree_factor,
 )
@@ -31,6 +32,7 @@ __all__ = [
     "is_square_binform",
     "poly_gcd",
     "poly_xgcd",
+    "primitive_ints",
     "square_conditions",
     "squarefree_factor",
 ]

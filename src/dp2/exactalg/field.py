@@ -161,9 +161,6 @@ class PrimeField:
             return PrimeFieldElt(self.p, n.numerator) / PrimeFieldElt(self.p, n.denominator)
         return PrimeFieldElt(self.p, n)
 
-    def __call__(self, n):
-        return self.from_int(n)
-
     @staticmethod
     def is_zero(a) -> bool:
         return a.r == 0

@@ -171,7 +171,7 @@ def _prem(a: list[int], b: list[int]) -> list[int]:
     return r
 
 
-def _subresultant_gcd_int(a: list[int], b: list[int]) -> list[int]:
+def _subresultant_gcd_int(a, b) -> tuple[int, ...]:
     """Primitive GCD of primitive integer polynomials via the subresultant PRS."""
     if len(a) < len(b):
         a, b = b, a
@@ -182,12 +182,9 @@ def _subresultant_gcd_int(a: list[int], b: list[int]) -> list[int]:
         d = len(a) - len(b)
         r = _prem(a, b)
         if not r:
-            cont = 0
-            for n in b:
-                cont = igcd(cont, n)
-            return [n // cont for n in b]
+            return primitive_ints(b)[0]
         if len(r) == 1:
-            return [1]
+            return (1,)
         div = g * h**d
         a, b = b, [n // div for n in r]
         g = a[-1]
@@ -454,18 +451,24 @@ def is_square_binform(q: BinForm) -> bool:
     return all(F.is_zero(c) for c in square_conditions(a0, a1, a2, a3, a4))
 
 
-def content_primitive_ints(fracs: list[Fraction]) -> tuple[list[int], Fraction]:
-    """Clear denominators and content: returns (ints, scale) with
-    fracs = scale * ints and ints primitive with positive leading convention
-    left to the caller."""
-    den = _lcm_den(fracs)
-    ints = [a.numerator * (den // a.denominator) for a in fracs]
-    g = 0
+def primitive_ints(ints) -> tuple[tuple[int, ...], int]:
+    """(ints / g, g) with g = +-gcd(ints), signed so that the first nonzero
+    entry of ints / g is positive; g = 0 when every entry is zero."""
+    g = igcd(*ints)
+    if not g:
+        return tuple(ints), 0
     for n in ints:
-        g = igcd(g, n)
-    if g == 0:
-        return ints, Fraction(1)
-    ints = [n // g for n in ints]
+        if n:
+            g = -g if n < 0 else g
+            break
+    return tuple([n // g for n in ints]), g
+
+
+def content_primitive_ints(fracs) -> tuple[tuple[int, ...], Fraction]:
+    """(ints, scale) with fracs = scale * ints: the denominators cleared,
+    then `primitive_ints` (scale = 0 when every entry is zero)."""
+    den = _lcm_den(fracs)
+    ints, g = primitive_ints([a.numerator * (den // a.denominator) for a in fracs])
     return ints, Fraction(g, den)
 
 
@@ -489,10 +492,6 @@ class TernForm:
             if not field.is_zero(val):
                 c[(i, j, k)] = val
         self.c = c
-
-    @classmethod
-    def from_ints(cls, field, degree, entries):
-        return cls(field, degree, {k: field.from_int(v) for k, v in entries.items()})
 
     @classmethod
     def zero(cls, field, degree):

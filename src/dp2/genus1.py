@@ -48,12 +48,10 @@ class CurvePoint:
 def make_curve_point(F, s, t, w) -> CurvePoint:
     """Canonical representative under (s, t, w) ~ (ls, lt, l^2 w)."""
     if isinstance(F, RationalField):
-        s, t, w = Fraction(s), Fraction(t), Fraction(w)
-        if s == 0 and t == 0:
+        (si, ti), scale = content_primitive_ints((s, t))
+        if not scale:
             raise ValueError("(0, 0) is not a parameter point")
-        (si, ti), scale = content_primitive_ints([s, t])
-        sign = -1 if si < 0 or (si == 0 and ti < 0) else 1
-        return CurvePoint(Fraction(sign * si), Fraction(sign * ti), w / (scale * scale))
+        return CurvePoint(Fraction(si), Fraction(ti), w / (scale * scale))
     if not F.is_zero(t):
         inv = F.one / t
         return CurvePoint(s * inv, F.one, w * inv * inv)

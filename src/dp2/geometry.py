@@ -32,6 +32,7 @@ from .exactalg import (
     content_primitive_ints,
     is_square_binform,
     poly_gcd,
+    primitive_ints,
     square_conditions,
     squarefree_factor,
 )
@@ -127,23 +128,6 @@ def _kernel(F, rows, ncols):
 # sections of |-2K_X|
 
 
-@dataclass(frozen=True)
-class SectionMinus2K:
-    """The section lambda*w + q2(x, y, z) of |-2K_X|."""
-
-    lam: int
-    q2: TernForm  # degree 2, integer coefficients over Q
-
-    def evaluate(self, P: PointDP2) -> Fraction:
-        return _section_value(QQ, self.vector(), P.coords())
-
-    def vector(self) -> list[Fraction]:
-        return [Fraction(self.lam)] + [self.q2.coeff(*m) for m in SEC_MONOMIALS]
-
-    def __str__(self):
-        return f"{self.lam}*w + {self.q2.c}"
-
-
 def _osculating_core(F, f: TernForm, g: TernForm, P4):
     """Primitive generator of the sections vanishing to order >= 3 at P."""
     try:
@@ -180,15 +164,11 @@ def _u0_core(F, f: TernForm, g: TernForm, B: TernForm, P4):
     return _osculating_core(F, f, g, P4)
 
 
-def osculating_section(S: SurfaceDP2, P: PointDP2) -> SectionMinus2K:
+def osculating_section(S: SurfaceDP2, P: PointDP2) -> tuple[int, ...]:
     """The unique (up to scalar) section of |-2K_X| vanishing to order >= 3
-    at a very general P; its zero locus on X is the rational curve C_P."""
-    vec = _osculating_core(QQ, S.f, S.g, P.coords())
-    ints, _ = content_primitive_ints([Fraction(v) for v in vec])
-    if ints[0] < 0:
-        ints = [-n for n in ints]
-    q2 = TernForm(QQ, 2, {m: Fraction(ints[1 + i]) for i, m in enumerate(SEC_MONOMIALS)})
-    return SectionMinus2K(lam=ints[0], q2=q2)
+    at a very general P, whose zero locus on X is the rational curve C_P:
+    its `primitive_ints` vector in the basis of `_section_row`, lambda > 0."""
+    return content_primitive_ints(_osculating_core(QQ, S.f, S.g, P.coords()))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -378,15 +358,11 @@ def complete_unimodular(v: tuple[int, int, int]) -> tuple[tuple, tuple]:
 
 
 def _pencil_param(pair) -> tuple[int, int]:
-    """Coprime sign-normalized representative (u:v) of a point of P^1."""
-    u, v = int(pair[0]), int(pair[1])
-    if u == 0 and v == 0:
+    """The `primitive_ints` representative (u, v) of a point of P^1."""
+    uv, g = primitive_ints((int(pair[0]), int(pair[1])))
+    if not g:
         raise BadParameter("parameter (0:0) is not a point of P^1")
-    g = gcd(u, v)
-    u, v = u // g, v // g
-    if u < 0 or (u == 0 and v < 0):
-        u, v = -u, -v
-    return u, v
+    return uv
 
 
 def _pencil_line(base: tuple[int, int, int], param) -> tuple[tuple, tuple]:
@@ -497,15 +473,6 @@ class PointClassification:
     is_very_general: bool
     is_generalized_eckardt: bool
 
-    def as_dict(self):
-        return {
-            "on_ramification": self.on_ramification,
-            "n_exceptional": self.n_exceptional,
-            "is_general": self.is_general,
-            "is_very_general": self.is_very_general,
-            "is_generalized_eckardt": self.is_generalized_eckardt,
-        }
-
 
 def classify_point(S: SurfaceDP2, P: PointDP2) -> PointClassification:
     on_ram = on_ramification(S, P)
@@ -530,13 +497,6 @@ class PhiDomainVerdict:
     in_U_inv: bool
     failure_reason: str | None  # SameImage | BitangentLine | NonSmoothEndpoint
     #                           | FirstNotInU0 | SecondOnCP
-
-    def as_dict(self):
-        return {
-            "in_U_phi": self.in_U_phi,
-            "in_U_inv": self.in_U_inv,
-            "failure_reason": self.failure_reason,
-        }
 
 
 def _u_phi_failure(S: SurfaceDP2, P: PointDP2, Q: PointDP2) -> str | None:

@@ -17,21 +17,11 @@ from math import gcd as igcd
 from math import isqrt, prod
 
 from .errors import NotOnSurface, SingularBranchCurve, WrongDegrees
-from .exactalg import QQ, TernForm, content_primitive_ints, is_prime
+from .exactalg import QQ, TernForm, content_primitive_ints, is_prime, primitive_ints
 
 
 # ---------------------------------------------------------------------------
 # points
-
-
-def _normalize_xyz(x: Fraction, y: Fraction, z: Fraction) -> tuple[int, int, int, Fraction]:
-    """Primitive sign-normalized integer representative and the scalar lam
-    with (lam*x, lam*y, lam*z) = result."""
-    if x == 0 and y == 0 and z == 0:
-        raise ValueError("(0, 0, 0) is not a projective point")
-    ints, scale = content_primitive_ints([x, y, z])
-    sign = -1 if next(n for n in ints if n) < 0 else 1
-    return sign * ints[0], sign * ints[1], sign * ints[2], sign / scale
 
 
 @dataclass(frozen=True)
@@ -44,14 +34,11 @@ class PointP2:
 
     @classmethod
     def make(cls, x: int, y: int, z: int) -> "PointP2":
-        """The point (x:y:z) of integers: divided by their gcd, first
-        nonzero entry positive."""
-        g = igcd(x, y, z)
-        if g == 0:
+        """The point (x:y:z) of integers in `primitive_ints` form."""
+        xyz, g = primitive_ints((x, y, z))
+        if not g:
             raise ValueError("(0, 0, 0) is not a projective point")
-        if next(n for n in (x, y, z) if n) < 0:
-            g = -g
-        return cls(x // g, y // g, z // g)
+        return cls(*xyz)
 
     def coords(self) -> tuple[int, int, int]:
         return (self.x, self.y, self.z)
@@ -297,9 +284,10 @@ def validate_surface(f: TernForm, g: TernForm) -> SurfaceDP2:
 
 def on_surface(S: SurfaceDP2, x, y, z, w) -> PointDP2:
     """Canonical primitive representative of a rational solution."""
-    x, y, z, w = Fraction(x), Fraction(y), Fraction(z), Fraction(w)
-    xi, yi, zi, lam = _normalize_xyz(x, y, z)
-    wn = w * lam * lam
+    (xi, yi, zi), scale = content_primitive_ints((x, y, z))
+    if not scale:
+        raise ValueError("(0, 0, 0) is not a projective point")
+    wn = w / (scale * scale)
     if wn.denominator != 1:
         raise NotOnSurface(f"w-coordinate {wn} not integral in primitive form")
     wn = int(wn)

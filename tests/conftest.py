@@ -175,9 +175,15 @@ def phi_domain_by_classification(S: SurfaceDP2, P, Q) -> PhiDomainVerdict:
         return PhiDomainVerdict(False, False, reason)
     if not classify_point(S, P).is_very_general:
         return PhiDomainVerdict(True, False, "FirstNotInU0")
-    if osculating_section(S, P).evaluate(Q) == 0:
+    if section_at(osculating_section(S, P), Q) == 0:
         return PhiDomainVerdict(True, False, "SecondOnCP")
     return PhiDomainVerdict(True, True, None)
+
+
+def section_at(section, P):
+    """The value at the point P of X of a section given by its integer
+    vector in the basis of `_section_row` (`osculating_section`)."""
+    return _section_value(QQ, section, P.coords())
 
 
 class PolyRing:

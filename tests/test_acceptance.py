@@ -10,6 +10,7 @@ import random
 import time
 
 import pytest
+from conftest import section_at
 
 from dp2 import fforacle
 from dp2.covers import context_for, f1, generate_points, in_u_inv, rank_minus2K
@@ -162,7 +163,7 @@ def test_criterion_5_cp_cross_construction(contexts):
                 R = c_p_point(S, ctx.P0, (1, k))
             except DP2Error:
                 continue
-            assert section.evaluate(R) == 0, f"section mismatch on {key}"
+            assert section_at(section, R) == 0, f"section mismatch on {key}"
             produced += 1
         # osculation solution dimension is exactly 1
         rows = _section_condition_rows(QQ, S.f, S.g, ctx.P0.coords(), order=3)

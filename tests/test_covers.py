@@ -5,7 +5,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from conftest import PINNED_P0, SURFACE_DIR
+from conftest import PINNED_P0, SURFACE_DIR, section_at
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
@@ -30,8 +30,8 @@ from dp2.covers import (
     rank_minusK,
 )
 from dp2.errors import BadParameter, BitangentLine, DP2Error, NotVeryGeneral, SameImage
-from dp2.exactalg import QQ
-from dp2.geometry import _kernel, classify_point, phi
+from dp2.exactalg import QQ, content_primitive_ints
+from dp2.geometry import _kernel, _u0_core, classify_point, osculating_section, phi
 from dp2.surface import PointDP2, kappa, load_surface
 
 
@@ -52,21 +52,39 @@ class TestContext:
         assert classify_point(ctx0.surface, ctx0.P0).is_very_general
 
     def test_very_general_p0_is_classified_once(self, s0, random_surfaces, monkeypatch):
-        calls = []
-        real = covers.classify_point
+        calls, u0_calls = [], []
+        real, real_u0 = covers.classify_point, covers._u0_core
 
         def classify_point(S, P):
             calls.append(P)
             return real(S, P)
 
+        def _u0_core(F, f, g, B, P4):
+            u0_calls.append(P4)
+            return real_u0(F, f, g, B, P4)
+
         monkeypatch.setattr(covers, "classify_point", classify_point)
+        monkeypatch.setattr(covers, "_u0_core", _u0_core)
+        # a given very general P0 is decided by one `_u0_core` call
         P0 = PointDP2(20, 15, 12, 481)
         assert context_for(s0, P0).P0 == P0
-        assert calls == [P0]
-        calls.clear()
+        assert u0_calls == [P0.coords()] and calls == []
+        u0_calls.clear()
         # a searched P0 is classified by the search alone
         ctx = context_for(random_surfaces[0])
         assert calls[-1] == ctx.P0 and calls.count(ctx.P0) == 1
+        assert u0_calls == []
+
+    @pytest.mark.parametrize("name", sorted(PINNED_P0))
+    def test_section_paths_agree(self, name):
+        """The section of a given P0 is `osculating_section`'s, the
+        `content_primitive_ints` of `_u0_core`'s vector: 7 ints, lambda > 0."""
+        S = load_surface(SURFACE_DIR / f"{name}.json")
+        P0 = PointDP2.parse(PINNED_P0[name])
+        vec = _u0_core(QQ, S.f, S.g, S.B, P0.coords())
+        section = context_for(S, P0).section
+        assert section == osculating_section(S, P0) == content_primitive_ints(vec)[0]
+        assert len(section) == 7 and section[0] > 0 and all(type(c) is int for c in section)
 
     @pytest.mark.parametrize("name", sorted(PINNED_P0))
     def test_search_classifies_each_point_of_p2_once(self, name, monkeypatch):
@@ -103,7 +121,7 @@ class TestF1:
     def test_on_surface_and_section(self, ctx_r):
         P = f1(ctx_r, (1, 4))
         assert ctx_r.surface.equation_at(P.x, P.y, P.z, P.w)
-        assert ctx_r.section.evaluate(P) == 0
+        assert section_at(ctx_r.section, P) == 0
 
     def test_distinct_parameters_distinct_points(self, ctx_r):
         assert f1(ctx_r, (1, 4)) != f1(ctx_r, (1, 5))

@@ -24,6 +24,7 @@ from dp2.exactalg import (
     is_square_binform,
     poly_gcd,
     poly_xgcd,
+    primitive_ints,
     squarefree_factor,
 )
 from dp2.exactalg.factor import factor_modp, factor_rational
@@ -290,4 +291,18 @@ class TestModGcd:
 class TestContent:
     def test_primitive(self):
         ints, den = content_primitive_ints([Fraction(2, 3), Fraction(4, 3)])
-        assert ints == [1, 2]
+        assert ints == (1, 2) and den == Fraction(2, 3)
+        assert content_primitive_ints([Fraction(-1, 2), Fraction(3, 4)]) == ((2, -3), Fraction(-1, 4))
+        assert content_primitive_ints([Fraction(0), Fraction(0)]) == ((0, 0), 0)
+
+    @pytest.mark.parametrize("ints, expected", [
+        ((6, -9, 12), ((2, -3, 4), 3)),
+        ((-6, 9, 0), ((2, -3, 0), -3)),
+        ((0, 0, -5), ((0, 0, 1), -5)),
+        ((0, -4, 6), ((0, 2, -3), -2)),
+        ((7,), ((1,), 7)),
+        ((0, 0, 0), ((0, 0, 0), 0)),
+    ])
+    def test_primitive_ints_sign_rule(self, ints, expected):
+        """ints / g with the first nonzero entry positive, g = 0 for zeros."""
+        assert primitive_ints(ints) == expected

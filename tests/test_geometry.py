@@ -17,6 +17,7 @@ from conftest import (
     phi_core_by_group_law,
     phi_domain_by_classification,
     residual_by_group_law,
+    section_at,
     seeded_random_surface,
     square_by_yun,
     tern_substitute_reference,
@@ -86,24 +87,20 @@ PHI_P0_Q1 = PointDP2(288600, 130111, 173160, 90126952321)
 
 class TestOsculatingSection:
     def test_frozen_section_s0(self, s0):
+        # lambda, then x^2, y^2, z^2, xy, xz, yz (`_section_row`)
         sec = osculating_section(s0, P0)
-        assert sec.lam == 111284641
-        assert sec.q2.coeff(2, 0, 0) == -149633200
-        assert sec.q2.coeff(0, 2, 0) == -133387425
-        assert sec.q2.coeff(0, 0, 2) == -93975984
-        assert sec.q2.coeff(1, 1, 0) == 108000000
-        assert sec.q2.coeff(1, 0, 1) == 55296000
-        assert sec.q2.coeff(0, 1, 1) == 23328000
+        assert sec == (111284641, -149633200, -133387425, -93975984, 108000000, 55296000, 23328000)
+        assert all(type(c) is int for c in sec)
 
     def test_vanishes_to_order_three(self, s0):
         sec = osculating_section(s0, P0)
-        assert sec.evaluate(P0) == 0
+        assert section_at(sec, P0) == 0
 
     def test_eckardt_point_degenerate_but_unique(self, s0):
         # the system still has a one-dimensional solution space at the
         # generalized Eckardt point; the section is w - x^2
         sec = osculating_section(s0, PointDP2(1, 0, 0, 1))
-        assert sec.lam == 1 and sec.q2.coeff(2, 0, 0) == -1
+        assert sec == (1, -1, 0, 0, 0, 0, 0)
 
     def test_ramification_rejected(self, sk):
         with pytest.raises(NotVeryGeneral):
@@ -123,7 +120,7 @@ class TestSectionRowsByNorm:
         S = load_surface(SURFACE_DIR / f"{name}.json")
         # the searched P0 of s0 costs seconds; P0 is the very general point of the tests above
         ctx = context_for(S, P0 if name == "s0" else None)
-        assert_norm_order(S.f, S.g, ctx.section.vector(), ctx.P0.coords(), 3, seed=1)
+        assert_norm_order(S.f, S.g, ctx.section, ctx.P0.coords(), 3, seed=1)
 
     @pytest.mark.parametrize("name", ["random2", "s0"])
     def test_osculating_section_at_every_u0_point_mod_11(self, name):
@@ -160,7 +157,7 @@ class TestSectionRowsByNorm:
         except (SingularBranchCurve, NotVeryGeneral):
             assume(False)
         S = ctx.surface
-        assert_norm_order(S.f, S.g, ctx.section.vector(), ctx.P0.coords(), 3, seed=n)
+        assert_norm_order(S.f, S.g, ctx.section, ctx.P0.coords(), 3, seed=n)
         try:
             Q = f1(ctx, (u, v))
             R = phi(S, ctx.P0, Q)
@@ -212,7 +209,7 @@ class TestCP:
         seen = set()
         for k in range(1, 11):
             R = c_p_point(s0, P0, (1, k))
-            assert sec.evaluate(R) == 0
+            assert section_at(sec, R) == 0
             seen.add(R)
         assert len(seen) == 10
 
@@ -364,7 +361,9 @@ class TestResidualCore:
     def test_involution_and_origin_on_unpinned_surfaces(self, n, u, v, k):
         """Q = f2((u:v), (1:k)) in U_inv, off C_{P0} (a point of f1 lies on
         C_{P0}, where phi(P0, Q) = P0): phi(P0, Q) does not depend on the
-        origin, and phi(P0, phi(P0, Q)) = Q where phi(P0, Q) is in U_inv."""
+        origin, and phi(P0, phi(P0, Q)) = Q where phi(P0, Q) is in U_inv.
+        The Geiser involution maps P0, Q and R = phi(P0, Q) into X and is an
+        involution there."""
         try:
             ctx = context_for(seeded_random_surface(n))
             Q = f2(ctx, ((u, v), (1, k)))
@@ -376,6 +375,9 @@ class TestResidualCore:
         assert phi(S, ctx.P0, Q, origin="Q") == R
         if in_u_inv(ctx, R):
             assert phi(S, ctx.P0, R) == Q
+        for T in (ctx.P0, Q, R):
+            assert geiser(S, geiser(S, T)) == T
+            assert S.equation_at(*geiser(S, T).coords())
 
 
 def _outcome_any(fn):

@@ -4,7 +4,7 @@ file format."""
 import random
 import time
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 from pathlib import Path
 
 import pytest
@@ -19,7 +19,6 @@ from dp2.geometry import _random_unimodular, _tern_substitute
 from dp2.surface import (
     PointDP2,
     _is_smooth_quartic,
-    _normalize_xyz,
     PointP2,
     geiser,
     kappa,
@@ -198,14 +197,17 @@ class TestPoints:
             PointDP2.parse("0:0:0:1")
 
     def test_p2_make_on_ints_matches_fraction_normalization(self):
-        """`PointP2.make` divides by the gcd and fixes the sign on ints, as
-        `_normalize_xyz` does through Fractions."""
+        """`PointP2.make` divides by the gcd and makes the first nonzero
+        entry positive, as a reference on the gcd of Fractions does."""
         rng = random.Random(7)
         triples = [(0, 0, -3), (0, -4, 6), (-6, 9, 0), (12, -18, 30)]
         triples += [tuple(rng.randint(-50, 50) for _ in range(3)) for _ in range(200)]
         for xyz in triples:
             if any(xyz):
-                assert PointP2.make(*xyz).coords() == _normalize_xyz(*map(Fraction, xyz))[:3], xyz
+                g = Fraction(gcd(*xyz))
+                if next(n for n in xyz if n) < 0:
+                    g = -g
+                assert PointP2.make(*xyz).coords() == tuple(Fraction(n) / g for n in xyz), xyz
         with pytest.raises(ValueError, match="not a projective point"):
             PointP2.make(0, 0, 0)
 
