@@ -21,7 +21,6 @@ from .errors import (
     EliminationDegenerate,
     UnexpectedDimension,
 )
-from .exactalg import QQ
 from .geometry import (
     SEC_MONOMIALS,
     _section_value,
@@ -38,13 +37,13 @@ EXIT_USAGE = 1
 EXIT_DOMAIN = 2
 EXIT_DEGENERATE = 3
 
-# `oracle` enumerates all p^2 + p + 1 points of P^2(F_p), 70-90 us each on a
-# two-vCPU Xeon guest (p = 211: 3.9 s); a larger prime is a usage error
+# `oracle` enumerates all p^2 + p + 1 points of P^2(F_p), 40-60 us each on a
+# two-vCPU Xeon guest (p = 211: 1.8-2.7 s); a larger prime is a usage error
 MAX_ORACLE_PRIME = 1000
 
-# `generate` tries one cover parameter per unit of budget, 3.3 ms each for f2
-# and 15-19 ms for f6 on random2 on the same guest (budget 400); the cap keeps
-# a run to minutes and the parameter list small
+# `generate` tries one cover parameter per unit of budget, 0.5 ms each for f2
+# and 4.3 ms for f6 on random2 on the same guest (budget 400): under a minute
+# at the cap, which keeps the parameter list small
 MAX_GENERATE_BUDGET = 10_000
 
 _DEGENERATE = (EliminationDegenerate, UnexpectedDimension)
@@ -191,7 +190,7 @@ def cmd_curve(args) -> int:
             "q2": [[*m, str(c)] for m, c in zip(SEC_MONOMIALS, section[1:])],
         },
         "point": str(R),
-        "section_vanishes_at_point": _section_value(QQ, section, R.coords()) == 0,
+        "section_vanishes_at_point": _section_value(section, R.coords()) == 0,
     }
     _emit([rec], args.format)
     return EXIT_OK
@@ -297,7 +296,7 @@ def cmd_oracle(args) -> int:
         if p <= 31:
             try:
                 rep = fforacle.phi_surjectivity(Sp)
-                rec["surjectivity"] = rep.as_dict()
+                rec["surjectivity"] = {**asdict(rep), "coverage": rep.coverage}
             except BadPrime as exc:
                 rec["surjectivity_note"] = str(exc)
         records.append(rec)
@@ -354,7 +353,7 @@ def cmd_verify(args) -> int:
         except DP2Error:
             continue
         n += 1
-        if _section_value(QQ, ctx.section, R.coords()) == 0:
+        if _section_value(ctx.section, R.coords()) == 0:
             ok += 1
     prop("cp_section_agreement", n, ok)
 

@@ -165,7 +165,7 @@ def in_u_inv(ctx: CoverContext, Q: PointDP2) -> bool:
     be very general and its cached osculating section."""
     if _u_phi_failure(ctx.surface, ctx.P0, Q) is not None:
         return False
-    return _section_value(QQ, ctx.section, Q.coords()) != 0
+    return _section_value(ctx.section, Q.coords()) != 0
 
 
 # ---------------------------------------------------------------------------

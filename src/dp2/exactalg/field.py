@@ -1,9 +1,9 @@
 """Coefficient fields used throughout: Q (as fractions.Fraction), prime fields
 F_p, and field adapters so polynomial code can run over either.
 
-An adapter exposes `zero`, `one`, `char`, `from_int` and `is_zero`; F_p's
-adds `is_square` and `sqrt`.  Elements themselves carry the arithmetic
-through operator overloading.
+Both adapters expose exactly `zero`, `one`, `char`, `from_int` and
+`is_zero`.  Elements themselves carry the arithmetic through operator
+overloading.
 """
 
 from __future__ import annotations
@@ -164,40 +164,6 @@ class PrimeField:
     @staticmethod
     def is_zero(a) -> bool:
         return a.r == 0
-
-    def is_square(self, a) -> bool:
-        if a.r == 0:
-            return True
-        return pow(a.r, (self.p - 1) // 2, self.p) == 1
-
-    def sqrt(self, a):
-        """Square root in F_p (Tonelli-Shanks)."""
-        p = self.p
-        n = a.r
-        if n == 0:
-            return self.zero
-        if not self.is_square(a):
-            raise ValueError("not a square in F_p")
-        if p % 4 == 3:
-            return PrimeFieldElt(p, pow(n, (p + 1) // 4, p))
-        # Tonelli-Shanks
-        q, s = p - 1, 0
-        while q % 2 == 0:
-            q //= 2
-            s += 1
-        z = 2
-        while pow(z, (p - 1) // 2, p) != p - 1:
-            z += 1
-        m, c, t, r = s, pow(z, q, p), pow(n, q, p), pow(n, (q + 1) // 2, p)
-        while t != 1:
-            i, tt = 0, t
-            while tt != 1:
-                tt = tt * tt % p
-                i += 1
-            b = pow(c, 1 << (m - i - 1), p)
-            m, c = i, b * b % p
-            t, r = t * c % p, r * b % p
-        return PrimeFieldElt(p, r)
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

@@ -2,9 +2,11 @@
 enumeration, the base-locus oracle for phi, and empirical surjectivity of phi
 on U_inv(F_p).
 
-Every construction reuses the field-generic cores of the geometry module over
-F_p, so the oracle is an independent execution path only in arithmetic, not in
-formulas, except for base_locus_oracle which avoids the group law entirely.
+Points of X(F_p) are residue tuples (x, y, z, w) throughout, in one normal
+form.  Every construction reuses the field-generic cores of the geometry
+module over F_p, so the oracle is an independent execution path only in
+arithmetic, not in formulas; the exception is base_locus_oracle, which
+decides phi by the sections of |-2K_X| and never runs its closed form.
 """
 
 from __future__ import annotations
@@ -82,50 +84,64 @@ def good_primes(S: SurfaceDP2, lo: int = 5, hi: int = 100, count: int | None = N
 # points mod p
 
 
-def _normalize_modp(F: PrimeField, x, y, z, w) -> tuple[int, int, int, int]:
-    """Canonical representative: first nonzero of (x, y, z) scaled to 1."""
+def _normalize_modp(p: int, x: int, y: int, z: int, w: int) -> tuple[int, int, int, int]:
+    """The residue tuple of the integer point (x, y, z, w) mod p, with the
+    first nonzero of (x, y, z) scaled to 1."""
     for v in (x, y, z):
-        if not F.is_zero(v):
-            lam = F.one / v
-            return (
-                (x * lam).r,
-                (y * lam).r,
-                (z * lam).r,
-                (w * lam * lam).r,
-            )
+        if v % p:
+            lam = pow(v, -1, p)
+            return (x * lam % p, y * lam % p, z * lam % p, w * lam * lam % p)
     raise ValueError("kappa-image is zero")
 
 
 def reduce_point(Sp: SurfaceModP, P: PointDP2) -> tuple[int, int, int, int]:
-    F = Sp.F
-    return _normalize_modp(F, F.from_int(P.x), F.from_int(P.y), F.from_int(P.z), F.from_int(P.w))
+    return _normalize_modp(Sp.p, *P.coords())
+
+
+def _sqrt_modp(n: int, p: int) -> int | None:
+    """The square root of n mod p by Tonelli-Shanks, None for a non-residue.
+    Which of the two roots it returns fixes the order of `_enumerate`."""
+    n %= p
+    if n == 0:
+        return 0
+    if pow(n, (p - 1) // 2, p) != 1:
+        return None
+    if p % 4 == 3:
+        return pow(n, (p + 1) // 4, p)
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    m, c, t, r = s, pow(z, q, p), pow(n, q, p), pow(n, (q + 1) // 2, p)
+    while t != 1:
+        i, tt = 0, t
+        while tt != 1:
+            tt = tt * tt % p
+            i += 1
+        b = pow(c, 1 << (m - i - 1), p)
+        m, c = i, b * b % p
+        t, r = t * c % p, r * b % p
+    return r
 
 
 def _enumerate(Sp: SurfaceModP) -> list[tuple[int, int, int, int]]:
-    """All points of X(F_p), via the quadratic character of f^2 + 4g on each
-    of the p^2 + p + 1 points of P^2(F_p)."""
-    F, p = Sp.F, Sp.p
-    reps = []
-    for y in range(p):
-        for z in range(p):
-            reps.append((1, y, z))
-    for z in range(p):
-        reps.append((0, 1, z))
-    reps.append((0, 0, 1))
+    """All points of X(F_p), via a square root of f^2 + 4g on each of the
+    p^2 + p + 1 points of P^2(F_p): w = (-f +- r) / 2."""
+    p = Sp.p
+    reps = [(1, y, z) for y in range(p) for z in range(p)] + [(0, 1, z) for z in range(p)] + [(0, 0, 1)]
+    half = (p + 1) // 2  # 1/2 mod p
     pts = []
-    two_inv = F.one / F.from_int(2)
     for (x, y, z) in reps:
-        xe, ye, ze = F.from_int(x), F.from_int(y), F.from_int(z)
-        fv = Sp.f.evaluate(xe, ye, ze)
-        gv = Sp.g.evaluate(xe, ye, ze)
-        disc = fv * fv + 4 * gv
-        if F.is_zero(disc):
-            w = (-fv) * two_inv
-            pts.append((x, y, z, w.r))
-        elif F.is_square(disc):
-            r = F.sqrt(disc)
-            for w in ((-fv + r) * two_inv, (-fv - r) * two_inv):
-                pts.append((x, y, z, w.r))
+        fv, gv = Sp.f.evaluate(x, y, z).r, Sp.g.evaluate(x, y, z).r
+        r = _sqrt_modp(fv * fv + 4 * gv, p)
+        if r == 0:
+            pts.append((x, y, z, -fv * half % p))
+        elif r is not None:
+            pts.append((x, y, z, (r - fv) * half % p))
+            pts.append((x, y, z, (-r - fv) * half % p))
     return pts
 
 
@@ -134,9 +150,8 @@ def enumerate_points(S: SurfaceDP2, p: int) -> list[tuple[int, int, int, int]]:
 
 
 def on_ramification_modp(Sp: SurfaceModP, P4) -> bool:
-    F = Sp.F
-    x, y, z, w = (F.from_int(v) for v in P4)
-    return F.is_zero(2 * w + Sp.f.evaluate(x, y, z))
+    *P3, w = P4
+    return Sp.F.is_zero(2 * w + Sp.f.evaluate(*P3))
 
 
 # ---------------------------------------------------------------------------
@@ -159,18 +174,14 @@ def _base_locus_sections(Sp: SurfaceModP, Pm, Qm) -> list:
 
 def base_locus_zeros(Sp: SurfaceModP, Pm, Qm) -> set:
     """Common zeros on X(F_p) of the sections of `_base_locus_sections`."""
-    F = Sp.F
     basis = _base_locus_sections(Sp, Pm, Qm)
-    return {
-        T for T in Sp.points()
-        if all(F.is_zero(_section_value(F, vec, T)) for vec in basis)
-    }
+    return {T for T in Sp.points() if all(Sp.F.is_zero(_section_value(vec, T)) for vec in basis)}
 
 
 def base_locus_oracle(Sp: SurfaceModP, P: PointDP2, Q: PointDP2, R: PointDP2) -> bool:
     """True iff the common zeros on X(F_p) of the sections lambda*w + q2
     vanishing to order >= 2 at P and >= 1 at Q are exactly {P, Q, R} mod p.
-    Independent of the group-law engine."""
+    Decided by sections alone, independent of phi's closed form."""
     Pm, Qm, Rm = (reduce_point(Sp, T) for T in (P, Q, R))
     if len({Pm, Qm, Rm}) != len({P, Q, R}):
         raise BadPrime(f"distinct points collide mod {Sp.p}")
@@ -184,8 +195,7 @@ def base_locus_oracle(Sp: SurfaceModP, P: PointDP2, Q: PointDP2, R: PointDP2) ->
 def phi_modp(Sp: SurfaceModP, P4, Q4) -> tuple[int, int, int, int]:
     """phi over F_p via the same residual-point core as the exact
     computation."""
-    x, y, z, w = _phi_core(Sp.F, Sp.f, Sp.g, P4, Q4)
-    return _normalize_modp(Sp.F, x, y, z, w)
+    return _normalize_modp(Sp.p, *(v.r for v in _phi_core(Sp.F, Sp.f, Sp.g, P4, Q4)))
 
 
 def bitangents_through_modp(Sp: SurfaceModP, p3) -> int:
@@ -221,16 +231,6 @@ class SurjectivityReport:
     def coverage(self) -> float:
         return self.hit / self.total if self.total else 1.0
 
-    def as_dict(self):
-        return {
-            "p": self.p,
-            "total": self.total,
-            "hit": self.hit,
-            "missed": [list(t) for t in self.missed],
-            "pairs_tried": self.pairs_tried,
-            "coverage": self.coverage,
-        }
-
 
 def phi_surjectivity(Sp: SurfaceModP) -> SurjectivityReport:
     """Exhaustive search for phi-preimages of every point of X(F_p) over pairs
@@ -255,7 +255,7 @@ def phi_surjectivity(Sp: SurfaceModP) -> SurjectivityReport:
                 break
             if Q4[:3] == P4[:3]:
                 continue
-            if not F.is_zero(_section_value(F, sec, Q4)):
+            if not F.is_zero(_section_value(sec, Q4)):
                 pairs_tried += 1
                 try:
                     R4 = phi_modp(Sp, P4, Q4)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb, gcd, prod
 from typing import TYPE_CHECKING
 
@@ -51,9 +50,9 @@ def _section_row(x, y, z, w) -> list:
     return [w, x * x, y * y, z * z, x * y, x * z, y * z]
 
 
-def _section_value(F, vec, P4):
-    """The section with vector `vec` over F at the integer point P4."""
-    return sum(a * b for a, b in zip(vec, _section_row(*_as_field(F, P4))))
+def _section_value(vec, P4):
+    """The section with vector `vec` (over Q or F_p) at the integer point P4."""
+    return sum(a * b for a, b in zip(vec, _section_row(*P4)))
 
 
 def _section_condition_rows(F, f: TernForm, g: TernForm, P4, order: int):
@@ -156,7 +155,7 @@ def _u0_core(F, f: TernForm, g: TernForm, B: TernForm, P4):
     the kernel has dimension exactly 1: two independent solutions would
     combine to one with lambda = 0.  The kernel is never zero: the 7 rows
     are combinations of the 6 coefficients of the section's 2-jet at P."""
-    *P3, w = _as_field(F, P4)
+    *P3, w = P4
     if F.is_zero(w + w + f.evaluate(*P3)):
         return None
     if _count_bitangents_core(F, B, P4[:3]):
@@ -380,8 +379,8 @@ def c_p_point(S: SurfaceDP2, P: PointDP2, param: tuple[int, int]) -> PointDP2:
     line L through kappa(P) selected by `param`.  For very general P these
     points sweep out C_P."""
     A, B = _pencil_line(P.xyz(), param)
-    wP = Fraction(P.w)
-    R = _residual_core(QQ, S.f, S.g, A, B, wP, (QQ.one, QQ.zero, wP), "pencil member is a bitangent line")
+    R = _residual_core(QQ, S.f, S.g, A, B, P.w, (QQ.one, QQ.zero, P.w),
+                       "pencil member is a bitangent line")
     return on_surface(S, *R)
 
 
@@ -519,7 +518,7 @@ def phi_domain(S: SurfaceDP2, P: PointDP2, Q: PointDP2) -> PhiDomainVerdict:
     vec = _u0_core(QQ, S.f, S.g, S.B, P.coords())
     if vec is None:
         return PhiDomainVerdict(True, False, "FirstNotInU0")
-    if _section_value(QQ, vec, Q.coords()) == 0:
+    if _section_value(vec, Q.coords()) == 0:
         return PhiDomainVerdict(True, False, "SecondOnCP")
     return PhiDomainVerdict(True, True, None)
 

@@ -349,13 +349,17 @@ def parse_surface(text: str) -> SurfaceDP2:
             # a JSON float would become its binary fraction, not the decimal
             if not isinstance(entry, list) or len(entry) != 4 or isinstance(entry[3], float):
                 raise bad
+            exps = tuple(entry[:3])
+            # bool is a subclass of int, and JSON's true is no exponent
+            if any(type(e) is not int or e < 0 for e in exps) or sum(exps) != degree:
+                raise ValueError(f"'{name}' entry {entry!r} needs integers i, j, k >= 0 "
+                                 f"with i + j + k = {degree}")
+            if exps in out:
+                raise ValueError(f"'{name}' lists the exponents {list(exps)} twice")
             try:
-                exps = tuple(int(e) for e in entry[:3])
                 out[exps] = Fraction(entry[3])
             except (TypeError, ValueError, ZeroDivisionError) as exc:
                 raise bad from exc
-            if min(exps) < 0:
-                raise bad
         return TernForm(QQ, degree, out)
 
     return validate_surface(load("f", 2), load("g", 4))

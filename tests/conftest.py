@@ -156,7 +156,7 @@ def phi_surjectivity_eager(Sp) -> SurjectivityReport:
                 break
             if Q4[:3] == P4[:3]:
                 continue
-            if not F.is_zero(_section_value(F, sec, Q4)):
+            if not F.is_zero(_section_value(sec, Q4)):
                 pairs_tried += 1
                 try:
                     remaining.discard(phi_modp(Sp, P4, Q4))
@@ -183,7 +183,7 @@ def phi_domain_by_classification(S: SurfaceDP2, P, Q) -> PhiDomainVerdict:
 def section_at(section, P):
     """The value at the point P of X of a section given by its integer
     vector in the basis of `_section_row` (`osculating_section`)."""
-    return _section_value(QQ, section, P.coords())
+    return _section_value(section, P.coords())
 
 
 class PolyRing:

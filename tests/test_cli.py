@@ -62,6 +62,11 @@ class TestClassify:
         {"g": [[4, 0, 0, 0.5], [0, 4, 0, "1"], [0, 0, 4, "1"]]},
         {"g": [[-1, 0, 5, "1"]]},
         [[4, 0, 0, "1"]],
+        # exponents: JSON integers, not bools, summing to the degree, each triple once
+        {"f": [[2.9, 0, 0, "1"]], "g": [[4, 0, 0, "1"], [0, 4, 0, "1"], [0, 0, 4, "1"]]},
+        {"g": [[True, 3, 0, "1"], [4, 0, 0, "1"], [0, 4, 0, "1"], [0, 0, 4, "1"]]},
+        {"g": [[4, 0, 0, "1"], [4, 0, 0, "2"], [0, 4, 0, "1"], [0, 0, 4, "1"]]},
+        {"g": [[4, 0, 0, "1"], [0, 4, 0, "1"], [0, 0, 4, "1"], [1, 0, 0, "1"]]},
     ])
     def test_surface_file_not_in_list_format(self, capsys, tmp_path, doc):
         path = tmp_path / "surface.json"

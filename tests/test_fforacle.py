@@ -15,6 +15,7 @@ from dp2.fforacle import (
     SurjectivityReport,
     _base_locus_sections,
     _section_value,
+    _sqrt_modp,
     base_locus_oracle,
     base_locus_zeros,
     bitangents_through_modp,
@@ -91,6 +92,29 @@ class TestGoodPrime:
                     assert (name, p) in {("s_k", 7), ("random2", 7), ("random2", 13)}
 
 
+class TestSqrtModp:
+    """The Tonelli-Shanks root on residues: its choice of root fixes the
+    order of `enumerate_points`, so the sweep's base points and
+    `pairs_tried`."""
+
+    @pytest.mark.parametrize("p", [7, 13, 17, 41])
+    def test_roots(self, p):
+        # p = 13, 17 and 41 are 1 mod 4 with p - 1 divisible by 4, 16 and 8,
+        # so Tonelli's inner loop runs
+        squares = {n * n % p for n in range(p)}
+        for n in range(-p, 2 * p):
+            r = _sqrt_modp(n, p)
+            assert (r is not None) == (n % p in squares)
+            assert r is None or (0 <= r < p and r * r % p == n % p)
+
+    def test_root_choice_pinned(self):
+        assert [_sqrt_modp(n, 17) for n in range(17)] == [
+            0, 1, 6, None, 2, None, None, None, 12, 14, None, None, None, 8, None, 7, 4]
+
+    def test_nonsquare(self):
+        assert _sqrt_modp(3, 7) is None
+
+
 class TestEnumerate:
     @pytest.mark.parametrize("p", [5, 7, 11, 13])
     def test_weil_band_s0(self, s0, p):
@@ -103,6 +127,23 @@ class TestEnumerate:
         for (x, y, z, w) in Sp.points():
             xe, ye, ze, we = (F.from_int(v) for v in (x, y, z, w))
             assert we * we + Sp.f.evaluate(xe, ye, ze) * we == Sp.g.evaluate(xe, ye, ze)
+
+    @pytest.mark.parametrize("name", ["s0", "random2"])
+    def test_matches_brute_force(self, name):
+        """Every w in range(p) with w^2 + f w = g at each point of P^2(F_p),
+        as a set, and no point listed twice."""
+        S = load_surface(SURFACE_DIR / f"{name}.json")
+        primes = good_primes(S, 5, 60)
+        assert len(primes) >= 10
+        for p in primes:
+            Sp = reduce_surface(S, p)
+            plane = [(1, y, z) for y in range(p) for z in range(p)] + [(0, 1, z) for z in range(p)] + [(0, 0, 1)]
+            brute = set()
+            for x, y, z in plane:
+                fv, gv = Sp.f.evaluate(x, y, z).r, Sp.g.evaluate(x, y, z).r
+                brute.update((x, y, z, w) for w in range(p) if (w * w + fv * w - gv) % p == 0)
+            pts = enumerate_points(S, p)
+            assert len(pts) == len(set(pts)) and set(pts) == brute, p
 
     def test_ramification_iff_disc_zero(self, s0):
         Sp = reduce_surface(s0, 11)
@@ -148,7 +189,7 @@ class TestBaseLocus:
                 continue
             checked += 1
             for vec in basis:
-                assert Sp.F.is_zero(_section_value(Sp.F, vec, Qm))
+                assert Sp.F.is_zero(_section_value(vec, Qm))
                 assert_norm_order(Sp.f, Sp.g, vec, Pm, 2, seed=checked)
         assert checked >= 8
 
@@ -218,7 +259,7 @@ class TestSurjectivity:
         """Deciding U_0 only for the base points the sweep reaches changes no
         report; s0 mod 17 has no point in U_0 (criterion 8's hit 0)."""
         Sp = reduce_surface(load_surface(SURFACE_DIR / f"{name}.json"), p)
-        assert phi_surjectivity(Sp).as_dict() == phi_surjectivity_eager(Sp).as_dict()
+        assert phi_surjectivity(Sp) == phi_surjectivity_eager(Sp)
 
     def test_u0_decided_only_for_base_points_reached(self, monkeypatch):
         """random2 mod 11: every point is hit from the first three base
@@ -241,5 +282,5 @@ class TestSurjectivity:
 
     def test_report_shape(self):
         rep = SurjectivityReport(p=11, total=3, hit=2, missed=((0, 0, 1, 0),), pairs_tried=5)
-        d = rep.as_dict()
-        assert d["coverage"] == pytest.approx(2 / 3)
+        assert rep.coverage == pytest.approx(2 / 3)
+        assert SurjectivityReport(p=11, total=0, hit=0, missed=(), pairs_tried=0).coverage == 1.0
