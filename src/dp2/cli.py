@@ -13,7 +13,7 @@ import json
 import sys
 from dataclasses import asdict
 
-from . import covers, fforacle
+from . import covers
 from .errors import (
     BadParameter,
     BadPrime,
@@ -37,8 +37,8 @@ EXIT_USAGE = 1
 EXIT_DOMAIN = 2
 EXIT_DEGENERATE = 3
 
-# `oracle` enumerates all p^2 + p + 1 points of P^2(F_p), 40-60 us each on a
-# two-vCPU Xeon guest (p = 211: 1.8-2.7 s); a larger prime is a usage error
+# `oracle` enumerates all p^2 + p + 1 points of P^2(F_p), 3-5 us each on a two-vCPU
+# Xeon guest (the command: 0.4 s at p = 211, 9 s at p = 997); a larger prime is a usage error
 MAX_ORACLE_PRIME = 1000
 
 # `generate` tries one cover parameter per unit of budget, 0.5 ms each for f2
@@ -130,17 +130,13 @@ def _load_surface(path: str) -> SurfaceDP2:
         raise _UsageError(f"bad surface file: {exc}") from exc
 
 
-def _require_on_surface(S: SurfaceDP2, P: PointDP2) -> PointDP2:
-    return on_surface(S, P.x, P.y, P.z, P.w)
-
-
 # ---------------------------------------------------------------------------
 # commands
 
 
 def cmd_classify(args) -> int:
     S = _load_surface(args.surface)
-    P = _require_on_surface(S, _parse_point(args.point))
+    P = on_surface(S, *_parse_point(args.point).coords())
     cls = classify_point(S, P)
     _emit([{"command": "classify", "point": str(P), "classification": asdict(cls)}], args.format)
     return EXIT_OK
@@ -150,8 +146,9 @@ def cmd_phi(args) -> int:
     S = _load_surface(args.surface)
     if len(args.point) != 2:
         raise _UsageError("phi needs exactly two --point arguments")
-    P = _require_on_surface(S, _parse_point(args.point[0]))
-    Q = _require_on_surface(S, _parse_point(args.point[1]))
+    P = on_surface(S, *_parse_point(args.point[0]).coords())
+    Q = on_surface(S, *_parse_point(args.point[1]).coords())
+    sys.set_int_max_str_digits(0)  # inputs parsed: no digit cap for output
     verdict = phi_domain(S, P, Q)
     rec = {"command": "phi", "P": str(P), "Q": str(Q), "domain": asdict(verdict)}
     try:
@@ -177,8 +174,9 @@ def _parse_param(text: str) -> tuple[int, int]:
 
 def cmd_curve(args) -> int:
     S = _load_surface(args.surface)
-    P = _require_on_surface(S, _parse_point(args.point))
+    P = on_surface(S, *_parse_point(args.point).coords())
     param = _parse_param(args.param)
+    sys.set_int_max_str_digits(0)
     section = osculating_section(S, P)
     R = c_p_point(S, P, param)
     rec = {
@@ -200,9 +198,8 @@ def cmd_generate(args) -> int:
     if args.budget > MAX_GENERATE_BUDGET:
         raise _UsageError(f"budget above MAX_GENERATE_BUDGET = {MAX_GENERATE_BUDGET}: {args.budget}")
     S = _load_surface(args.surface)
-    P0 = _parse_point(args.point) if args.point else None
-    if P0 is not None:
-        P0 = _require_on_surface(S, P0)
+    P0 = on_surface(S, *_parse_point(args.point).coords()) if args.point else None
+    sys.set_int_max_str_digits(0)
     ctx = covers.context_for(S, P0)
     points, stats = covers.generate_points_with_stats(
         ctx, args.cover, args.budget, args.height_bound, args.seed
@@ -252,6 +249,8 @@ def _oracle_instance(S: SurfaceDP2):
 
 
 def cmd_oracle(args) -> int:
+    from . import fforacle  # only `oracle` uses it, so `import dp2.cli` does not compile it
+
     S = _load_surface(args.surface)
     try:
         primes = [int(t) for t in args.primes.split(",") if t.strip()]
@@ -385,6 +384,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    cap = sys.get_int_max_str_digits()  # lifted by commands for their output
     try:
         return _COMMANDS[args.command](args)
     except _UsageError as exc:
@@ -396,6 +396,8 @@ def main(argv=None) -> int:
     except DP2Error as exc:
         print(f"dp2: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    finally:
+        sys.set_int_max_str_digits(cap)
 
 
 if __name__ == "__main__":

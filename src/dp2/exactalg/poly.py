@@ -444,11 +444,15 @@ def is_square_binform(q: BinForm) -> bool:
     with a3 = 0 and the quadratic a square."""
     if q.degree != 4:
         raise WrongDegree("binary quartic expected")
-    F = q.field
-    a0, a1, a2, a3, a4 = q.c
-    if F.is_zero(a4):
-        return F.is_zero(a3) and F.is_zero(a1 * a1 - 4 * a0 * a2)
-    return all(F.is_zero(c) for c in square_conditions(a0, a1, a2, a3, a4))
+    return is_square_quartic(q.c, q.field.is_zero)
+
+
+def is_square_quartic(c, is_zero) -> bool:
+    """`is_square_binform` on coefficients a0..a4 under the zero test `is_zero`."""
+    a0, a1, a2, a3, a4 = c
+    if is_zero(a4):
+        return is_zero(a3) and is_zero(a1 * a1 - 4 * a0 * a2)
+    return all(is_zero(v) for v in square_conditions(a0, a1, a2, a3, a4))
 
 
 def primitive_ints(ints) -> tuple[tuple[int, ...], int]:

@@ -2,11 +2,11 @@
 enumeration, the base-locus oracle for phi, and empirical surjectivity of phi
 on U_inv(F_p).
 
-Points of X(F_p) are residue tuples (x, y, z, w) throughout, in one normal
-form.  Every construction reuses the field-generic cores of the geometry
-module over F_p, so the oracle is an independent execution path only in
-arithmetic, not in formulas; the exception is base_locus_oracle, which
-decides phi by the sections of |-2K_X| and never runs its closed form.
+Points of X(F_p) are residue tuples (x, y, z, w) in one normal form, found and
+tested on the residues of f and g; phi runs the exact computation's integer
+core mod p, the sections and bitangent counts the geometry module's cores over
+F_p.  Only base_locus_oracle is independent in formulas: it decides phi by the
+sections of |-2K_X| and never runs the closed form.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .geometry import (
     _section_value,
     _u0_core,
 )
-from .surface import PointDP2, SurfaceDP2, _is_smooth_quartic
+from .surface import PointDP2, SurfaceDP2, _int_value, _is_smooth_quartic
 
 
 @dataclass
@@ -36,6 +36,8 @@ class SurfaceModP:
     f: TernForm
     g: TernForm
     B: TernForm
+    f_ints: list  # the terms (e, c) of f and of g with c a residue
+    g_ints: list
     _points: list | None = None
 
     def points(self) -> list[tuple[int, int, int, int]]:
@@ -54,12 +56,11 @@ def reduce_surface(S: SurfaceDP2, p: int) -> SurfaceModP:
     if p < 5 or not is_prime(p):
         raise BadPrime(f"{p} is not a prime >= 5")
     F = PrimeField(p)
-    fp = S.f.map_coeffs(F.from_int, F)
-    gp = S.g.map_coeffs(F.from_int, F)
-    Bp = S.B.map_coeffs(F.from_int, F)
+    fp, gp, Bp = (h.map_coeffs(F.from_int, F) for h in (S.f, S.g, S.B))
     if not _is_smooth_quartic(Bp):
         raise BadPrime(f"branch quartic degenerates mod {p}")
-    return SurfaceModP(p=p, F=F, f=fp, g=gp, B=Bp)
+    f_ints, g_ints = ([(e, v.r) for e, v in h.c.items()] for h in (fp, gp))
+    return SurfaceModP(p=p, F=F, f=fp, g=gp, B=Bp, f_ints=f_ints, g_ints=g_ints)
 
 
 def good_prime(S: SurfaceDP2, p: int) -> bool:
@@ -135,13 +136,10 @@ def _enumerate(Sp: SurfaceModP) -> list[tuple[int, int, int, int]]:
     half = (p + 1) // 2  # 1/2 mod p
     pts = []
     for (x, y, z) in reps:
-        fv, gv = Sp.f.evaluate(x, y, z).r, Sp.g.evaluate(x, y, z).r
+        fv, gv = _int_value(Sp.f_ints, x, y, z) % p, _int_value(Sp.g_ints, x, y, z)
         r = _sqrt_modp(fv * fv + 4 * gv, p)
-        if r == 0:
-            pts.append((x, y, z, -fv * half % p))
-        elif r is not None:
-            pts.append((x, y, z, (r - fv) * half % p))
-            pts.append((x, y, z, (-r - fv) * half % p))
+        if r is not None:  # one w for r = 0
+            pts.extend((x, y, z, w) for w in dict.fromkeys([(r - fv) * half % p, (-r - fv) * half % p]))
     return pts
 
 
@@ -150,8 +148,7 @@ def enumerate_points(S: SurfaceDP2, p: int) -> list[tuple[int, int, int, int]]:
 
 
 def on_ramification_modp(Sp: SurfaceModP, P4) -> bool:
-    *P3, w = P4
-    return Sp.F.is_zero(2 * w + Sp.f.evaluate(*P3))
+    return (2 * P4[3] + _int_value(Sp.f_ints, *P4[:3])) % Sp.p == 0
 
 
 # ---------------------------------------------------------------------------
@@ -174,8 +171,8 @@ def _base_locus_sections(Sp: SurfaceModP, Pm, Qm) -> list:
 
 def base_locus_zeros(Sp: SurfaceModP, Pm, Qm) -> set:
     """Common zeros on X(F_p) of the sections of `_base_locus_sections`."""
-    basis = _base_locus_sections(Sp, Pm, Qm)
-    return {T for T in Sp.points() if all(Sp.F.is_zero(_section_value(vec, T)) for vec in basis)}
+    basis = [[v.r for v in vec] for vec in _base_locus_sections(Sp, Pm, Qm)]
+    return {T for T in Sp.points() if all(_section_value(vec, T) % Sp.p == 0 for vec in basis)}
 
 
 def base_locus_oracle(Sp: SurfaceModP, P: PointDP2, Q: PointDP2, R: PointDP2) -> bool:
@@ -193,9 +190,8 @@ def base_locus_oracle(Sp: SurfaceModP, P: PointDP2, Q: PointDP2, R: PointDP2) ->
 
 
 def phi_modp(Sp: SurfaceModP, P4, Q4) -> tuple[int, int, int, int]:
-    """phi over F_p via the same residual-point core as the exact
-    computation."""
-    return _normalize_modp(Sp.p, *(v.r for v in _phi_core(Sp.F, Sp.f, Sp.g, P4, Q4)))
+    """phi over F_p: the integer core of the exact computation on residues."""
+    return _normalize_modp(Sp.p, *_phi_core(Sp.f_ints, Sp.g_ints, P4, Q4, Sp.p))
 
 
 def bitangents_through_modp(Sp: SurfaceModP, p3) -> int:
@@ -250,12 +246,13 @@ def phi_surjectivity(Sp: SurfaceModP) -> SurjectivityReport:
         sec = _u0_core(F, Sp.f, Sp.g, Sp.B, P4)
         if sec is None:
             continue
+        sec = [v.r for v in sec]
         for Q4 in pts:
             if not remaining:
                 break
             if Q4[:3] == P4[:3]:
                 continue
-            if not F.is_zero(_section_value(sec, Q4)):
+            if _section_value(sec, Q4) % p:
                 pairs_tried += 1
                 try:
                     R4 = phi_modp(Sp, P4, Q4)

@@ -2,8 +2,9 @@
 curve C_P -- plus exact point classification (ramification, exceptional
 curves, generalized Eckardt) and the U_phi / U_inv membership tests.
 
-All cores are generic over a field adapter so the finite-field oracle can run
-the identical procedures mod p; the public API wraps them for Q.
+phi and C_P run on one integer core with a modulus p (0 for Q), which the
+finite-field oracle calls on residues; the section and bitangent cores are
+generic over a field adapter (Q or F_p).  The public API wraps them for Q.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .exactalg import (
     QQ,
     BinForm,
     Poly,
+    PrimeField,
     TernForm,
     content_primitive_ints,
     is_square_binform,
@@ -35,6 +37,7 @@ from .exactalg import (
     square_conditions,
     squarefree_factor,
 )
+from .exactalg.poly import _bin_mul, _expand_linear, is_square_quartic
 from .surface import PointDP2, PointP2, SurfaceDP2, kappa, on_ramification, on_surface
 
 if TYPE_CHECKING:
@@ -174,21 +177,29 @@ def osculating_section(S: SurfaceDP2, P: PointDP2) -> tuple[int, ...]:
 # phi
 
 
-def _closed_form(F, a: BinForm, b: BinForm, wP, X):
-    """(R) ~ 2(iota(P)) - (X) on the fibre w^2 + a w = b, unnormalized as
-    (s, t, w), for X = Q = (0 : 1 : w_Q) or X = P = (1 : 0 : w_P), once
-    `_check_fibre` has passed: P, Q on the fibre, q = a^2 + 4b not a square,
-    iota(P) and X smooth.  D_inf ~ (P) + (iota P) ~ (X) + (iota X) is the
-    fibre class.  With d = 2 w_P + a_0 = 0, P = iota(P) is a ramification
-    point, so 2 (iota P) - X ~ D_inf - X ~ iota(X).
+def _residual_point(f, g, A, B, wP, X, bitangent: str, p: int = 0):
+    """The point R of the fibre w^2 + a w = b over the line (s:t) -> sA + tB
+    with (R) ~ 2(iota(P)) - (X), P = (A, wP) at (1:0) and X = (s, t, w) either
+    Q = (0 : 1 : w_Q) or P = (1 : 0 : w_P), as an unnormalized int 4-tuple:
+    phi(P, Q) is R for X = Q, and C_P is swept by R for X = P on the lines
+    through kappa(P).  f, g are the surface's int terms (e, c); they, A, B,
+    wP and X are ints over Q for p = 0 and residues mod p otherwise.
 
-    Otherwise the branch through P is unramified.  For a binary quadratic c,
-    w - c(s, t) is a section of 2 D_inf whose zeros lie over the roots of
-    e = c^2 + a c - b = (c - w)(c - w'), w' = -a - w the other branch, each
-    with the root's multiplicity: where the branches differ, c - w' is a
-    unit at a zero of c - w; where they meet, iota swaps the two factors.
-    The branch through P has slope w_1 = (b_1 - a_1 w_P) / d at P and next
-    coefficient w_2 = (b_2 - a_2 w_P - a_1 w_1 - w_1^2) / d.
+    The group law with origin iota(P) raises, in this order, ValueError for
+    iota(P), then X, off the fibre; `BitangentLine(bitangent)` for a square
+    q = a^2 + 4b; `SingularHit` for a singular iota(P), then X.  At
+    (1 : 0 : w), w^2 + a_0 w = b_0 gives q_0 = v^2 with v = 2w + a_0, and the
+    point is singular where v and q_1 vanish; at (0 : 1 : w) likewise with
+    a_2, b_4, q_3.  Past these R has a closed form.  D_inf ~ (P) + (iota P)
+    ~ (X) + (iota X) is the fibre class.  With d = 2 w_P + a_0 = 0,
+    P = iota(P) is a ramification point, so 2 (iota P) - X ~ D_inf - X ~
+    iota(X).  Otherwise the branch through P is unramified.  For a binary
+    quadratic c, w - c(s, t) is a section of 2 D_inf whose zeros lie over
+    the roots of e = c^2 + a c - b = (c - w)(c - w'), w' = -a - w the other
+    branch, each with the root's multiplicity: where the branches differ,
+    c - w' is a unit at a zero of c - w; where they meet, iota swaps the two
+    factors.  The branch through P has slope w_1 = (b_1 - a_1 w_P) / d at P
+    and next coefficient w_2 = (b_2 - a_2 w_P - a_1 w_1 - w_1^2) / d.
     - X = Q: c = w_P s^2 + w_1 s t + w_Q t^2 meets P twice and Q, so
       e = s t^2 (e_2 s + e_3 t), R = (e_3 : -e_2), and
       2P + Q + R ~ 2 D_inf gives R ~ 2 iota(P) - Q.
@@ -204,110 +215,85 @@ def _closed_form(F, a: BinForm, b: BinForm, wP, X):
     have five roots counted with multiplicity, which forces e = 0.
     To avoid division c is taken times m (m = d for X = Q, m = d^3 for
     X = P), e times m^2, and R is returned as (m s, m t, m^2 w)."""
-    s, t, w = X
-    ac, bc = a.c, b.c
-    d = wP + wP + ac[0]
-    if F.is_zero(d):
-        return s, t, -a.evaluate(s, t) - w
-    dw1 = bc[1] - ac[1] * wP  # d w_1
-    if F.is_zero(t):  # X = P
-        dd = d * d
-        m = dd * d
-        c = [m * wP, dd * dw1, dd * (bc[2] - ac[2] * wP) - d * ac[1] * dw1 - dw1 * dw1]
-        i, j = 4, 3
-    else:  # X = Q
-        m = d
-        c = [d * wP, dw1, d * w]
-        i, j = 3, 2
-    c = BinForm(F, 2, c)
-    e = (c + a.scale(m)) * c + b.scale(-m * m)
-    rs, rt = e.c[i], -e.c[j]
-    return m * rs, m * rt, m * c.evaluate(rs, rt)
-
-
-def _check_fibre(F, a: BinForm, b: BinForm, wP, X, bitangent: str):
-    """The group law's errors for origin iota(P), in its order, read off
-    the coefficients, for X = (0 : 1 : w_Q) or (1 : 0 : w_P):
-    ValueError for iota(P), then X, off the fibre; `BitangentLine` for a
-    square q = a^2 + 4b; `SingularHit` for a singular iota(P), then X.
-    At (1 : 0 : w) the fibre reads w^2 + a_0 w = b_0, so q_0 = v^2 with
-    v = 2w + a_0, and the point is singular where v and q_1 vanish (a
-    double root of q there); at (0 : 1 : w) likewise with a_2, b_4, q_3."""
-    q = a * a + b.scale(F.from_int(4))
-    ac, bc = a.c, b.c
+    zero = (lambda v: v % p == 0) if p else (lambda v: v == 0)
+    lins = list(zip(A, B))
+    a, b = _expand_linear(f, lins, 2, 0), _expand_linear(g, lins, 4, 0)
+    a, b = ([v % p for v in h] if p else h for h in (a, b))
+    q = [u + 4 * v for u, v in zip(_bin_mul(0, a, a), b)]
     singular = []
-    for s, t, w in ((F.one, F.zero, -ac[0] - wP), X):
-        i = 0 if F.is_zero(t) else 2
-        if not F.is_zero(w * w + ac[i] * w - bc[i + i]):
-            raise ValueError(f"({s}:{t}:{w}) not on the quartic model")
-        singular.append(F.is_zero(w + w + ac[i]) and F.is_zero(q.c[i + 1]))
-    if is_square_binform(q):
+    for pt in ((1, 0, -a[0] - wP), X):
+        _, t, w = pt
+        i = 0 if zero(t) else 2
+        if not zero(w * w + a[i] * w - b[i + i]):
+            F = PrimeField(p) if p else QQ
+            raise ValueError("({}:{}:{}) not on the quartic model".format(*map(F.from_int, pt)))
+        singular.append(zero(w + w + a[i]) and zero(q[i + 1]))
+    if is_square_quartic(q, zero):
         raise BitangentLine(bitangent)
     if singular[0]:
         raise SingularHit("origin is the singular point of the fiber")
     if singular[1]:
         raise SingularHit("chord-tangent arithmetic hit the singular point")
-
-
-def _residual_core(F, f: TernForm, g: TernForm, A, B, wP, X, bitangent: str, origin: str = "P"):
-    """The point R of the fibre over the line (s:t) -> sA + tB with
-    (R) ~ 2(iota(P)) - (X), P = (A, wP) at (1:0) and X = (s, t, w); returned
-    unnormalized as a 4-tuple over F.  phi(P, Q) is R for X = Q at (0:1),
-    and C_P is swept by R for X = P on the lines through kappa(P).
-
-    `origin` picks the group-law origin: "P" uses iota(P), "Q" uses iota(X);
-    the class has degree 1, so R does not depend on it.  Origin "P" runs
-    `_check_fibre` and takes `_closed_form` on the fibre's forms a, b;
-    origin "Q" runs the group law of `genus1` (`lin_comb`), an independent
-    check of it, imported only here.  Both raise, in this order, ValueError
-    for a point off the fibre, `BitangentLine(bitangent)` for a reducible
-    fibre and `SingularHit` for a singular iota(P) or X."""
-    if origin not in ("P", "Q"):
-        raise ValueError(f"origin must be 'P' or 'Q', got {origin!r}")
-    if origin == "P":
-        a, b = f.restrict_line(A, B), g.restrict_line(A, B)
-        _check_fibre(F, a, b, wP, X, bitangent)
-        s, t, w = _closed_form(F, a, b, wP, X)
+    s, t, w = X
+    d = wP + wP + a[0]
+    if zero(d):
+        w = -(a[0] * s * s + a[1] * s * t + a[2] * t * t) - w
     else:
-        from .genus1 import lin_comb, pullback_generic
+        dw1 = b[1] - a[1] * wP  # d w_1
+        if zero(t):  # X = P
+            dd, m = d * d, d * d * d
+            c = [m * wP, dd * dw1, dd * (b[2] - a[2] * wP) - d * a[1] * dw1 - dw1 * dw1]
+            i, j = 4, 3
+        else:  # X = Q
+            m = d
+            c = [d * wP, dw1, d * w]
+            i, j = 3, 2
+        e, mm = _bin_mul(0, [u + m * v for u, v in zip(c, a)], c), m * m
+        rs, rt = e[i] - mm * b[i], mm * b[j] - e[j]
+        s, t, w = m * rs, m * rt, m * (c[0] * rs * rs + c[1] * rs * rt + c[2] * rt * rt)
+    return tuple(s * A[k] + t * B[k] for k in range(3)) + (w,)
 
-        model = pullback_generic(F, f, g, A, B)
-        s, t, w = X
-        iota_P, Xc = model.point(F.one, F.zero, -model.a.c[0] - wP), model.point(s, t, w)
-        iota_X = model.point(s, t, -model.a.evaluate(s, t) - w)
-        try:
-            Rc = lin_comb(model, iota_X, [(2, iota_P), (-1, Xc)])
-        except ReducibleModel as exc:
-            raise BitangentLine(bitangent) from exc
-        except SingularOrigin as exc:
-            raise SingularHit(str(exc)) from exc
-        s, t, w = Rc.s, Rc.t, Rc.w
-    return tuple(s * A[i] + t * B[i] for i in range(3)) + (w,)
+
+def _residual_core(f: TernForm, g: TernForm, A, B, wP, X, bitangent: str, p: int = 0):
+    """`_residual_point` with f, g `TernForm`s over Q or F_p by the group law
+    of `genus1`, imported only here, with origin iota(X): the same R (the
+    class has degree 1) and errors, but for a singular hit's message."""
+    from .genus1 import lin_comb, pullback_generic
+
+    F = PrimeField(p) if p else QQ
+    model = pullback_generic(F, f, g, A, B)
+    s, t, w = _as_field(F, X)
+    iota_P, Xc = model.point(F.one, F.zero, -model.a.c[0] - wP), model.point(s, t, w)
+    iota_X = model.point(s, t, -model.a.evaluate(s, t) - w)
+    try:
+        Rc = lin_comb(model, iota_X, [(2, iota_P), (-1, Xc)])
+    except ReducibleModel as exc:
+        raise BitangentLine(bitangent) from exc
+    except SingularOrigin as exc:
+        raise SingularHit(str(exc)) from exc
+    return tuple(Rc.s * A[i] + Rc.t * B[i] for i in range(3)) + (Rc.w,)
 
 
-def _phi_core(F, f: TernForm, g: TernForm, P4, Q4, origin: str = "P"):
-    """phi on coordinate tuples (ints or elements of F); returns an
-    unnormalized 4-tuple over F."""
-    *A, wP = _as_field(F, P4)
-    *B, wQ = _as_field(F, Q4)
+def _phi_core(f, g, P4, Q4, p: int = 0, origin: str = "P"):
+    """phi on int 4-tuples by `_residual_point` (origin "P") or `_residual_core`."""
+    (*A, wP), (*B, wQ) = P4, Q4
     cross = (A[1] * B[2] - A[2] * B[1], A[2] * B[0] - A[0] * B[2], A[0] * B[1] - A[1] * B[0])
-    if all(F.is_zero(v) for v in cross):
+    if not any(v % p if p else v for v in cross):
         raise SameImage("kappa(P) = kappa(Q)")
-    return _residual_core(F, f, g, A, B, wP, (F.zero, F.one, wQ),
-                          "the line through kappa(P), kappa(Q) is a bitangent", origin)
-
-
-def _f(F, v):
-    return F.from_int(v) if isinstance(v, int) else v
+    core = _residual_point if origin == "P" else _residual_core
+    return core(f, g, A, B, wP, (0, 1, wQ), "the line through kappa(P), kappa(Q) is a bitangent", p)
 
 
 def _as_field(F, triple):
-    return tuple(_f(F, v) for v in triple)
+    return tuple(F.from_int(v) if isinstance(v, int) else v for v in triple)
 
 
 def phi(S: SurfaceDP2, P: PointDP2, Q: PointDP2, origin: str = "P") -> PointDP2:
     """The unique point R of E_{P,Q} with (R) ~ 2(iota(P)) - (Q)."""
-    return on_surface(S, *_phi_core(QQ, S.f, S.g, P.coords(), Q.coords(), origin=origin))
+    if origin not in ("P", "Q"):
+        raise ValueError(f"origin must be 'P' or 'Q', got {origin!r}")
+    f, g = (S.f_ints, S.g_ints) if origin == "P" else (S.f, S.g)
+    return on_surface(S, *_phi_core(f, g, P.coords(), Q.coords(), origin=origin))
 
 
 # ---------------------------------------------------------------------------
@@ -379,8 +365,7 @@ def c_p_point(S: SurfaceDP2, P: PointDP2, param: tuple[int, int]) -> PointDP2:
     line L through kappa(P) selected by `param`.  For very general P these
     points sweep out C_P."""
     A, B = _pencil_line(P.xyz(), param)
-    R = _residual_core(QQ, S.f, S.g, A, B, P.w, (QQ.one, QQ.zero, P.w),
-                       "pencil member is a bitangent line")
+    R = _residual_point(S.f_ints, S.g_ints, A, B, P.w, (1, 0, P.w), "pencil member is a bitangent line")
     return on_surface(S, *R)
 
 
@@ -503,7 +488,7 @@ def _u_phi_failure(S: SurfaceDP2, P: PointDP2, Q: PointDP2) -> str | None:
     "NonSmoothEndpoint", from the error phi raises -- or None when it lies
     in U_phi.  U_inv is the part of U_phi with P in U_0 and Q off C_P."""
     try:
-        _phi_core(QQ, S.f, S.g, P.coords(), Q.coords())
+        _phi_core(S.f_ints, S.g_ints, P.coords(), Q.coords())
     except (SameImage, BitangentLine) as exc:
         return type(exc).__name__
     except SingularHit:

@@ -19,6 +19,12 @@ from math import isqrt, prod
 from .errors import NotOnSurface, SingularBranchCurve, WrongDegrees
 from .exactalg import QQ, TernForm, content_primitive_ints, is_prime, primitive_ints
 
+# digits of an input integer (coordinate, coefficient numerator or denominator):
+# twice w's in `generate`'s output by default, below Python's 4300 int/str limit
+MAX_INPUT_DIGITS = 4000
+_INPUT_BOUND = 10**MAX_INPUT_DIGITS  # the least int of more digits, computed once
+TOO_LONG = f"an integer has more than MAX_INPUT_DIGITS = {MAX_INPUT_DIGITS} digits"
+
 
 # ---------------------------------------------------------------------------
 # points
@@ -72,6 +78,8 @@ class PointDP2:
         if len(parts) != 4:
             raise ValueError(f"point must be x:y:z:w, got {text!r}")
         x, y, z, w = (int(p) for p in parts)
+        if max(abs(x), abs(y), abs(z), abs(w)) >= _INPUT_BOUND:
+            raise ValueError(TOO_LONG)
         if x == 0 and y == 0 and z == 0:
             raise ValueError(f"point {text!r} has x = y = z = 0")
         return cls(x, y, z, w)
@@ -174,17 +182,18 @@ class SurfaceDP2:
     f: TernForm  # degree 2, integer coefficients (as Fractions)
     g: TernForm  # degree 4, integer coefficients
     B: TernForm  # f^2 + 4g, cached
+    f_ints: tuple  # the terms (e, c) of f and of g with c an int
+    g_ints: tuple
 
     def equation_at(self, x: int, y: int, z: int, w: int) -> bool:
         """Whether the integer point (x, y, z, w) satisfies w^2 + f w = g."""
-        fx = _int_value(self.f, x, y, z)
-        return w * w + fx * w == _int_value(self.g, x, y, z)
+        fx = _int_value(self.f_ints, x, y, z)
+        return w * w + fx * w == _int_value(self.g_ints, x, y, z)
 
 
-def _int_value(form: TernForm, x: int, y: int, z: int) -> int:
-    """f or g of a surface at an integer point, on ints: `validate_surface`
-    makes f and g integral."""
-    return sum(v.numerator * x**i * y**j * z**k for (i, j, k), v in form.c.items())
+def _int_value(terms, x: int, y: int, z: int) -> int:
+    """The form with int terms (e, c) at the integer point (x, y, z)."""
+    return sum(c * x**i * y**j * z**k for (i, j, k), c in terms)
 
 
 def _coprime_base(nums) -> list[int]:
@@ -279,7 +288,8 @@ def validate_surface(f: TernForm, g: TernForm) -> SurfaceDP2:
     B = fn * fn + gn.scale(Fraction(4))
     if not _is_smooth_quartic(B):
         raise SingularBranchCurve("branch quartic f^2 + 4g is singular")
-    return SurfaceDP2(f=fn, g=gn, B=B)
+    f_ints, g_ints = (tuple((e, v.numerator) for e, v in h.c.items()) for h in (fn, gn))
+    return SurfaceDP2(f=fn, g=gn, B=B, f_ints=f_ints, g_ints=g_ints)
 
 
 def on_surface(S: SurfaceDP2, x, y, z, w) -> PointDP2:
@@ -301,18 +311,18 @@ def kappa(P: PointDP2) -> PointP2:
 
 
 def geiser(S: SurfaceDP2, P: PointDP2) -> PointDP2:
-    return PointDP2(P.x, P.y, P.z, -_int_value(S.f, *P.xyz()) - P.w)
+    return PointDP2(P.x, P.y, P.z, -_int_value(S.f_ints, *P.xyz()) - P.w)
 
 
 def on_ramification(S: SurfaceDP2, P: PointDP2) -> bool:
-    return 2 * P.w + _int_value(S.f, *P.xyz()) == 0
+    return 2 * P.w + _int_value(S.f_ints, *P.xyz()) == 0
 
 
 def lift(S: SurfaceDP2, p: PointP2) -> list[PointDP2]:
     """All rational points of X above p: the roots (-f +- r) / 2 of
     w^2 + f w - g = 0, r^2 = f^2 + 4g.  They are integral: f^2 + 4g is
     f^2 mod 4, so r has the parity of f."""
-    fx, gx = _int_value(S.f, *p.coords()), _int_value(S.g, *p.coords())
+    fx, gx = _int_value(S.f_ints, *p.coords()), _int_value(S.g_ints, *p.coords())
     disc = fx * fx + 4 * gx
     r = isqrt(max(disc, 0))
     if r * r != disc:
@@ -346,8 +356,8 @@ def parse_surface(text: str) -> SurfaceDP2:
         out = {}
         for entry in entries:
             bad = ValueError(f"'{name}' entry {entry!r} is not [i, j, k, c]")
-            # a JSON float would become its binary fraction, not the decimal
-            if not isinstance(entry, list) or len(entry) != 4 or isinstance(entry[3], float):
+            # a JSON float would become its binary fraction, true/false 1/0
+            if not isinstance(entry, list) or len(entry) != 4 or isinstance(entry[3], (float, bool)):
                 raise bad
             exps = tuple(entry[:3])
             # bool is a subclass of int, and JSON's true is no exponent
@@ -357,9 +367,11 @@ def parse_surface(text: str) -> SurfaceDP2:
             if exps in out:
                 raise ValueError(f"'{name}' lists the exponents {list(exps)} twice")
             try:
-                out[exps] = Fraction(entry[3])
+                out[exps] = c = Fraction(entry[3])
             except (TypeError, ValueError, ZeroDivisionError) as exc:
                 raise bad from exc
+            if max(abs(c.numerator), c.denominator) >= _INPUT_BOUND:
+                raise ValueError(TOO_LONG)
         return TernForm(QQ, degree, out)
 
     return validate_surface(load("f", 2), load("g", 4))

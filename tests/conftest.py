@@ -97,7 +97,7 @@ def _fibre_points(model, wP, X):
 
 
 def residual_by_group_law(F, f, g, A, B, wP, X, bitangent: str):
-    """Reference for `geometry._residual_core` with origin "P": the point
+    """Reference for `geometry._residual_point`: the point
     R ~ 2(iota(P)) - (X) by the group law with origin iota(P) on every
     fibre, as the core computed it before its closed form."""
     model = pullback_generic(F, f, g, A, B)

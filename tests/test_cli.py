@@ -10,6 +10,7 @@ import pytest
 
 from dp2 import cli, covers, fforacle
 from dp2.cli import MAX_GENERATE_BUDGET, MAX_ORACLE_PRIME, main
+from dp2.surface import MAX_INPUT_DIGITS, load_surface, on_surface
 
 SURFACE_DIR = Path(__file__).resolve().parent.parent / "surfaces"
 S0 = str(SURFACE_DIR / "s0.json")
@@ -67,6 +68,8 @@ class TestClassify:
         {"g": [[True, 3, 0, "1"], [4, 0, 0, "1"], [0, 4, 0, "1"], [0, 0, 4, "1"]]},
         {"g": [[4, 0, 0, "1"], [4, 0, 0, "2"], [0, 4, 0, "1"], [0, 0, 4, "1"]]},
         {"g": [[4, 0, 0, "1"], [0, 4, 0, "1"], [0, 0, 4, "1"], [1, 0, 0, "1"]]},
+        # a coefficient is an integer or a string, and JSON's true is neither
+        {"g": [[4, 0, 0, True], [0, 4, 0, "1"], [0, 0, 4, "1"]]},
     ])
     def test_surface_file_not_in_list_format(self, capsys, tmp_path, doc):
         path = tmp_path / "surface.json"
@@ -92,6 +95,19 @@ class TestClassify:
         code, out, _ = run(capsys, "classify", "--surface", S0, "--point", "1:0:0:1", "--format", "pretty")
         assert code == 0
         assert json.loads(out)["command"] == "classify"
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_input_digit_cap(self, capsys, tmp_path, extra):
+        """MAX_INPUT_DIGITS digits pass and one more is a usage error, in a
+        point (off s0 within the cap: exit 2) and in a surface coefficient
+        (`oracle` at the non-prime 4 only loads the surface: exit 0)."""
+        n = "9" * (MAX_INPUT_DIGITS + extra)
+        code, _, err = run(capsys, "classify", "--surface", S0, "--point", f"{n}:1:0:0")
+        assert (code, "MAX_INPUT_DIGITS" in err) == ((1, True) if extra else (2, False))
+        path = tmp_path / "surface.json"
+        path.write_text(json.dumps({"f": [[1, 1, 0, "1"]], "g": [[4, 0, 0, "1"], [0, 4, 0, "1"], [0, 0, 4, n]]}))
+        code, _, err = run(capsys, "oracle", "--surface", str(path), "--primes", "4")
+        assert (code, "MAX_INPUT_DIGITS" in err) == ((1, True) if extra else (0, False))
 
 
 class TestPhi:
@@ -129,6 +145,31 @@ class TestCurve:
     def test_not_very_general(self, capsys):
         code, _, _ = run(capsys, "curve", "--surface", SK, "--point", "0:0:1:0", "--param", "1:2")
         assert code == 2
+
+
+class TestOutputAtAnyHeight:
+    def test_phi_and_curve_print_past_the_int_str_limit(self, capsys):
+        """phi and C_P of two f3 points of random2 (x of 155 and 122 digits)
+        have coordinates of 1,285 to 5,254 digits: with the interpreter's
+        int/str limit lowered to its least value, 640, both commands print
+        them exactly, and `main` restores the limit."""
+        S = load_surface(R2)
+        ctx = covers.context_for(S)
+        P, Q = (str(covers.f3(ctx, t)) for t in (((1, 2), (2, 3), (3, 1)), ((3, 1), (1, 2), (2, 3))))
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            phi_out = run(capsys, "phi", "--surface", R2, "--point", P, "--point", Q)
+            curve_out = run(capsys, "curve", "--surface", R2, "--point", P, "--param", "1:2")
+            assert sys.get_int_max_str_digits() == 640
+            assert phi_out[0] == curve_out[0] == 0
+            sys.set_int_max_str_digits(0)  # to read the output back
+            for text, key in ((phi_out[1], "result"), (curve_out[1], "point")):
+                R = [int(c) for c in parse_jsonl(text)[0][key].split(":")]
+                assert on_surface(S, *R).coords() == tuple(R) and len(str(R[3])) > 640
+            assert parse_jsonl(curve_out[1])[0]["section_vanishes_at_point"] is True
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 class TestGenerate:

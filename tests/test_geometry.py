@@ -53,16 +53,14 @@ from dp2.geometry import (
     _bitangent_frames,
     _chart_coefficients,
     _chart_lines_over_a4,
-    _closed_form,
     _count_all_bitangents_frame,
     _count_bitangents_core,
     _count_chart_zeros,
-    _f,
     _osculating_core,
     _pencil_basis,
     _pencil_line,
     _phi_core,
-    _residual_core,
+    _residual_point,
     _tern_substitute,
     _u0_core,
     c_p_point,
@@ -74,8 +72,8 @@ from dp2.geometry import (
     phi,
     phi_domain,
 )
-from dp2.genus1 import ModelClass, QuarticModel, classify_model, pullback_generic
-from dp2.surface import PointDP2, PointP2, geiser, load_surface
+from dp2.genus1 import ModelClass, classify_model, pullback_generic
+from dp2.surface import PointDP2, PointP2, geiser, load_surface, on_surface
 
 _U, _V = sp.symbols("_u _v")
 
@@ -260,6 +258,17 @@ def _outcome(fn):
         return type(exc).__name__, str(exc)
 
 
+def _phi_mod_p(Sp, P, Q, origin):
+    """`_phi_core` on X(F_p) with the forms that `origin` takes."""
+    f, g = (Sp.f_ints, Sp.g_ints) if origin == "P" else (Sp.f, Sp.g)
+    return _phi_core(f, g, P, Q, Sp.p, origin)
+
+
+def _residues(R):
+    """A point over F_p as ints: residues stay, field elements give theirs."""
+    return [v if isinstance(v, int) else v.r for v in R]
+
+
 def _bitangent_pairs(Sp):
     """The pairs of points of X(F_p) with distinct kappa-images on a line of
     P^2(F_p) whose fibre is reducible."""
@@ -277,54 +286,55 @@ def _bitangent_pairs(Sp):
 
 
 class TestResidualCore:
-    """phi and C_P share `_residual_core`; its errors over F_p, where
-    reducible fibres and singular hits are common."""
+    """phi and C_P share `_residual_point`; its errors over F_p, where
+    reducible fibres and singular hits are common, and those of the group
+    law with origin "Q" (`_residual_core`), through `_phi_core`."""
 
     @pytest.mark.parametrize("name, p", [("random2", 11), ("s0", 7)])
     def test_reducible_fibres(self, name, p):
         Sp = reduce_surface(load_surface(SURFACE_DIR / f"{name}.json"), p)
-        F = Sp.F
         pairs = _bitangent_pairs(Sp)
         assert pairs
         for P, Q in pairs:
             bitangent = ("BitangentLine", PHI_BITANGENT)
             assert _outcome(lambda: phi_modp(Sp, P, Q)) == bitangent
             for origin in ("P", "Q"):
-                assert _outcome(lambda: _phi_core(F, Sp.f, Sp.g, P, Q, origin)) == bitangent
+                assert _outcome(lambda: _phi_mod_p(Sp, P, Q, origin)) == bitangent
             # the same line as a pencil member through kappa(P), with X = P
-            wP = F.from_int(P[3])
-            pencil = _outcome(lambda: _residual_core(F, Sp.f, Sp.g, P[:3], Q[:3], wP, (F.one, F.zero, wP),
-                                                     PENCIL_BITANGENT))
+            pencil = _outcome(lambda: _residual_point(Sp.f_ints, Sp.g_ints, P[:3], Q[:3], P[3], (1, 0, P[3]),
+                                                      PENCIL_BITANGENT, p))
             assert pencil == ("BitangentLine", PENCIL_BITANGENT)
 
     @pytest.mark.parametrize("name, p, P, Q, at_p, at_q", SINGULAR_PAIRS)
     def test_singular_hits(self, name, p, P, Q, at_p, at_q):
         Sp = reduce_surface(load_surface(SURFACE_DIR / f"{name}.json"), p)
         assert _outcome(lambda: phi_modp(Sp, P, Q)) == ("SingularHit", at_p)
-        assert _outcome(lambda: _phi_core(Sp.F, Sp.f, Sp.g, P, Q, "Q")) == ("SingularHit", at_q)
+        assert _outcome(lambda: _phi_mod_p(Sp, P, Q, "Q")) == ("SingularHit", at_q)
 
     def test_bad_origin_before_any_work(self, s0):
-        wP = QQ.from_int(P0.w)
+        # no surface at all: the origin is checked first
         with pytest.raises(ValueError, match="origin must be 'P' or 'Q'"):
-            _residual_core(QQ, None, None, P0.xyz(), Q1.xyz(), wP, (QQ.one, QQ.zero, wP), "", origin="R")
+            phi(None, P0, Q1, origin="R")
         with pytest.raises(ValueError, match="origin must be 'P' or 'Q'"):
             phi(s0, P0, Q1, origin="R")
 
     def test_one_reducibility_test_per_call(self, s0, monkeypatch):
-        """Origin "P" tests the fibre by one square test of q = a^2 + 4b,
-        and never asks `classify_model`."""
+        """Origin "P" tests the fibre by one square test of q = a^2 + 4b
+        on ints, and never asks `classify_model`."""
         calls = []
-        real = geometry.is_square_binform
 
-        def counting(q):
-            calls.append(q)
-            return real(q)
+        def counting(real):
+            def spy(*args):
+                calls.append(args)
+                return real(*args)
+
+            return spy
 
         def refuse(M):
             raise AssertionError("classify_model on origin P")
 
-        monkeypatch.setattr(genus1, "is_square_binform", counting)
-        monkeypatch.setattr(geometry, "is_square_binform", counting)
+        monkeypatch.setattr(genus1, "is_square_binform", counting(genus1.is_square_binform))
+        monkeypatch.setattr(geometry, "is_square_quartic", counting(geometry.is_square_quartic))
         monkeypatch.setattr(genus1, "classify_model", refuse)
         assert phi(s0, P0, Q1) == PHI_P0_Q1
         assert len(calls) == 1
@@ -397,35 +407,37 @@ FIBRE_PINS = [
 
 
 class TestClosedForm:
-    """`_closed_form` against the group law it replaced: the test-local
-    references in conftest run the group law with origin iota(P) on every
-    fibre, as `_residual_core` did before the closed form."""
+    """`_residual_point`'s closed form against the group law it replaced:
+    the test-local references in conftest run the group law with origin
+    iota(P) on every fibre, as origin "P" did before the closed form."""
 
     @pytest.mark.parametrize("name, p", [("random2", 11), ("s0", 7)])
     def test_phi_core_against_group_law(self, name, p, monkeypatch):
         Sp = reduce_surface(load_surface(SURFACE_DIR / f"{name}.json"), p)
         F = Sp.F
         taken = []
+        real = geometry._residual_point
 
-        def spy(F, a, b, wP, X):
-            d_zero = F.is_zero(wP + wP + a.c[0])
-            taken.append((d_zero, classify_model(QuarticModel(a, b))))
-            return _closed_form(F, a, b, wP, X)
+        def spy(f, g, A, B, wP, X, bitangent, p):
+            R = real(f, g, A, B, wP, X, bitangent, p)
+            model = pullback_generic(F, Sp.f, Sp.g, A, B)
+            taken.append((F.is_zero(model.a.c[0] + wP + wP), classify_model(model)))
+            return R
 
-        monkeypatch.setattr(geometry, "_closed_form", spy)
+        monkeypatch.setattr(geometry, "_residual_point", spy)
 
         def normalized(fn):
             out = _outcome_any(fn)
-            return out if isinstance(out[0], str) else _normalize_modp(p, *(v.r for v in out))
+            return out if isinstance(out[0], str) else _normalize_modp(p, *_residues(out))
 
         pts = random.Random(13).sample(Sp.points(), 30)
         for P in pts:
             for Q in pts:
-                closed = normalized(lambda: _phi_core(F, Sp.f, Sp.g, P, Q, "P"))
+                closed = normalized(lambda: _phi_mod_p(Sp, P, Q, "P"))
                 assert closed == normalized(lambda: phi_core_by_group_law(F, Sp.f, Sp.g, P, Q)), (P, Q)
                 # the other origin raises the same type, with its own message
                 # on a singular fibre (see SINGULAR_PAIRS)
-                other = normalized(lambda: _phi_core(F, Sp.f, Sp.g, P, Q, "Q"))
+                other = normalized(lambda: _phi_mod_p(Sp, P, Q, "Q"))
                 assert closed[0] == other[0] and (isinstance(closed[0], str) or closed == other), (P, Q)
         # every returned point comes from the closed form, including some
         # with 2 w_P + a_0 = 0 and, on random2 (s0 mod 7 meets no singular
@@ -460,11 +472,90 @@ class TestClosedForm:
 
     def test_fallback_off_the_fibre(self, s0):
         """A point off the fibre raises the group law's ValueError."""
-        A, B = _as_field(QQ, P0.xyz()), _as_field(QQ, Q1.xyz())
-        wP, X = QQ.from_int(P0.w), (QQ.zero, QQ.one, QQ.from_int(Q1.w + 1))
-        outcome = _outcome_any(lambda: _residual_core(QQ, s0.f, s0.g, A, B, wP, X, ""))
+        A, B = P0.xyz(), Q1.xyz()
+        outcome = _outcome_any(lambda: _residual_point(s0.f_ints, s0.g_ints, A, B, P0.w, (0, 1, Q1.w + 1), ""))
         assert outcome == ("ValueError", "(0:1:2) not on the quartic model")
-        assert outcome == _outcome_any(lambda: residual_by_group_law(QQ, s0.f, s0.g, A, B, wP, X, ""))
+        X = (QQ.zero, QQ.one, QQ.from_int(Q1.w + 1))
+        assert outcome == _outcome_any(lambda: residual_by_group_law(QQ, s0.f, s0.g, A, B, P0.w, X, ""))
+
+
+def _assert_core_matches_group_law(S, P, Q, normalize):
+    """`_residual_point` on the int terms of S (a surface or its reduction
+    mod p) against conftest's group law with origin iota(P), for phi(P, Q)
+    (X = Q, through `_phi_core`) and, when kappa(P) and kappa(Q) differ,
+    for the member of the pencil through kappa(P) on the same line (X = P):
+    the same normalized point, or the same exception type and message.
+    Returns the outcomes' kinds."""
+    F, ints = S.f.field, (S.f_ints, S.g_ints)
+    p, wP = F.char, F.from_int(P[3])
+    cases = [(lambda: _phi_core(*ints, P, Q, p), lambda: phi_core_by_group_law(F, S.f, S.g, P, Q))]
+    if P[:3] != Q[:3]:
+        cases.append((
+            lambda: _residual_point(*ints, P[:3], Q[:3], P[3], (1, 0, P[3]), PENCIL_BITANGENT, p),
+            lambda: residual_by_group_law(F, S.f, S.g, P[:3], Q[:3], wP, (F.one, F.zero, wP), PENCIL_BITANGENT),
+        ))
+    kinds = set()
+    for core, law in cases:
+        outcomes = [_outcome_any(fn) for fn in (core, law)]
+        kinds.add(outcomes[0][0] if isinstance(outcomes[0][0], str) else "point")
+        outcomes = [out if isinstance(out[0], str) else _outcome_any(lambda: normalize(out)) for out in outcomes]
+        assert outcomes[0] == outcomes[1], (P, Q)
+    return kinds
+
+
+class TestIntCoreAgainstGroupLaw:
+    """The integer core over Q and mod p against the group law on field
+    elements it replaced, on pinned and drawn points over Q and on the
+    fibres mod p where the closed form leaves the generic case."""
+
+    @pytest.mark.parametrize("name", sorted(PINNED_P0))
+    def test_pinned_p0_over_q(self, name):
+        S = load_surface(SURFACE_DIR / f"{name}.json")
+        ctx = context_for(S, PointDP2.parse(PINNED_P0[name]))
+        pts = [ctx.P0, geiser(S, ctx.P0)]
+        for args in [(1, 1), (1, 2), (2, -1), ((1, 1), (1, 2))]:
+            try:
+                pts.append(f2(ctx, args) if isinstance(args[0], tuple) else f1(ctx, args))
+            except DP2Error:
+                pass
+        kinds = set()
+        for P in pts:
+            for Q in pts:
+                kinds |= _assert_core_matches_group_law(S, P.coords(), Q.coords(), lambda R: on_surface(S, *R))
+        assert {"point", "SameImage"} <= kinds
+
+    @seed(14)
+    @settings(max_examples=6, deadline=None, database=None)
+    @given(st.integers(min_value=34, max_value=10**6), st.integers(-4, 4), st.integers(1, 4), st.integers(1, 4))
+    def test_unpinned_surfaces_over_q(self, n, u, v, k):
+        try:
+            ctx = context_for(seeded_random_surface(n))
+            pts = [ctx.P0, f1(ctx, (u, v)), f2(ctx, ((u, v), (1, k)))]
+        except DP2Error:
+            assume(False)
+        S = ctx.surface
+        pts.append(geiser(S, pts[-1]))
+        for P in pts:
+            for Q in pts:
+                _assert_core_matches_group_law(S, P.coords(), Q.coords(), lambda R: on_surface(S, *R))
+
+    @pytest.mark.parametrize("name, p, expected", [
+        ("random2", 11, {"point", "BitangentLine", "SingularHit", "ValueError"}),
+        ("s0", 7, {"BitangentLine", "ValueError"}),
+        ("s0", 11, {"point", "SingularHit", "ValueError"}),
+    ])
+    def test_fibre_pins_singular_pairs_and_reducible_fibres_mod_p(self, name, p, expected):
+        """Each pair also with Q's w moved off the fibre, which raises the
+        ValueError whose text prints residues as elements of F_p."""
+        Sp = reduce_surface(load_surface(SURFACE_DIR / f"{name}.json"), p)
+        pairs = [(P, Q) for P, Q, _, _ in FIBRE_PINS if name == "random2"]
+        pairs += [(P, Q) for n, q, P, Q, _, _ in SINGULAR_PAIRS if (n, q) == (name, p)]
+        pairs += _bitangent_pairs(Sp)
+        kinds = set()
+        for P, Q in pairs:
+            for Q4 in (Q, Q[:3] + ((Q[3] + 1) % p,)):
+                kinds |= _assert_core_matches_group_law(Sp, P, Q4, lambda R: _normalize_modp(p, *_residues(R)))
+        assert kinds == expected
 
 
 class TestTernSubstitute:
@@ -515,8 +606,8 @@ def _count_by_discriminant(F, Bform, p3):
     B on that line over F[t]/(d) for each irreducible factor d of D."""
     e1, e2 = _pencil_basis(p3)
     B_ring = Bform.map_coeffs(lambda v: Poly(F, [v]), PolyRing(F))
-    pconst = [Poly(F, [_f(F, v)]) for v in p3]
-    moving = [Poly(F, [_f(F, e1[i]), _f(F, e2[i])]) for i in range(3)]
+    pconst = [Poly(F, [F.from_int(v)]) for v in p3]
+    moving = [Poly(F, [F.from_int(e1[i]), F.from_int(e2[i])]) for i in range(3)]
     a, b, c, d, e = B_ring.restrict_line(pconst, moving).c
     I = 12 * (a * e) - 3 * (b * d) + c * c
     J = 72 * (a * c * e) + 9 * (b * c * d) - 27 * (a * d * d) - 27 * (e * b * b) - 2 * (c * c * c)
@@ -526,11 +617,11 @@ def _count_by_discriminant(F, Bform, p3):
     count = 0
     for m, _mult in factor_univariate(D.monic()):
         K = QuotientField(m)
-        second = [K.from_base(_f(F, e1[i])) + K.gen * K.from_base(_f(F, e2[i])) for i in range(3)]
+        second = [K.from_base(F.from_int(e1[i])) + K.gen * K.from_base(F.from_int(e2[i])) for i in range(3)]
         BK = Bform.map_coeffs(K.from_base, K)
-        if square_by_yun(BK.restrict_line([K.from_base(_f(F, v)) for v in p3], second)):
+        if square_by_yun(BK.restrict_line([K.from_base(F.from_int(v)) for v in p3], second)):
             count += m.degree
-    if square_by_yun(Bform.restrict_line([_f(F, v) for v in p3], [_f(F, v) for v in e2])):
+    if square_by_yun(Bform.restrict_line([F.from_int(v) for v in p3], [F.from_int(v) for v in e2])):
         count += 1
     return count
 
