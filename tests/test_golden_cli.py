@@ -25,6 +25,10 @@ COMMANDS = [
     "curve --surface surfaces/s0.json --point 20:15:12:481 --param 1:2",
     "generate --surface surfaces/random2.json --cover f2 --budget 50 --seed 1",
     "oracle --surface surfaces/random2.json --primes 5,7,11,13",
+    "oracle --surface surfaces/s_k.json --primes 17,19",
+    "oracle --surface surfaces/s0.json --primes 29,31",
+    "oracle --surface surfaces/random3.json --primes 23",
+    "generate --surface surfaces/s_k.json --cover f1 --budget 20 --seed 3",
     "verify --surface surfaces/s0.json --seed 1",
 ]
 
