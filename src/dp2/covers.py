@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass, field
 
 from .errors import BadParameter, BitangentLine, DP2Error, NotVeryGeneral, SingularHit
-from .exactalg import QQ, content_primitive_ints
+from .exactalg.poly import _row_echelon
 from .geometry import (
     _osculating_core,
     _pencil_param,
@@ -95,11 +95,11 @@ def context_for(S: SurfaceDP2, P0: PointDP2 | None = None) -> CoverContext:
     """Context at P0 if very general (one `_u0_core` call decides it and
     gives the section), else at the first very general point found by
     bounded search, which classifies each candidate once."""
-    vec = None if P0 is None else _u0_core(QQ, S.f, S.g, S.B, P0.coords())
+    vec = None if P0 is None else _u0_core(S.f_ints, S.g_ints, S.B, P0.coords())
     if vec is None:
         P0 = find_very_general_point(S)
-        vec = _osculating_core(QQ, S.f, S.g, P0.coords())
-    return CoverContext(surface=S, P0=P0, section=content_primitive_ints(vec)[0])
+        vec = _osculating_core(S.f_ints, S.g_ints, P0.coords())
+    return CoverContext(surface=S, P0=P0, section=vec)
 
 
 # ---------------------------------------------------------------------------
@@ -259,37 +259,14 @@ def generate_points(
 # dominance proxies
 
 
-def _rank_int(rows) -> int:
-    """Rank of an integer matrix by fraction-free (Bareiss) elimination.
-    After k pivots, each entry of the rows below them is the minor on the
-    pivot rows and that row, and the pivot columns and that column
-    (Sylvester's identity, which holds for any choice of columns), so the
-    division by the previous pivot is exact and the entries stay minors."""
-    m = [list(r) for r in rows]
-    rank, prev = 0, 1
-    for col in range(len(m[0]) if m else 0):
-        pivot = next((i for i in range(rank, len(m)) if m[i][col]), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        top = m[rank]
-        p = top[col]
-        for i in range(rank + 1, len(m)):
-            a = m[i][col]
-            m[i] = [(p * v - a * u) // prev for v, u in zip(m[i], top)]
-        prev = p
-        rank += 1
-    return rank
-
-
 def rank_minus2K(points) -> int:
     """Rank of the evaluation matrix of the 7 monomial sections of |-2K_X|
     (six degree-2 monomials and w); rank 7 means the points lie on no single
     curve of that linear system."""
-    return _rank_int([_section_row(P.x, P.y, P.z, P.w) for P in points])
+    return len(_row_echelon([_section_row(P.x, P.y, P.z, P.w) for P in points])[1])
 
 
 def rank_minusK(points) -> int:
     """Rank of the evaluation matrix of the |-K_X| sections x, y, z on the
     kappa-images."""
-    return _rank_int([P.xyz() for P in points])
+    return len(_row_echelon([P.xyz() for P in points])[1])

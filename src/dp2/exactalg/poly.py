@@ -1,5 +1,6 @@
 """Dense univariate polynomials over a field adapter, binary and ternary
-homogeneous forms, subresultant GCD and Musser squarefree decomposition.
+homogeneous forms, subresultant GCD and Musser squarefree decomposition, and
+row reduction of int matrices over Q or mod p.
 
 Univariate coefficients are stored ascending (c[i] is the coefficient of t^i).
 Binary forms follow the opposite, classical convention: coefficient i belongs
@@ -474,6 +475,67 @@ def content_primitive_ints(fracs) -> tuple[tuple[int, ...], Fraction]:
     den = _lcm_den(fracs)
     ints, g = primitive_ints([a.numerator * (den // a.denominator) for a in fracs])
     return ints, Fraction(g, den)
+
+
+# ---------------------------------------------------------------------------
+# Linear systems on int rows with a modulus p (0 for Q)
+
+
+def _row_echelon(rows, p: int = 0) -> tuple[list[list[int]], list[int]]:
+    """(echelon rows, pivot columns) of the int matrix `rows` over F_p, or
+    over Q for p = 0.  Mod p each pivot row is scaled to 1 and taken from
+    the rows below it.  Over Q the elimination is fraction-free (Bareiss,
+    Math. Comp. 22, 1968): after k pivots each entry below them is the
+    minor on the pivot rows and its row, and the pivot columns and its
+    column (Sylvester's identity, for any choice of columns), so the
+    division by the previous pivot is exact.  Rows are zero left of the
+    pivot column, so only the columns from it on are computed."""
+    m = [[v % p for v in row] for row in rows] if p else [list(row) for row in rows]
+    pivots, prev = [], 1
+    for col in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(m)) if m[i][col]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        if p:
+            inv = pow(m[r][col], -1, p)
+            top = [v * inv % p for v in m[r][col:]]
+            m[r][col:] = top
+            for i in range(r + 1, len(m)):
+                c = m[i][col]
+                if c:
+                    m[i][col:] = [(v - c * u) % p for v, u in zip(m[i][col:], top)]
+        else:
+            top, piv = m[r][col:], m[r][col]
+            for i in range(r + 1, len(m)):
+                a = m[i][col]
+                m[i][col:] = [(piv * v - a * u) // prev for v, u in zip(m[i][col:], top)]
+            prev = piv
+        pivots.append(col)
+    return m[: len(pivots)], pivots
+
+
+def _nullspace(rows, p: int = 0) -> list[tuple[int, ...]]:
+    """A kernel basis of the int matrix `rows` (not empty) over F_p, as
+    residues, or over Q, as `primitive_ints` vectors: per free column, the
+    vector zero at the other free columns, by back-substitution in
+    `_row_echelon`'s rows.  Its free entry is 1 mod p, and over Q the last
+    pivot, the minor M of the pivot rows on the pivot columns; by Cramer's
+    rule the pivot entries are then those of -adj(M) times the free column,
+    ints, so every division is exact."""
+    ech, pivots = _row_echelon(rows, p)
+    ncols = len(rows[0])
+    free_entry = ech[-1][pivots[-1]] if pivots and not p else 1
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        vec = [0] * ncols
+        vec[fc] = free_entry
+        for row, pc in zip(reversed(ech), reversed(pivots)):
+            s = sum(row[j] * vec[j] for j in range(pc + 1, ncols))
+            vec[pc] = -s % p if p else -s // row[pc]
+        basis.append(tuple(vec) if p else primitive_ints(vec)[0])
+    return basis
 
 
 # ---------------------------------------------------------------------------

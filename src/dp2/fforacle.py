@@ -3,9 +3,9 @@ enumeration, the base-locus oracle for phi, and empirical surjectivity of phi
 on U_inv(F_p).
 
 Points of X(F_p) are residue tuples (x, y, z, w) in one normal form, found and
-tested on the residues of f and g; phi runs the exact computation's integer
-core mod p, the sections and bitangent counts the geometry module's cores over
-F_p.  Only base_locus_oracle is independent in formulas: it decides phi by the
+tested on the residues of f and g; phi and the sections run the exact
+computation's integer cores on them, the bitangent counts its core over F_p.
+Only base_locus_oracle is independent in formulas: it decides phi by the
 sections of |-2K_X| and never runs the closed form.
 """
 
@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 from .errors import BadPrime, DP2Error, UnexpectedDimension
 from .exactalg import PRIME_TEST_BOUND, PrimeField, TernForm, is_prime
+from .exactalg.poly import _nullspace
 from .geometry import (
     _count_bitangents_core,
-    _kernel,
     _phi_core,
     _section_condition_rows,
     _section_row,
@@ -33,8 +33,6 @@ class SurfaceModP:
 
     p: int
     F: PrimeField
-    f: TernForm
-    g: TernForm
     B: TernForm
     f_ints: list  # the terms (e, c) of f and of g with c a residue
     g_ints: list
@@ -56,11 +54,11 @@ def reduce_surface(S: SurfaceDP2, p: int) -> SurfaceModP:
     if p < 5 or not is_prime(p):
         raise BadPrime(f"{p} is not a prime >= 5")
     F = PrimeField(p)
-    fp, gp, Bp = (h.map_coeffs(F.from_int, F) for h in (S.f, S.g, S.B))
+    Bp = S.B.map_coeffs(F.from_int, F)
     if not _is_smooth_quartic(Bp):
         raise BadPrime(f"branch quartic degenerates mod {p}")
-    f_ints, g_ints = ([(e, v.r) for e, v in h.c.items()] for h in (fp, gp))
-    return SurfaceModP(p=p, F=F, f=fp, g=gp, B=Bp, f_ints=f_ints, g_ints=g_ints)
+    f_ints, g_ints = ([(e, c % p) for e, c in h if c % p] for h in (S.f_ints, S.g_ints))
+    return SurfaceModP(p=p, F=F, B=Bp, f_ints=f_ints, g_ints=g_ints)
 
 
 def good_prime(S: SurfaceDP2, p: int) -> bool:
@@ -157,13 +155,12 @@ def on_ramification_modp(Sp: SurfaceModP, P4) -> bool:
 
 def _base_locus_sections(Sp: SurfaceModP, Pm, Qm) -> list:
     """Basis of the 3-dimensional space of sections lambda*w + q2 vanishing
-    to order >= 2 at Pm and >= 1 at Qm."""
-    F = Sp.F
+    to order >= 2 at Pm and >= 1 at Qm, as residue vectors."""
     if on_ramification_modp(Sp, Pm):
         raise BadPrime(f"P hits the ramification divisor mod {Sp.p}")
-    rows = _section_condition_rows(F, Sp.f, Sp.g, Pm, order=2)
-    rows.append(_section_row(*(F.from_int(v) for v in Qm)))
-    basis = _kernel(F, rows, 7)
+    rows = _section_condition_rows(Sp.f_ints, Sp.g_ints, Pm, 2, Sp.p)
+    rows.append(_section_row(*Qm))
+    basis = _nullspace(rows, Sp.p)
     if len(basis) != 3:
         raise UnexpectedDimension(f"section space has dimension {len(basis)} mod {Sp.p}, expected 3")
     return basis
@@ -171,7 +168,7 @@ def _base_locus_sections(Sp: SurfaceModP, Pm, Qm) -> list:
 
 def base_locus_zeros(Sp: SurfaceModP, Pm, Qm) -> set:
     """Common zeros on X(F_p) of the sections of `_base_locus_sections`."""
-    basis = [[v.r for v in vec] for vec in _base_locus_sections(Sp, Pm, Qm)]
+    basis = _base_locus_sections(Sp, Pm, Qm)
     return {T for T in Sp.points() if all(_section_value(vec, T) % Sp.p == 0 for vec in basis)}
 
 
@@ -233,7 +230,7 @@ def phi_surjectivity(Sp: SurfaceModP) -> SurjectivityReport:
     in U_inv(F_p); reported, never asserted.  The base points P run through
     X(F_p) in order, and U_0 membership (`_u0_core`) is decided only for
     the P reached before every point is hit."""
-    p, F = Sp.p, Sp.F
+    p = Sp.p
     if p > 31:
         raise BadPrime("surjectivity sweep limited to p <= 31")
     pts = Sp.points()
@@ -243,10 +240,9 @@ def phi_surjectivity(Sp: SurfaceModP) -> SurjectivityReport:
     for P4 in pts:
         if not remaining:
             break
-        sec = _u0_core(F, Sp.f, Sp.g, Sp.B, P4)
+        sec = _u0_core(Sp.f_ints, Sp.g_ints, Sp.B, P4, p)
         if sec is None:
             continue
-        sec = [v.r for v in sec]
         for Q4 in pts:
             if not remaining:
                 break

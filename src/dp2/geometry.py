@@ -2,9 +2,9 @@
 curve C_P -- plus exact point classification (ramification, exceptional
 curves, generalized Eckardt) and the U_phi / U_inv membership tests.
 
-phi and C_P run on one integer core with a modulus p (0 for Q), which the
-finite-field oracle calls on residues; the section and bitangent cores are
-generic over a field adapter (Q or F_p).  The public API wraps them for Q.
+phi, C_P and the sections of |-2K_X| run on int terms with a modulus p (0 for
+Q), which the finite-field oracle calls on residues; the bitangent count and
+origin "Q" are generic over a field adapter.  The public API wraps them for Q.
 """
 
 from __future__ import annotations
@@ -30,15 +30,14 @@ from .exactalg import (
     Poly,
     PrimeField,
     TernForm,
-    content_primitive_ints,
     is_square_binform,
     poly_gcd,
     primitive_ints,
     square_conditions,
     squarefree_factor,
 )
-from .exactalg.poly import _bin_mul, _expand_linear, is_square_quartic
-from .surface import PointDP2, PointP2, SurfaceDP2, kappa, on_ramification, on_surface
+from .exactalg.poly import _bin_mul, _expand_linear, _nullspace, is_square_quartic
+from .surface import PointDP2, PointP2, SurfaceDP2, _int_value, kappa, on_ramification, on_surface
 
 if TYPE_CHECKING:
     import sympy as sp
@@ -54,102 +53,75 @@ def _section_row(x, y, z, w) -> list:
 
 
 def _section_value(vec, P4):
-    """The section with vector `vec` (over Q or F_p) at the integer point P4."""
+    """The section with int vector `vec` at the int point P4 (mod p: residues)."""
     return sum(a * b for a, b in zip(vec, _section_row(*P4)))
 
 
-def _section_condition_rows(F, f: TernForm, g: TernForm, P4, order: int):
-    """Rows of the linear system 'lambda*w + q2 vanishes to order >= `order`
-    at P on X', in the basis (lambda, SEC_MONOMIALS), for order <= 3 and P
-    off the ramification divisor (else `ZeroDivisionError`).
+def _section_condition_rows(f, g, P4, order: int, p: int = 0):
+    """Int rows of the linear system 'lambda*w + q2 vanishes to order
+    >= `order` at P on X', in the basis of `_section_row`, for order 2 or 3
+    and P off the ramification divisor (else `NotVeryGeneral`); f, g are
+    the surface's int terms (e, c), and they and P4 are ints over Q for
+    p = 0 and residues mod p otherwise.
 
     With e1, e2 = `_pencil_basis` of P, the section is restricted to the
-    lines P + t D, D in (e1, e2, e1 + e2)[:order]: f and g by `restrict_line`,
-    w by the branch of w^2 + f w = g through P, solved term by term.  The
-    rows are its t^0 coefficient, once, then its t^1 .. t^(order - 1)
-    coefficients on each line: 3 rows at order 2, 7 at order 3.  This is
-    sound because kappa is etale at P, so the branch of X through P maps
-    isomorphically onto each line near kappa(P); the degree-k part (k < 3)
-    of a section's jet at P is a binary form of degree k, zero once it
-    vanishes on k + 1 pairwise independent directions; and e1, e2, e1 + e2
-    are pairwise independent modulo P in every characteristic."""
-    *P3, w0 = _as_field(F, P4)
+    lines P + t D, D in (e1, e2, e1 + e2)[:order]: f and g by
+    `_expand_linear`, w by the branch w0 + w1 t + w2 t^2 of
+    w^2 + f w = g through P, solved term by term.  With u = 2 w0 + f(P),
+    w1 = W1 / u and w2 = W2 / u^3 for W1 = g1 - f1 w0 and
+    W2 = u^2 (g2 - f2 w0) - u f1 W1 - W1^2.  The rows are the section's t^0
+    coefficient, once, then its t^k coefficients, 0 < k < order, on each
+    line, times u^(2k - 1) so that no division is left: 3 rows at order 2,
+    7 at order 3.  This is sound because kappa is etale at P, so the branch
+    of X through P maps isomorphically onto each line near kappa(P); the
+    degree-k part (k < 3) of a section's jet at P is a binary form of
+    degree k, zero once it vanishes on k + 1 pairwise independent
+    directions; and e1, e2, e1 + e2 are pairwise independent modulo P in
+    every characteristic."""
+    *P3, w0 = P4
+    unit = w0 + w0 + _int_value(f, *P3)
+    if (unit % p if p else unit) == 0:
+        raise NotVeryGeneral("point lies on the ramification divisor")
     e1, e2 = _pencil_basis(P3)
-    unit = w0 + w0 + f.evaluate(*P3)
-    if F.is_zero(unit):
-        raise ZeroDivisionError("point on the ramification divisor")
     rows = [_section_row(*P3, w0)]
     for D in (e1, e2, tuple(a + b for a, b in zip(e1, e2)))[:order]:
-        fL, gL = f.restrict_line(P3, D).c, g.restrict_line(P3, D).c
-        w = [w0]
-        for k in range(1, order):
-            wk = gL[k] - sum(fL[k - j] * w[j] for j in range(k))
-            wk = wk - sum(w[j] * w[k - j] for j in range(1, k))
-            w.append(wk / unit)
-        line = [Poly(F, [a, F.from_int(d)]) for a, d in zip(P3, D)]
-        series = _section_row(*line, Poly(F, w))
-        rows.extend([s.coeff(k) for s in series] for k in range(1, order))
+        lins = list(zip(P3, D))
+        _, f1, f2 = _expand_linear(f, lins, 2, 0)
+        _, g1, g2, _, _ = _expand_linear(g, lins, 4, 0)
+        W1 = g1 - f1 * w0
+        # the monomials' coefficients of t, q(P + D) - q(P) - q(D), and of t^2, q(D)
+        qD = _section_row(*D, 0)
+        qPD = _section_row(*(a + b for a, b in zip(P3, D)), 0)
+        rows.append([W1] + [unit * (c - a - b) for c, a, b in zip(qPD[1:], rows[0][1:], qD[1:])])
+        if order == 3:
+            W2 = unit * unit * (g2 - f2 * w0) - unit * f1 * W1 - W1 * W1
+            rows.append([W2] + [unit**3 * v for v in qD[1:]])
     return rows
-
-
-def _kernel(F, rows, ncols):
-    """Basis of the kernel of the matrix (list of rows) over F."""
-    mat = [list(r) for r in rows]
-    nrows = len(mat)
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if not F.is_zero(mat[i][col]):
-                pr = i
-                break
-        if pr is None:
-            continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        inv = F.one / mat[r][col]
-        mat[r] = [v * inv for v in mat[r]]
-        for i in range(nrows):
-            if i != r and not F.is_zero(mat[i][col]):
-                factor = mat[i][col]
-                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(col)
-        r += 1
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [F.zero] * ncols
-        vec[fc] = F.one
-        for prow, pcol in enumerate(pivots):
-            vec[pcol] = -mat[prow][fc]
-        basis.append(vec)
-    return basis
 
 
 # ---------------------------------------------------------------------------
 # sections of |-2K_X|
 
 
-def _osculating_core(F, f: TernForm, g: TernForm, P4):
-    """Primitive generator of the sections vanishing to order >= 3 at P."""
-    try:
-        rows = _section_condition_rows(F, f, g, P4, order=3)
-    except ZeroDivisionError:
-        raise NotVeryGeneral("point lies on the ramification divisor")
-    ker = _kernel(F, rows, 7)
+def _osculating_core(f, g, P4, p: int = 0):
+    """Generator of the sections vanishing to order >= 3 at P, for f, g and
+    P4 as in `_section_condition_rows`: a `primitive_ints` vector over Q,
+    residues mod p."""
+    ker = _nullspace(_section_condition_rows(f, g, P4, 3, p), p)
     if len(ker) != 1:
         raise NotVeryGeneral(f"osculation system has solution dimension {len(ker)}")
     vec = ker[0]
-    if F.is_zero(vec[0]):
+    if vec[0] == 0:
         raise NotVeryGeneral("osculating section degenerates (lambda = 0)")
     return vec
 
 
-def _u0_core(F, f: TernForm, g: TernForm, B: TernForm, P4):
+def _u0_core(f, g, B: TernForm, P4, p: int = 0):
     """The osculating vector of `_osculating_core` at P when P lies in U_0,
-    else None; F is Q or F_p, P4 a 4-tuple of ints.  P lies in U_0 when it
-    is off the ramification divisor 2w + f = 0 and on none of the 56
-    exceptional curves, i.e. no bitangent of B passes through kappa(P).
+    else None; f, g are the surface's int terms, B its branch quartic over
+    Q or F_p, and P4 a 4-tuple of ints, residues mod p > 0.  P lies in U_0
+    when it is off the ramification divisor 2w + f = 0 and on none of the
+    56 exceptional curves, i.e. no bitangent of B passes through kappa(P).
 
     Off the ramification divisor the osculating system cannot degenerate
     (char F != 2).  There kappa is etale at P, so a conic q2 pulled back
@@ -159,18 +131,19 @@ def _u0_core(F, f: TernForm, g: TernForm, B: TernForm, P4):
     combine to one with lambda = 0.  The kernel is never zero: the 7 rows
     are combinations of the 6 coefficients of the section's 2-jet at P."""
     *P3, w = P4
-    if F.is_zero(w + w + f.evaluate(*P3)):
+    ram = w + w + _int_value(f, *P3)
+    if (ram % p if p else ram) == 0:
         return None
-    if _count_bitangents_core(F, B, P4[:3]):
+    if _count_bitangents_core(B.field, B, P3):
         return None
-    return _osculating_core(F, f, g, P4)
+    return _osculating_core(f, g, P4, p)
 
 
 def osculating_section(S: SurfaceDP2, P: PointDP2) -> tuple[int, ...]:
     """The unique (up to scalar) section of |-2K_X| vanishing to order >= 3
     at a very general P, whose zero locus on X is the rational curve C_P:
     its `primitive_ints` vector in the basis of `_section_row`, lambda > 0."""
-    return content_primitive_ints(_osculating_core(QQ, S.f, S.g, P.coords()))[0]
+    return _osculating_core(S.f_ints, S.g_ints, P.coords())
 
 
 # ---------------------------------------------------------------------------
@@ -394,8 +367,8 @@ def _tern_substitute(form: TernForm, m) -> TernForm:
 
 
 def _pencil_basis(p3):
-    """The two unit vectors off the first nonzero coordinate of p3 (ints,
-    or field elements); with p3 they span the whole space."""
+    """The two unit vectors off the first nonzero coordinate of p3, a
+    triple of ints (residues over F_p); with p3 they span the whole space."""
     idx = next(i for i, v in enumerate(p3) if v != 0)
     return [tuple(int(i == j) for j in range(3)) for i in range(3) if i != idx]
 
@@ -500,7 +473,7 @@ def phi_domain(S: SurfaceDP2, P: PointDP2, Q: PointDP2) -> PhiDomainVerdict:
     reason = _u_phi_failure(S, P, Q)
     if reason is not None:
         return PhiDomainVerdict(False, False, reason)
-    vec = _u0_core(QQ, S.f, S.g, S.B, P.coords())
+    vec = _u0_core(S.f_ints, S.g_ints, S.B, P.coords())
     if vec is None:
         return PhiDomainVerdict(True, False, "FirstNotInU0")
     if _section_value(vec, Q.coords()) == 0:

@@ -11,6 +11,7 @@ Groebner bases, no factoring, no floating point).
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as igcd
@@ -18,12 +19,14 @@ from math import isqrt, prod
 
 from .errors import NotOnSurface, SingularBranchCurve, WrongDegrees
 from .exactalg import QQ, TernForm, content_primitive_ints, is_prime, primitive_ints
+from .exactalg.poly import _row_echelon
 
 # digits of an input integer (coordinate, coefficient numerator or denominator):
 # twice w's in `generate`'s output by default, below Python's 4300 int/str limit
 MAX_INPUT_DIGITS = 4000
 _INPUT_BOUND = 10**MAX_INPUT_DIGITS  # the least int of more digits, computed once
 TOO_LONG = f"an integer has more than MAX_INPUT_DIGITS = {MAX_INPUT_DIGITS} digits"
+_COEFFICIENT = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")  # a coefficient string of a surface file
 
 
 # ---------------------------------------------------------------------------
@@ -113,25 +116,6 @@ def _macaulay_rows(B: dict) -> list[list[int]]:
     return rows
 
 
-def _rank_mod(rows: list[list[int]], p: int) -> int:
-    """Rank of an integer matrix mod the prime p (Gaussian elimination)."""
-    rows = [[v % p for v in row] for row in rows]
-    rank = 0
-    for col in range(len(rows[0])):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = pow(rows[rank][col], -1, p)
-        prow = [v * inv % p for v in rows[rank][col:]]
-        for i in range(rank + 1, len(rows)):
-            c = rows[i][col]
-            if c:
-                rows[i][col:] = [(v - c * w) % p for v, w in zip(rows[i][col:], prow)]
-        rank += 1
-    return rank
-
-
 def _is_smooth_quartic(B: TernForm) -> bool:
     """Exact smoothness test for a plane quartic over Q or F_p, p >= 5, by
     the rank of its degree-7 Macaulay matrix (Macaulay 1916; Cox, Little and
@@ -155,7 +139,7 @@ def _is_smooth_quartic(B: TernForm) -> bool:
     B is singular.  B = 0 gives rank 0."""
     if B.field.char:
         rows = _macaulay_rows({e: v.r for e, v in B.c.items()})
-        return _rank_mod(rows, B.field.char) == len(_SEPTIC_COLUMN)
+        return len(_row_echelon(rows, B.field.char)[1]) == len(_SEPTIC_COLUMN)
     ints, _ = content_primitive_ints(list(B.c.values()))
     rows = _macaulay_rows(dict(zip(B.c, ints)))
     norms = sorted(isqrt(sum(v * v for v in row)) + 1 for row in rows)
@@ -165,7 +149,7 @@ def _is_smooth_quartic(B: TernForm) -> bool:
         p -= 1
         while not is_prime(p):
             p -= 1
-        if _rank_mod(rows, p) == len(_SEPTIC_COLUMN):
+        if len(_row_echelon(rows, p)[1]) == len(_SEPTIC_COLUMN):
             return True
         tried *= p
     return False
@@ -356,8 +340,10 @@ def parse_surface(text: str) -> SurfaceDP2:
         out = {}
         for entry in entries:
             bad = ValueError(f"'{name}' entry {entry!r} is not [i, j, k, c]")
-            # a JSON float would become its binary fraction, true/false 1/0
-            if not isinstance(entry, list) or len(entry) != 4 or isinstance(entry[3], (float, bool)):
+            # c is a JSON integer (not true/false) or a string "[+-]n[/d]":
+            # Fraction would also take floats, and "1e10000000" in seconds
+            c = entry[3] if isinstance(entry, list) and len(entry) == 4 else None
+            if not (type(c) is int or isinstance(c, str) and _COEFFICIENT.fullmatch(c)):
                 raise bad
             exps = tuple(entry[:3])
             # bool is a subclass of int, and JSON's true is no exponent
@@ -367,8 +353,8 @@ def parse_surface(text: str) -> SurfaceDP2:
             if exps in out:
                 raise ValueError(f"'{name}' lists the exponents {list(exps)} twice")
             try:
-                out[exps] = c = Fraction(entry[3])
-            except (TypeError, ValueError, ZeroDivisionError) as exc:
+                out[exps] = c = Fraction(c)
+            except (ValueError, ZeroDivisionError) as exc:
                 raise bad from exc
             if max(abs(c.numerator), c.denominator) >= _INPUT_BOUND:
                 raise ValueError(TOO_LONG)

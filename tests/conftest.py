@@ -6,6 +6,9 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+import sympy
+from hypothesis import strategies as st
+from sympy.polys.matrices import DomainMatrix
 
 from dp2.exactalg import (
     QQ,
@@ -131,19 +134,25 @@ def c_p_point_by_group_law(S: SurfaceDP2, P, param):
     return on_surface(S, *R)
 
 
+def forms_modp(Sp) -> tuple[TernForm, TernForm]:
+    """f and g of the reduction Sp as `TernForm`s over F_p, for the
+    references that run on field elements."""
+    return tuple(TernForm(Sp.F, d, {e: Sp.F.from_int(c) for e, c in h})
+                 for d, h in ((2, Sp.f_ints), (4, Sp.g_ints)))
+
+
 def phi_surjectivity_eager(Sp) -> SurjectivityReport:
     """Reference for `fforacle.phi_surjectivity`: U_0 decided first for
     every point of X(F_p), by the oracle's own test (ramification, then the
     bitangents through kappa(P), then the osculating system), and the
     sweep run over the points found in U_0, in order."""
-    F = Sp.F
     pts = Sp.points()
     sections = {}
     for P4 in pts:
         if on_ramification_modp(Sp, P4) or bitangents_through_modp(Sp, P4[:3]) != 0:
             continue
         try:
-            sections[P4] = _osculating_core(F, Sp.f, Sp.g, P4)
+            sections[P4] = _osculating_core(Sp.f_ints, Sp.g_ints, P4, Sp.p)
         except NotVeryGeneral:
             continue
     remaining = set(pts)
@@ -156,7 +165,7 @@ def phi_surjectivity_eager(Sp) -> SurjectivityReport:
                 break
             if Q4[:3] == P4[:3]:
                 continue
-            if not F.is_zero(_section_value(sec, Q4)):
+            if _section_value(sec, Q4) % Sp.p:
                 pairs_tried += 1
                 try:
                     remaining.discard(phi_modp(Sp, P4, Q4))
@@ -416,12 +425,35 @@ def seeded_directions(F, P3, seed: int, count: int = 4) -> list:
 
 
 def assert_norm_order(f, g, vec, P4, order: int, seed: int) -> None:
-    """The section vec vanishes to order >= `order` at P4: its norm on each
-    of four `seeded_directions` lines has no term below t^order."""
+    """The section with int vector vec, mapped into the field of the forms
+    f and g, vanishes to order >= `order` at P4: its norm on each of four
+    `seeded_directions` lines has no term below t^order."""
+    vec = [f.field.from_int(v) for v in vec]
     for D in seeded_directions(f.field, P4[:3], seed):
         N = section_norm_on_line(f, g, vec, P4[:3], D)
         low = next((i for i, c in enumerate(N.c) if not f.field.is_zero(c)), math.inf)
         assert low >= order, (P4, D)
+
+
+@st.composite
+def int_matrices(draw):
+    """Integer matrices of up to 9 x 8, rank-deficient as the product of an
+    r x k and a k x c factor with k below both, or drawn entry by entry."""
+    r, c = draw(st.integers(0, 9)), draw(st.integers(1, 8))
+    big = st.integers(-(10**20), 10**20) | st.integers(-3, 3)
+    if draw(st.booleans()):
+        k = draw(st.integers(0, max(min(r, c) - 1, 0)))
+        left = draw(st.lists(st.lists(big, min_size=k, max_size=k), min_size=r, max_size=r))
+        right = draw(st.lists(st.lists(big, min_size=c, max_size=c), min_size=k, max_size=k))
+        return [[sum(a * right[i][j] for i, a in enumerate(row)) for j in range(c)] for row in left], c
+    return draw(st.lists(st.lists(big, min_size=c, max_size=c), min_size=r, max_size=r)), c
+
+
+def domain_matrix(rows, ncols: int, p: int = 0) -> DomainMatrix:
+    """The int matrix `rows` as sympy's DomainMatrix over QQ, or GF(p) for
+    p > 0: the reference elimination, independent of dp2."""
+    K = sympy.GF(p) if p else sympy.QQ
+    return DomainMatrix([[K(v) for v in row] for row in rows], (len(rows), ncols), K)
 
 
 @pytest.fixture(scope="session")

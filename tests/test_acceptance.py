@@ -148,8 +148,8 @@ def test_criterion_4_origin_independence(phi_instances):
 
 
 def test_criterion_5_cp_cross_construction(contexts):
-    from dp2.exactalg import QQ
-    from dp2.geometry import _kernel, _section_condition_rows
+    from dp2.exactalg.poly import _nullspace
+    from dp2.geometry import _section_condition_rows
 
     for key in ("s0", "r2", "r3"):
         ctx = contexts[key]
@@ -166,8 +166,8 @@ def test_criterion_5_cp_cross_construction(contexts):
             assert section_at(section, R) == 0, f"section mismatch on {key}"
             produced += 1
         # osculation solution dimension is exactly 1
-        rows = _section_condition_rows(QQ, S.f, S.g, ctx.P0.coords(), order=3)
-        assert len(_kernel(QQ, rows, 7)) == 1
+        rows = _section_condition_rows(S.f_ints, S.g_ints, ctx.P0.coords(), 3)
+        assert len(_nullspace(rows)) == 1
 
 
 def test_criterion_6_classification_sanity(s0, contexts):

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -70,11 +71,18 @@ class TestClassify:
         {"g": [[4, 0, 0, "1"], [0, 4, 0, "1"], [0, 0, 4, "1"], [1, 0, 0, "1"]]},
         # a coefficient is an integer or a string, and JSON's true is neither
         {"g": [[4, 0, 0, True], [0, 4, 0, "1"], [0, 0, 4, "1"]]},
+        # the string is "[+-]n[/d]": no exponent (which took seconds to
+        # expand), decimal point, space or underscore
+        {"g": [[4, 0, 0, "1e10000000"], [0, 4, 0, "1"], [0, 0, 4, "1"]]},
+        {"g": [[4, 0, 0, " 1.5 "], [0, 4, 0, "1"], [0, 0, 4, "1"]]},
+        {"g": [[4, 0, 0, "1_0"], [0, 4, 0, "1"], [0, 0, 4, "1"]]},
     ])
     def test_surface_file_not_in_list_format(self, capsys, tmp_path, doc):
         path = tmp_path / "surface.json"
         path.write_text(json.dumps(doc))
+        start = time.perf_counter()
         code, _, err = run(capsys, "classify", "--surface", str(path), "--point", "1:0:0:1")
+        assert time.perf_counter() - start < 1.0
         assert code == 1
         assert "bad surface file" in err
 

@@ -1,13 +1,11 @@
 """Covers f1, f2, f3, f6 and the seeded generation engine."""
 
 import random
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from conftest import PINNED_P0, SURFACE_DIR, section_at
+from conftest import PINNED_P0, SURFACE_DIR, domain_matrix, int_matrices, section_at
 from hypothesis import given, seed, settings
-from hypothesis import strategies as st
 
 from dp2 import covers
 from dp2.cli import main
@@ -23,15 +21,14 @@ from dp2.covers import (
     find_very_general_point,
     generate_points,
     generate_points_with_stats,
-    _rank_int,
     in_u_inv,
     point_height,
     rank_minus2K,
     rank_minusK,
 )
 from dp2.errors import BadParameter, BitangentLine, DP2Error, NotVeryGeneral, SameImage
-from dp2.exactalg import QQ, content_primitive_ints
-from dp2.geometry import _kernel, _u0_core, classify_point, osculating_section, phi
+from dp2.exactalg.poly import _row_echelon
+from dp2.geometry import _u0_core, classify_point, osculating_section, phi
 from dp2.surface import PointDP2, kappa, load_surface
 
 
@@ -59,9 +56,9 @@ class TestContext:
             calls.append(P)
             return real(S, P)
 
-        def _u0_core(F, f, g, B, P4):
+        def _u0_core(f, g, B, P4):
             u0_calls.append(P4)
-            return real_u0(F, f, g, B, P4)
+            return real_u0(f, g, B, P4)
 
         monkeypatch.setattr(covers, "classify_point", classify_point)
         monkeypatch.setattr(covers, "_u0_core", _u0_core)
@@ -77,13 +74,13 @@ class TestContext:
 
     @pytest.mark.parametrize("name", sorted(PINNED_P0))
     def test_section_paths_agree(self, name):
-        """The section of a given P0 is `osculating_section`'s, the
-        `content_primitive_ints` of `_u0_core`'s vector: 7 ints, lambda > 0."""
+        """The section of a given P0 is `osculating_section`'s and
+        `_u0_core`'s primitive vector: 7 ints, lambda > 0."""
         S = load_surface(SURFACE_DIR / f"{name}.json")
         P0 = PointDP2.parse(PINNED_P0[name])
-        vec = _u0_core(QQ, S.f, S.g, S.B, P0.coords())
+        vec = _u0_core(S.f_ints, S.g_ints, S.B, P0.coords())
         section = context_for(S, P0).section
-        assert section == osculating_section(S, P0) == content_primitive_ints(vec)[0]
+        assert section == osculating_section(S, P0) == vec
         assert len(section) == 7 and section[0] > 0 and all(type(c) is int for c in section)
 
     @pytest.mark.parametrize("name", sorted(PINNED_P0))
@@ -293,37 +290,25 @@ class TestRankProxies:
         assert rank_minus2K(pts) <= 6
 
 
-def _rank_by_fractions(rows, ncols) -> int:
-    return ncols - len(_kernel(QQ, [[Fraction(v) for v in row] for row in rows], ncols))
-
-
-@st.composite
-def _int_matrices(draw):
-    """Integer matrices of up to 9 x 8, rank-deficient as the product of an
-    r x k and a k x c factor with k below both, or drawn entry by entry."""
-    r, c = draw(st.integers(0, 9)), draw(st.integers(1, 8))
-    big = st.integers(-(10**20), 10**20) | st.integers(-3, 3)
-    if draw(st.booleans()):
-        k = draw(st.integers(0, max(min(r, c) - 1, 0)))
-        left = draw(st.lists(st.lists(big, min_size=k, max_size=k), min_size=r, max_size=r))
-        right = draw(st.lists(st.lists(big, min_size=c, max_size=c), min_size=k, max_size=k))
-        return [[sum(a * right[i][j] for i, a in enumerate(row)) for j in range(c)] for row in left], c
-    return draw(st.lists(st.lists(big, min_size=c, max_size=c), min_size=r, max_size=r)), c
+def _rank(rows) -> int:
+    return len(_row_echelon(rows)[1])
 
 
 class TestBareissRank:
+    """The rank over Q of the rank proxies, against sympy's DomainMatrix."""
+
     @seed(21)
     @settings(max_examples=150, deadline=None, database=None)
-    @given(_int_matrices())
+    @given(int_matrices())
     def test_matches_fraction_elimination(self, matrix):
         rows, ncols = matrix
-        assert _rank_int(rows) == _rank_by_fractions(rows, ncols)
+        assert _rank(rows) == domain_matrix(rows, ncols).rank()
 
     def test_rank_deficient_examples(self):
-        assert _rank_int([[2, 4, 6], [1, 2, 3], [0, 0, 0]]) == 1
-        assert _rank_int([[0, 0, 1], [0, 0, 2], [0, 3, 0]]) == 2
-        assert _rank_int([[6, 9], [4, 6]]) == 1
-        assert _rank_int([]) == 0
+        assert _rank([[2, 4, 6], [1, 2, 3], [0, 0, 0]]) == 1
+        assert _rank([[0, 0, 1], [0, 0, 2], [0, 3, 0]]) == 2
+        assert _rank([[6, 9], [4, 6]]) == 1
+        assert _rank([]) == 0
 
 
 class TestUInv:

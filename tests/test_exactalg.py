@@ -6,8 +6,14 @@ from fractions import Fraction
 
 import pytest
 import sympy as sp
-from conftest import restrict_line_reference, square_by_yun, substitute_reference
-from hypothesis import given, seed, settings
+from conftest import (
+    domain_matrix,
+    int_matrices,
+    restrict_line_reference,
+    square_by_yun,
+    substitute_reference,
+)
+from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from dp2.errors import WrongDegree
@@ -29,6 +35,7 @@ from dp2.exactalg import (
 )
 from dp2.exactalg.factor import factor_modp, factor_rational
 from dp2.exactalg.modgcd import _rational_reconstruct, quotient_gcd
+from dp2.exactalg.poly import _nullspace
 from dp2.exactalg.quotient import QuotientField
 
 
@@ -298,3 +305,28 @@ class TestContent:
     def test_primitive_ints_sign_rule(self, ints, expected):
         """ints / g with the first nonzero entry positive, g = 0 for zeros."""
         assert primitive_ints(ints) == expected
+
+
+class TestNullspace:
+    """`_nullspace` against sympy's DomainMatrix over QQ and GF(p)."""
+
+    @seed(22)
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(st.sampled_from([0, 5, 11, 2**61 - 1]), int_matrices())
+    def test_matches_domain_matrix(self, p, matrix):
+        """The same rank and the same span: k independent vectors whose
+        span with the reference's k vectors still has dimension k."""
+        rows, ncols = matrix
+        assume(rows)
+        ours = _nullspace(rows, p)
+        ref = domain_matrix(rows, ncols, p).nullspace()
+        k = len(ours)
+        assert k == ref.shape[0] == ncols - domain_matrix(rows, ncols, p).rank()
+        if k:
+            assert domain_matrix(ours, ncols, p).rank() == k
+            assert domain_matrix(ours, ncols, p).vstack(ref).rank() == k
+        for vec in ours:
+            if p:
+                assert all(0 <= v < p for v in vec)
+            else:
+                assert primitive_ints(vec) == (vec, 1)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import sympy as sp
 import pytest
-from conftest import SURFACE_DIR, assert_norm_order, phi_surjectivity_eager
+from conftest import SURFACE_DIR, assert_norm_order, forms_modp, phi_surjectivity_eager
 
 from dp2 import fforacle
 from dp2.errors import BadPrime, UnexpectedDimension
@@ -123,10 +123,10 @@ class TestEnumerate:
 
     def test_points_satisfy_equation(self, s0):
         Sp = reduce_surface(s0, 7)
-        F = Sp.F
+        F, (f, g) = Sp.F, forms_modp(Sp)
         for (x, y, z, w) in Sp.points():
             xe, ye, ze, we = (F.from_int(v) for v in (x, y, z, w))
-            assert we * we + Sp.f.evaluate(xe, ye, ze) * we == Sp.g.evaluate(xe, ye, ze)
+            assert we * we + f.evaluate(xe, ye, ze) * we == g.evaluate(xe, ye, ze)
 
     @pytest.mark.parametrize("name", ["s0", "random2"])
     def test_matches_brute_force(self, name):
@@ -137,21 +137,22 @@ class TestEnumerate:
         assert len(primes) >= 10
         for p in primes:
             Sp = reduce_surface(S, p)
+            f, g = forms_modp(Sp)
             plane = [(1, y, z) for y in range(p) for z in range(p)] + [(0, 1, z) for z in range(p)] + [(0, 0, 1)]
             brute = set()
             for x, y, z in plane:
-                fv, gv = Sp.f.evaluate(x, y, z).r, Sp.g.evaluate(x, y, z).r
+                fv, gv = f.evaluate(x, y, z).r, g.evaluate(x, y, z).r
                 brute.update((x, y, z, w) for w in range(p) if (w * w + fv * w - gv) % p == 0)
             pts = enumerate_points(S, p)
             assert len(pts) == len(set(pts)) and set(pts) == brute, p
 
     def test_ramification_iff_disc_zero(self, s0):
         Sp = reduce_surface(s0, 11)
-        F = Sp.F
+        F, (f, _) = Sp.F, forms_modp(Sp)
         for (x, y, z, w) in Sp.points():
             xe, ye, ze, we = (F.from_int(v) for v in (x, y, z, w))
             disc = Sp.B.evaluate(xe, ye, ze)
-            on_ram = F.is_zero(2 * we + Sp.f.evaluate(xe, ye, ze))
+            on_ram = F.is_zero(2 * we + f.evaluate(xe, ye, ze))
             assert on_ram == F.is_zero(disc)
 
 
@@ -179,6 +180,7 @@ class TestBaseLocus:
         lines other than those `_section_condition_rows` uses, by the
         series-free norm, and vanishes at Q."""
         Sp = reduce_surface(load_surface(SURFACE_DIR / f"{name}.json"), p)
+        f, g = forms_modp(Sp)
         rng = random.Random(p)
         checked = 0
         for _ in range(12):
@@ -189,8 +191,8 @@ class TestBaseLocus:
                 continue
             checked += 1
             for vec in basis:
-                assert Sp.F.is_zero(_section_value(vec, Qm))
-                assert_norm_order(Sp.f, Sp.g, vec, Pm, 2, seed=checked)
+                assert _section_value(vec, Qm) % p == 0
+                assert_norm_order(f, g, vec, Pm, 2, seed=checked)
         assert checked >= 8
 
     def test_bad_prime_never_wrong(self, s0):
@@ -266,9 +268,9 @@ class TestSurjectivity:
         points, so U_0 is decided three times, not for all 111 points."""
         real, calls = fforacle._u0_core, []
 
-        def counting(*args):
-            calls.append(args[-1])
-            return real(*args)
+        def counting(f, g, B, P4, p):
+            calls.append(P4)
+            return real(f, g, B, P4, p)
 
         monkeypatch.setattr(fforacle, "_u0_core", counting)
         rep = phi_surjectivity(reduce_surface(load_surface(SURFACE_DIR / "random2.json"), 11))

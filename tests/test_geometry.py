@@ -14,6 +14,7 @@ from conftest import (
     PolyRing,
     assert_norm_order,
     c_p_point_by_group_law,
+    forms_modp,
     phi_core_by_group_law,
     phi_domain_by_classification,
     residual_by_group_law,
@@ -124,10 +125,11 @@ class TestSectionRowsByNorm:
     def test_osculating_section_at_every_u0_point_mod_11(self, name):
         Sp = reduce_surface(load_surface(SURFACE_DIR / f"{name}.json"), 11)
         checked = 0
+        f, g = forms_modp(Sp)
         for P4 in Sp.points():
-            vec = _u0_core(Sp.F, Sp.f, Sp.g, Sp.B, P4)
+            vec = _u0_core(Sp.f_ints, Sp.g_ints, Sp.B, P4, Sp.p)
             if vec is not None:
-                assert_norm_order(Sp.f, Sp.g, vec, P4, 3, seed=checked)
+                assert_norm_order(f, g, vec, P4, 3, seed=checked)
                 checked += 1
         assert checked > 20
 
@@ -139,7 +141,7 @@ class TestSectionRowsByNorm:
         Sp = reduce_surface(load_surface(SURFACE_DIR / f"{name}.json"), 11)
         off = [P4 for P4 in Sp.points() if not on_ramification_modp(Sp, P4)]
         for P4 in off:
-            _osculating_core(Sp.F, Sp.f, Sp.g, P4)
+            _osculating_core(Sp.f_ints, Sp.g_ints, P4, Sp.p)
         assert len(off) == n_off
         assert sum(1 for P4 in off if bitangents_through_modp(Sp, P4[:3])) == n_exceptional
 
@@ -260,7 +262,7 @@ def _outcome(fn):
 
 def _phi_mod_p(Sp, P, Q, origin):
     """`_phi_core` on X(F_p) with the forms that `origin` takes."""
-    f, g = (Sp.f_ints, Sp.g_ints) if origin == "P" else (Sp.f, Sp.g)
+    f, g = (Sp.f_ints, Sp.g_ints) if origin == "P" else forms_modp(Sp)
     return _phi_core(f, g, P, Q, Sp.p, origin)
 
 
@@ -279,7 +281,7 @@ def _bitangent_pairs(Sp):
         on = [P for P in Sp.points() if sum(a * x for a, x in zip(L, P)) % p == 0]
         images = sorted({P[:3] for P in on})
         if len(images) >= 2:
-            model = pullback_generic(Sp.F, Sp.f, Sp.g, images[0], images[1])
+            model = pullback_generic(Sp.F, *forms_modp(Sp), images[0], images[1])
             if classify_model(model) is ModelClass.Reducible:
                 pairs.extend((P, Q) for P in on for Q in on if P[:3] != Q[:3])
     return pairs
@@ -414,13 +416,13 @@ class TestClosedForm:
     @pytest.mark.parametrize("name, p", [("random2", 11), ("s0", 7)])
     def test_phi_core_against_group_law(self, name, p, monkeypatch):
         Sp = reduce_surface(load_surface(SURFACE_DIR / f"{name}.json"), p)
-        F = Sp.F
+        F, (fp, gp) = Sp.F, forms_modp(Sp)
         taken = []
         real = geometry._residual_point
 
         def spy(f, g, A, B, wP, X, bitangent, p):
             R = real(f, g, A, B, wP, X, bitangent, p)
-            model = pullback_generic(F, Sp.f, Sp.g, A, B)
+            model = pullback_generic(F, fp, gp, A, B)
             taken.append((F.is_zero(model.a.c[0] + wP + wP), classify_model(model)))
             return R
 
@@ -434,7 +436,7 @@ class TestClosedForm:
         for P in pts:
             for Q in pts:
                 closed = normalized(lambda: _phi_mod_p(Sp, P, Q, "P"))
-                assert closed == normalized(lambda: phi_core_by_group_law(F, Sp.f, Sp.g, P, Q)), (P, Q)
+                assert closed == normalized(lambda: phi_core_by_group_law(F, fp, gp, P, Q)), (P, Q)
                 # the other origin raises the same type, with its own message
                 # on a singular fibre (see SINGULAR_PAIRS)
                 other = normalized(lambda: _phi_mod_p(Sp, P, Q, "Q"))
@@ -461,13 +463,13 @@ class TestClosedForm:
     def test_fallback_on_random2_mod_11(self, P, Q, R, fibre):
         """phi with 2 w_P + a_0 = 0, and on an irreducible singular fibre."""
         Sp = reduce_surface(load_surface(SURFACE_DIR / "random2.json"), 11)
-        F = Sp.F
+        F, (f, g) = Sp.F, forms_modp(Sp)
         *A, wP = _as_field(F, P)
         *B, wQ = _as_field(F, Q)
-        model = pullback_generic(F, Sp.f, Sp.g, A, B)
+        model = pullback_generic(F, f, g, A, B)
         assert classify_model(model) is fibre
         assert F.is_zero(wP + wP + model.a.c[0]) == (fibre is ModelClass.Smooth)
-        R_law = phi_core_by_group_law(F, Sp.f, Sp.g, P, Q)
+        R_law = phi_core_by_group_law(F, f, g, P, Q)
         assert phi_modp(Sp, P, Q) == R == _normalize_modp(Sp.p, *(v.r for v in R_law))
 
     def test_fallback_off_the_fibre(self, s0):
@@ -486,13 +488,14 @@ def _assert_core_matches_group_law(S, P, Q, normalize):
     for the member of the pencil through kappa(P) on the same line (X = P):
     the same normalized point, or the same exception type and message.
     Returns the outcomes' kinds."""
-    F, ints = S.f.field, (S.f_ints, S.g_ints)
+    F, ints = S.B.field, (S.f_ints, S.g_ints)
     p, wP = F.char, F.from_int(P[3])
-    cases = [(lambda: _phi_core(*ints, P, Q, p), lambda: phi_core_by_group_law(F, S.f, S.g, P, Q))]
+    f, g = forms_modp(S) if p else (S.f, S.g)
+    cases = [(lambda: _phi_core(*ints, P, Q, p), lambda: phi_core_by_group_law(F, f, g, P, Q))]
     if P[:3] != Q[:3]:
         cases.append((
             lambda: _residual_point(*ints, P[:3], Q[:3], P[3], (1, 0, P[3]), PENCIL_BITANGENT, p),
-            lambda: residual_by_group_law(F, S.f, S.g, P[:3], Q[:3], wP, (F.one, F.zero, wP), PENCIL_BITANGENT),
+            lambda: residual_by_group_law(F, f, g, P[:3], Q[:3], wP, (F.one, F.zero, wP), PENCIL_BITANGENT),
         ))
     kinds = set()
     for core, law in cases:
