@@ -292,7 +292,7 @@ def cmd_oracle(args) -> int:
             except (BadPrime, UnexpectedDimension) as exc:
                 rec["base_locus_confirms_phi"] = None
                 rec["base_locus_note"] = str(exc)
-        if p <= 31:
+        if p <= fforacle._SWEEP_CAP:
             try:
                 rep = fforacle.phi_surjectivity(Sp)
                 rec["surjectivity"] = {**asdict(rep), "coverage": rep.coverage}

@@ -95,7 +95,7 @@ def context_for(S: SurfaceDP2, P0: PointDP2 | None = None) -> CoverContext:
     """Context at P0 if very general (one `_u0_core` call decides it and
     gives the section), else at the first very general point found by
     bounded search, which classifies each candidate once."""
-    vec = None if P0 is None else _u0_core(S.f_ints, S.g_ints, S.B, P0.coords())
+    vec = None if P0 is None else _u0_core(S.f_ints, S.g_ints, S.B_ints, P0.coords())
     if vec is None:
         P0 = find_very_general_point(S)
         vec = _osculating_core(S.f_ints, S.g_ints, P0.coords())

@@ -61,12 +61,6 @@ def _reduce_quotient_poly(Kp: QuotientField, A: Poly) -> Poly:
     return Poly(Kp, out)
 
 
-def _monic_euclid(a: Poly, b: Poly) -> Poly:
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic()
-
-
 def _residue_table(gp: Poly, ext_deg: int) -> list[list[int]]:
     """Integer residues of a monic polynomial over F_p[t]/(d_p)."""
     rows = []
@@ -99,7 +93,7 @@ def quotient_gcd(A: Poly, B: Poly) -> Poly:
     if A.is_zero() or B.is_zero():
         return poly_gcd(A, B)
     if K.degree <= 6:
-        return _monic_euclid(A, B)
+        return poly_gcd(A, B)
     d = K.modulus
     best_deg: int | None = None
     rows: list[list[int]] = []
@@ -119,7 +113,7 @@ def quotient_gcd(A: Poly, B: Poly) -> Poly:
             Bp = _reduce_quotient_poly(Kp, B)
             if Ap.degree != A.degree or Bp.degree != B.degree:
                 continue
-            gp = _monic_euclid(Ap, Bp)
+            gp = poly_gcd(Ap, Bp)
         except (ZeroDivisionError, ValueError):
             continue
         if gp.degree == 0:

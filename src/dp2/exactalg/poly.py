@@ -1,6 +1,6 @@
 """Dense univariate polynomials over a field adapter, binary and ternary
-homogeneous forms, subresultant GCD and Musser squarefree decomposition, and
-row reduction of int matrices over Q or mod p.
+homogeneous forms, subresultant GCD and Musser squarefree decomposition; on
+ints over Q or mod p, row reduction and univariate gcd, division and radical.
 
 Univariate coefficients are stored ascending (c[i] is the coefficient of t^i).
 Binary forms follow the opposite, classical convention: coefficient i belongs
@@ -10,10 +10,11 @@ to s^(d-i) t^i.  Ternary forms are sparse maps from exponent triples.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as igcd
+from itertools import zip_longest
+from math import gcd as igcd, lcm
 
 from ..errors import WrongDegree, ZeroPolynomial
-from .field import PrimeField, PrimeFieldElt, RationalField
+from .field import RationalField
 
 
 class Poly:
@@ -120,12 +121,6 @@ class Poly:
 
     def derivative(self):
         return Poly(self.field, [self.c[i] * self.field.from_int(i) for i in range(1, len(self.c))])
-
-    def evaluate(self, t):
-        acc = self.field.zero
-        for a in reversed(self.c):
-            acc = acc * t + a
-        return acc
 
     def __eq__(self, other):
         return isinstance(other, Poly) and self.c == other.c
@@ -296,10 +291,6 @@ class BinForm:
             acc = acc * s + a * tk
         return acc
 
-    def to_poly(self) -> Poly:
-        """Dehomogenize t = 1; coefficient of s^k is c[d-k]."""
-        return Poly(self.field, list(reversed(self.c)))
-
     def deriv_s(self) -> "BinForm":
         if self.degree == 0:
             return BinForm(self.field, 0, [self.field.zero])
@@ -347,6 +338,16 @@ def _bin_mul(zero, a, b):
     return out
 
 
+def _tern_mul(a: dict, b: dict, zero=0) -> dict:
+    """The product of two ternary forms given as maps from exponent triples."""
+    out = {}
+    for (i, j, k), x in a.items():
+        for (i2, j2, k2), y in b.items():
+            e = (i + i2, j + j2, k + k2)
+            out[e] = out.get(e, zero) + x * y
+    return out
+
+
 def _expand_linear(terms, lins, n, zero):
     """Coefficients [out_0, ..., out_n] (out_i at s^(n-i) t^i) of the sum of
     c * prod_m (x_m s + y_m t)^(e_m) over the terms (e, c), with
@@ -371,35 +372,10 @@ def _expand_linear(terms, lins, n, zero):
     return out
 
 
-def _lcm_den(values) -> int:
-    den = 1
-    for a in values:
-        den = den * a.denominator // igcd(den, a.denominator)
-    return den
-
-
 def _restrict(F, terms, n, p1, p2) -> list:
     """`_expand_linear` of the terms (e, c) at the linear forms
-    p1[m] s + p2[m] t, as n + 1 elements of F.  Over Q the denominators of
-    the c (lcm D) and of p1, p2 (lcms d1, d2) are cleared once, the kernel
-    runs on ints and coefficient i is one Fraction over D d1^(n-i) d2^i.
-    Over F_p it runs on residues, reduced once per coefficient.  Other rings
-    run it on their own elements, ints in p1, p2 mapped in by `from_int`."""
-    if isinstance(F, RationalField):
-        D, d1, d2 = _lcm_den(c for _, c in terms), _lcm_den(p1), _lcm_den(p2)
-        ints = [(e, c.numerator * (D // c.denominator)) for e, c in terms]
-        lins = [(a.numerator * (d1 // a.denominator), b.numerator * (d2 // b.denominator))
-                for a, b in zip(p1, p2)]
-        out = _expand_linear(ints, lins, n, 0)
-        return [Fraction(v, D * d1 ** (n - i) * d2**i) for i, v in enumerate(out)]
-    if isinstance(F, PrimeField):
-
-        def res(a):
-            return a.r if isinstance(a, PrimeFieldElt) else F.from_int(a).r
-
-        lins = [(res(a), res(b)) for a, b in zip(p1, p2)]
-        out = _expand_linear([(e, res(c)) for e, c in terms], lins, n, 0)
-        return [PrimeFieldElt(F.p, v) for v in out]
+    p1[m] s + p2[m] t, as n + 1 elements of F, run on F's own elements with
+    ints in p1, p2 mapped in by `from_int`."""
 
     def conv(a):
         return F.from_int(a) if isinstance(a, int) else a
@@ -472,7 +448,7 @@ def primitive_ints(ints) -> tuple[tuple[int, ...], int]:
 def content_primitive_ints(fracs) -> tuple[tuple[int, ...], Fraction]:
     """(ints, scale) with fracs = scale * ints: the denominators cleared,
     then `primitive_ints` (scale = 0 when every entry is zero)."""
-    den = _lcm_den(fracs)
+    den = lcm(*(a.denominator for a in fracs))
     ints, g = primitive_ints([a.numerator * (den // a.denominator) for a in fracs])
     return ints, Fraction(g, den)
 
@@ -539,6 +515,75 @@ def _nullspace(rows, p: int = 0) -> list[tuple[int, ...]]:
 
 
 # ---------------------------------------------------------------------------
+# Univariate int polynomials with a modulus p (0 for Q), as ascending int lists
+
+
+def _sum_of_products(*terms) -> list[int]:
+    """The sum of k f_1 ... f_n over the terms (k, f_1, ..., f_n) of int lists f_i."""
+    out = []
+    for k, *fs in terms:
+        term = [k]
+        for f in fs:
+            term = _bin_mul(0, term, f)
+        out = [u + v for u, v in zip_longest(out, term, fillvalue=0)]
+    return out
+
+
+def _trim(a, p: int = 0) -> list[int]:
+    """The int list a reduced mod p (p > 0), trailing zeros dropped."""
+    a = [v % p for v in a] if p else list(a)
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _divmod_ints(a, b, p: int = 0) -> tuple[list[int], list[int]]:
+    """(q, r) with a = q b + r and deg r < deg b, for a, b without trailing
+    zeros, b nonzero: mod p, or over Z for p = 0 when b is primitive and
+    divides a over Q, so that q is integral (Gauss's lemma)."""
+    r, q = list(a), [0] * max(len(a) - len(b) + 1, 0)
+    inv, nb = pow(b[-1], -1, p) if p else 0, len(b) - 1
+    for k in range(len(q) - 1, -1, -1):
+        t = q[k] = r[k + nb] * inv % p if p else r[k + nb] // b[-1]
+        for i, v in enumerate(b):
+            r[k + i] -= t * v
+    return q, _trim(r[:nb], p)
+
+
+def _gcd_ints(a, b, p: int = 0) -> list[int]:
+    """A gcd of the int polynomials a, b, [] when both are zero: over Q the
+    primitive one, by `_subresultant_gcd_int` on their primitive parts; mod
+    p the monic one, by Euclid."""
+    a, b = _trim(a, p), _trim(b, p)
+    if not p:
+        return list(_subresultant_gcd_int(primitive_ints(a)[0], primitive_ints(b)[0]))
+    while b:
+        a, b = b, _divmod_ints(a, b, p)[1]
+    inv = pow(a[-1], -1, p) if a else 0
+    return [v * inv % p for v in a]
+
+
+def _radical(a, p: int = 0) -> list[int]:
+    """The product of the distinct irreducible factors of the nonzero int
+    polynomial a, up to a unit, over Q or mod p.  With a = prod f_j^(e_j)
+    and c = gcd(a, a'), c holds f_j^(e_j - 1) where p does not divide e_j
+    (always in characteristic 0) and f_j^(e_j) where it does, so w = a / c
+    holds the former f_j once, and rad a = lcm(w, rad c) mod p.  There
+    a' = 0 makes a = b(t^p) = b(t)^p, coefficients being their own p-th
+    powers in F_p, and rad a = rad b."""
+    a = _trim(a, p)
+    d = _trim([i * v for i, v in enumerate(a)][1:], p)
+    if not d:
+        return _radical(a[::p], p) if len(a) > 1 else a
+    c = _gcd_ints(a, d, p)
+    w = _divmod_ints(a, c, p)[0]
+    if not p or len(c) == 1:
+        return w
+    r = _radical(c, p)
+    return _divmod_ints(_bin_mul(0, w, r), _gcd_ints(w, r, p), p)[0]
+
+
+# ---------------------------------------------------------------------------
 # Ternary forms
 
 
@@ -559,16 +604,6 @@ class TernForm:
                 c[(i, j, k)] = val
         self.c = c
 
-    @classmethod
-    def zero(cls, field, degree):
-        return cls(field, degree, {})
-
-    def is_zero(self) -> bool:
-        return not self.c
-
-    def coeff(self, i, j, k):
-        return self.c.get((i, j, k), self.field.zero)
-
     def evaluate(self, x, y, z):
         return sum((v * x**i * y**j * z**k for (i, j, k), v in self.c.items()), self.field.zero)
 
@@ -581,27 +616,11 @@ class TernForm:
         return TernForm(self.field, self.degree, out)
 
     def __mul__(self, other):
-        out = {}
-        F = self.field
-        for (i1, j1, k1), v1 in self.c.items():
-            for (i2, j2, k2), v2 in other.c.items():
-                key = (i1 + i2, j1 + j2, k1 + k2)
-                out[key] = out.get(key, F.zero) + v1 * v2
-        return TernForm(F, self.degree + other.degree, out)
+        out = _tern_mul(self.c, other.c, self.field.zero)
+        return TernForm(self.field, self.degree + other.degree, out)
 
     def scale(self, k):
         return TernForm(self.field, self.degree, {key: v * k for key, v in self.c.items()})
-
-    def deriv(self, var: int) -> "TernForm":
-        out = {}
-        for (i, j, k), val in self.c.items():
-            e = (i, j, k)[var]
-            if e == 0:
-                continue
-            key = list((i, j, k))
-            key[var] = e - 1
-            out[tuple(key)] = val * self.field.from_int(e)
-        return TernForm(self.field, max(self.degree - 1, 0), out)
 
     def restrict_line(self, p1, p2) -> BinForm:
         """Binary form B(s*p1 + t*p2) of the same degree; p1, p2 are
@@ -609,16 +628,8 @@ class TernForm:
         out = _restrict(self.field, list(self.c.items()), self.degree, p1, p2)
         return BinForm(self.field, self.degree, out)
 
-    def map_coeffs(self, fn, field=None):
-        field = field or self.field
-        return TernForm(field, self.degree, {k: fn(v) for k, v in self.c.items()})
-
     def __eq__(self, other):
-        return (
-            isinstance(other, TernForm)
-            and self.degree == other.degree
-            and self.c == other.c
-        )
+        return isinstance(other, TernForm) and self.degree == other.degree and self.c == other.c
 
     def __repr__(self):
         return f"TernForm(deg={self.degree}, {self.c})"

@@ -3,8 +3,8 @@ enumeration, the base-locus oracle for phi, and empirical surjectivity of phi
 on U_inv(F_p).
 
 Points of X(F_p) are residue tuples (x, y, z, w) in one normal form, found and
-tested on the residues of f and g; phi and the sections run the exact
-computation's integer cores on them, the bitangent counts its core over F_p.
+tested on the residues of f and g; phi, the sections and the bitangent counts
+run the exact computation's integer cores on them, with the modulus p.
 Only base_locus_oracle is independent in formulas: it decides phi by the
 sections of |-2K_X| and never runs the closed form.
 """
@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BadPrime, DP2Error, UnexpectedDimension
-from .exactalg import PRIME_TEST_BOUND, PrimeField, TernForm, is_prime
+from .exactalg import PRIME_TEST_BOUND, is_prime
 from .exactalg.poly import _nullspace
 from .geometry import (
     _count_bitangents_core,
@@ -32,9 +32,8 @@ class SurfaceModP:
     """Reduction of a surface mod a good odd prime."""
 
     p: int
-    F: PrimeField
-    B: TernForm
-    f_ints: list  # the terms (e, c) of f and of g with c a residue
+    B: list  # the terms (e, c) of B, f and g with c a nonzero residue
+    f_ints: list
     g_ints: list
     _points: list | None = None
 
@@ -53,12 +52,10 @@ def reduce_surface(S: SurfaceDP2, p: int) -> SurfaceModP:
                        f"where the primality test is exact")
     if p < 5 or not is_prime(p):
         raise BadPrime(f"{p} is not a prime >= 5")
-    F = PrimeField(p)
-    Bp = S.B.map_coeffs(F.from_int, F)
-    if not _is_smooth_quartic(Bp):
+    B, f_ints, g_ints = ([(e, c % p) for e, c in h if c % p] for h in (S.B_ints, S.f_ints, S.g_ints))
+    if not _is_smooth_quartic(B, p):
         raise BadPrime(f"branch quartic degenerates mod {p}")
-    f_ints, g_ints = ([(e, c % p) for e, c in h if c % p] for h in (S.f_ints, S.g_ints))
-    return SurfaceModP(p=p, F=F, B=Bp, f_ints=f_ints, g_ints=g_ints)
+    return SurfaceModP(p=p, B=B, f_ints=f_ints, g_ints=g_ints)
 
 
 def good_prime(S: SurfaceDP2, p: int) -> bool:
@@ -193,7 +190,7 @@ def phi_modp(Sp: SurfaceModP, P4, Q4) -> tuple[int, int, int, int]:
 
 def bitangents_through_modp(Sp: SurfaceModP, p3) -> int:
     """Bitangents of B mod p through p3, a triple of residues."""
-    return _count_bitangents_core(Sp.F, Sp.B, p3)
+    return _count_bitangents_core(Sp.B, p3, Sp.p)
 
 
 def very_general_exceptions(S: SurfaceDP2, P: PointDP2, primes) -> list[int]:
@@ -210,6 +207,8 @@ def very_general_exceptions(S: SurfaceDP2, P: PointDP2, primes) -> list[int]:
 
 # ---------------------------------------------------------------------------
 # surjectivity of phi on U_inv(F_p)
+
+_SWEEP_CAP = 31  # the largest p the sweep takes
 
 
 @dataclass(frozen=True)
@@ -231,8 +230,8 @@ def phi_surjectivity(Sp: SurfaceModP) -> SurjectivityReport:
     X(F_p) in order, and U_0 membership (`_u0_core`) is decided only for
     the P reached before every point is hit."""
     p = Sp.p
-    if p > 31:
-        raise BadPrime("surjectivity sweep limited to p <= 31")
+    if p > _SWEEP_CAP:
+        raise BadPrime(f"surjectivity sweep limited to p <= {_SWEEP_CAP}")
     pts = Sp.points()
     total = len(pts)
     remaining = set(pts)

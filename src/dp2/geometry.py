@@ -2,16 +2,17 @@
 curve C_P -- plus exact point classification (ramification, exceptional
 curves, generalized Eckardt) and the U_phi / U_inv membership tests.
 
-phi, C_P and the sections of |-2K_X| run on int terms with a modulus p (0 for
-Q), which the finite-field oracle calls on residues; the bitangent count and
-origin "Q" are generic over a field adapter.  The public API wraps them for Q.
+phi, C_P, the sections of |-2K_X| and the count of bitangents through a point
+run on int terms with a modulus p (0 for Q), which the finite-field oracle
+calls on residues; only origin "Q" runs on a field adapter.  The public API
+wraps them for Q.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from math import comb, gcd, prod
+from math import comb, gcd
 from typing import TYPE_CHECKING
 
 from .errors import (
@@ -24,19 +25,9 @@ from .errors import (
     SingularHit,
     SingularOrigin,
 )
-from .exactalg import (
-    QQ,
-    BinForm,
-    Poly,
-    PrimeField,
-    TernForm,
-    is_square_binform,
-    poly_gcd,
-    primitive_ints,
-    square_conditions,
-    squarefree_factor,
-)
-from .exactalg.poly import _bin_mul, _expand_linear, _nullspace, is_square_quartic
+from .exactalg import QQ, PrimeField, primitive_ints, square_conditions
+from .exactalg.poly import (_bin_mul, _expand_linear, _gcd_ints, _nullspace, _radical, _sum_of_products,
+                             _tern_mul, is_square_quartic)
 from .surface import PointDP2, PointP2, SurfaceDP2, _int_value, kappa, on_ramification, on_surface
 
 if TYPE_CHECKING:
@@ -116,12 +107,13 @@ def _osculating_core(f, g, P4, p: int = 0):
     return vec
 
 
-def _u0_core(f, g, B: TernForm, P4, p: int = 0):
+def _u0_core(f, g, B, P4, p: int = 0):
     """The osculating vector of `_osculating_core` at P when P lies in U_0,
-    else None; f, g are the surface's int terms, B its branch quartic over
-    Q or F_p, and P4 a 4-tuple of ints, residues mod p > 0.  P lies in U_0
-    when it is off the ramification divisor 2w + f = 0 and on none of the
-    56 exceptional curves, i.e. no bitangent of B passes through kappa(P).
+    else None; f, g and B are the int terms of the surface and its branch
+    quartic, and they and P4 are ints over Q, residues mod p > 0.  P lies
+    in U_0 when it is off the ramification divisor 2w + f = 0 and on none
+    of the 56 exceptional curves, i.e. no bitangent of B passes through
+    kappa(P).
 
     Off the ramification divisor the osculating system cannot degenerate
     (char F != 2).  There kappa is etale at P, so a conic q2 pulled back
@@ -134,7 +126,7 @@ def _u0_core(f, g, B: TernForm, P4, p: int = 0):
     ram = w + w + _int_value(f, *P3)
     if (ram % p if p else ram) == 0:
         return None
-    if _count_bitangents_core(B.field, B, P3):
+    if _count_bitangents_core(B, P3, p):
         return None
     return _osculating_core(f, g, P4, p)
 
@@ -198,8 +190,8 @@ def _residual_point(f, g, A, B, wP, X, bitangent: str, p: int = 0):
         _, t, w = pt
         i = 0 if zero(t) else 2
         if not zero(w * w + a[i] * w - b[i + i]):
-            F = PrimeField(p) if p else QQ
-            raise ValueError("({}:{}:{}) not on the quartic model".format(*map(F.from_int, pt)))
+            coords = (f"{v % p} (mod {p})" for v in pt) if p else pt
+            raise ValueError("({}:{}:{}) not on the quartic model".format(*coords))
         singular.append(zero(w + w + a[i]) and zero(q[i + 1]))
     if is_square_quartic(q, zero):
         raise BitangentLine(bitangent)
@@ -227,7 +219,7 @@ def _residual_point(f, g, A, B, wP, X, bitangent: str, p: int = 0):
     return tuple(s * A[k] + t * B[k] for k in range(3)) + (w,)
 
 
-def _residual_core(f: TernForm, g: TernForm, A, B, wP, X, bitangent: str, p: int = 0):
+def _residual_core(f, g, A, B, wP, X, bitangent: str, p: int = 0):
     """`_residual_point` with f, g `TernForm`s over Q or F_p by the group law
     of `genus1`, imported only here, with origin iota(X): the same R (the
     class has degree 1) and errors, but for a singular hit's message."""
@@ -235,7 +227,7 @@ def _residual_core(f: TernForm, g: TernForm, A, B, wP, X, bitangent: str, p: int
 
     F = PrimeField(p) if p else QQ
     model = pullback_generic(F, f, g, A, B)
-    s, t, w = _as_field(F, X)
+    s, t, w = map(F.from_int, X)
     iota_P, Xc = model.point(F.one, F.zero, -model.a.c[0] - wP), model.point(s, t, w)
     iota_X = model.point(s, t, -model.a.evaluate(s, t) - w)
     try:
@@ -255,10 +247,6 @@ def _phi_core(f, g, P4, Q4, p: int = 0, origin: str = "P"):
         raise SameImage("kappa(P) = kappa(Q)")
     core = _residual_point if origin == "P" else _residual_core
     return core(f, g, A, B, wP, (0, 1, wQ), "the line through kappa(P), kappa(Q) is a bitangent", p)
-
-
-def _as_field(F, triple):
-    return tuple(F.from_int(v) if isinstance(v, int) else v for v in triple)
 
 
 def phi(S: SurfaceDP2, P: PointDP2, Q: PointDP2, origin: str = "P") -> PointDP2:
@@ -346,24 +334,23 @@ def c_p_point(S: SurfaceDP2, P: PointDP2, param: tuple[int, int]) -> PointDP2:
 # bitangent counting through a point
 
 
-def _tern_substitute(form: TernForm, m) -> TernForm:
-    """Pullback of the form B along (x, y, z) -> M (x, y, z), M a 3x3 integer
-    matrix with columns a, b, c.  By Taylor's formula along c,
-    B(x a + y b + z c) = sum_k z^k (D^k B / k!)(x a + y b) with
-    D = sum_i c_i d/dx_i, so the coefficient of z^k is one `restrict_line`
-    of D^k B / k! to the line through a and b.  Dividing by k! needs
-    characteristic 0 or above deg B; every caller works over Q or F_p with
-    p >= 5 on forms of degree <= 4."""
-    F = form.field
-    a, b, c = ([m[row][col] for row in range(3)] for col in range(3))
-    out, term = {}, form
-    for k in range(form.degree + 1):
-        if k:
-            parts = (term.deriv(i).scale(F.from_int(ci)) for i, ci in enumerate(c) if ci)
-            term = sum(parts, TernForm.zero(F, form.degree - k)).scale(F.one / F.from_int(k))
-        for i, v in enumerate(term.restrict_line(a, b).c):
-            out[(form.degree - k - i, i, k)] = v
-    return TernForm(F, form.degree, out)
+def _pullback(terms, m, p: int = 0) -> list:
+    """The int terms (e, c) of the form with int terms `terms` pulled back
+    along (x, y, z) -> M (x, y, z), M a 3x3 int matrix: x_i becomes the
+    linear form with row i of M, and each monomial the product of their
+    powers; residues mod p > 0, zero terms dropped."""
+    pows = []
+    for i, row in enumerate(m):
+        lin = {e: v for e, v in zip(((1, 0, 0), (0, 1, 0), (0, 0, 1)), row) if v}
+        pw = [{(0, 0, 0): 1}]
+        for _ in range(max((e[i] for e, _ in terms), default=0)):
+            pw.append(_tern_mul(pw[-1], lin))
+        pows.append(pw)
+    out = {}
+    for (i, j, k), c in terms:
+        for e, v in _tern_mul(_tern_mul(pows[0][i], pows[1][j]), pows[2][k]).items():
+            out[e] = out.get(e, 0) + c * v
+    return [(e, v % p if p else v) for e, v in out.items() if (v % p if p else v)]
 
 
 def _pencil_basis(p3):
@@ -373,17 +360,18 @@ def _pencil_basis(p3):
     return [tuple(int(i == j) for j in range(3)) for i in range(3) if i != idx]
 
 
-def _count_bitangents_core(F, Bform: TernForm, p3) -> int:
+def _count_bitangents_core(B, p3, p: int = 0) -> int:
     """Number of distinct lines through p3 (over the algebraic closure) whose
-    restriction of B is a square up to scalar; F is Q or F_p and p3 a
-    triple of ints.
+    restriction of B is a square up to scalar; B is a quartic's int terms
+    and p3 a triple of ints over Q (p = 0), residues mod p otherwise.
 
     The members are the line through p3 and e1 + t*e2, plus the one through
     p3 and e2 (t = infinity), tested on its own.  With C(s, r, u) the
     pullback of B along (s, r, u) -> s p3 + r e1 + u e2, B on the first is
     C(s, r, t r) = sum a_i(t) s^(4-i) r^i, a_i collecting the coefficients
-    of s^(4-i) r^(i-k) u^k at t^k, and B on the second is C(s, 0, u).  Let
-    c1, c2 be the `square_conditions` of the a_i, and G = gcd(c1, c2) over F.
+    of s^(4-i) r^(i-k) u^k at t^k, and B on the second is C(s, 0, u), whose
+    coefficient of s^(4-i) u^i is that of t^i in a_i.  Let c1, c2 be the
+    `square_conditions` of the a_i (here on int lists), and G = gcd(c1, c2).
 
     1. Every square member is a root of G: with a4(t) != 0, c1 = c2 = 0 is
        the square test itself; with a4(t) = 0, c1 = a3^3 and c2 = -a3^4,
@@ -395,27 +383,28 @@ def _count_bitangents_core(F, Bform: TernForm, p3) -> int:
     3. Distinct roots t give distinct lines.  H = rad G has each root of G
        once, A = gcd(H, a4) the roots of G on a4, C = gcd(A, a1^2 - 4 a0 a2)
        those of A where the member is a square; all three are squarefree,
-       so the count is deg H - deg A + deg C.  `squarefree_factor` is exact
-       over F_p too, roots of multiplicity divisible by p included."""
+       so the count is deg H - deg A + deg C.  `_radical` is exact mod p
+       too, roots of multiplicity divisible by p included."""
     e1, e2 = _pencil_basis(p3)
-    C = _tern_substitute(Bform, [(p3[i], e1[i], e2[i]) for i in range(3)])
-    rows = [[F.zero] * (i + 1) for i in range(5)]
-    for (_i, j, k), v in C.c.items():
-        rows[j + k][k] = v
-    a0, a1, a2, a3, a4 = (Poly(F, row) for row in rows)
-    G = poly_gcd(*square_conditions(a0, a1, a2, a3, a4))
-    if G.is_zero():
+    a = [[0] * (i + 1) for i in range(5)]
+    for (_i, j, k), v in _pullback(B, [(p3[i], e1[i], e2[i]) for i in range(3)], p):
+        a[j + k][k] = v
+    a0, a1, a2, a3, a4 = a
+    h = _sum_of_products((4, a4, a2), (-1, a3, a3))
+    c1 = _sum_of_products((8, a4, a4, a1), (-4, a4, a2, a3), (1, a3, a3, a3))
+    G = _gcd_ints(c1, _sum_of_products((64, a4, a4, a4, a0), (-1, h, h)), p)
+    if not G:
         raise EliminationDegenerate("square conditions vanish along the pencil")
-    H = prod((f for f, _mult in squarefree_factor(G)), start=Poly.one(F))
-    A = poly_gcd(H, a4)
-    count = H.degree - A.degree + poly_gcd(A, a1 * a1 - 4 * a0 * a2).degree
-    q_inf = BinForm(F, 4, [C.coeff(4 - i, 0, i) for i in range(5)])
-    return count + int(is_square_binform(q_inf))
+    H = _radical(G, p)
+    A = _gcd_ints(H, a4, p)
+    C = _gcd_ints(A, _sum_of_products((1, a1, a1), (-4, a0, a2)), p)
+    q_inf = [a[i][i] for i in range(5)]  # B on the member t = infinity
+    return len(H) - len(A) + len(C) - 1 + is_square_quartic(q_inf, lambda v: not (v % p if p else v))
 
 
 def count_bitangents_through(S: SurfaceDP2, p: PointP2) -> int:
     """Number of bitangents of B through p."""
-    return _count_bitangents_core(QQ, S.B, p.coords())
+    return _count_bitangents_core(S.B_ints, p.coords())
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +462,7 @@ def phi_domain(S: SurfaceDP2, P: PointDP2, Q: PointDP2) -> PhiDomainVerdict:
     reason = _u_phi_failure(S, P, Q)
     if reason is not None:
         return PhiDomainVerdict(False, False, reason)
-    vec = _u0_core(S.f_ints, S.g_ints, S.B, P.coords())
+    vec = _u0_core(S.f_ints, S.g_ints, S.B_ints, P.coords())
     if vec is None:
         return PhiDomainVerdict(True, False, "FirstNotInU0")
     if _section_value(vec, Q.coords()) == 0:
@@ -492,7 +481,7 @@ def count_all_bitangents(S: SurfaceDP2) -> int:
     computed by elimination in the chart of lines z = u x + v y plus the
     pencil through (0:0:1); must equal 28 for smooth B."""
     last_exc = None
-    for Bf in _bitangent_frames(S.B):
+    for Bf in _bitangent_frames(S.B_ints):
         try:
             return _count_all_bitangents_frame(Bf)
         except EliminationDegenerate as exc:
@@ -500,12 +489,13 @@ def count_all_bitangents(S: SurfaceDP2) -> int:
     raise EliminationDegenerate(f"all frames degenerate: {last_exc}")
 
 
-def _bitangent_frames(B: TernForm):
-    """B, then B in _BITANGENT_FRAMES - 1 seeded random unimodular frames."""
+def _bitangent_frames(B):
+    """The int terms B, then B in _BITANGENT_FRAMES - 1 seeded random
+    unimodular frames."""
     yield B
     rng = random.Random(1729)
     for _ in range(_BITANGENT_FRAMES - 1):
-        yield _tern_substitute(B, _random_unimodular(rng))
+        yield _pullback(B, _random_unimodular(rng))
 
 
 def _random_unimodular(rng) -> list[list[int]]:
@@ -515,8 +505,8 @@ def _random_unimodular(rng) -> list[list[int]]:
             return m
 
 
-def _count_all_bitangents_frame(Bf: TernForm) -> int:
-    """Bitangents of B in one frame: the lines z = u x + v y, plus those
+def _count_all_bitangents_frame(Bf) -> int:
+    """Bitangents of B, with int terms Bf in one frame: the lines z = u x + v y, plus those
     through (0:0:1).  With B(x, y, u x + v y) = sum a_i x^(4-i) y^i, a line
     with a4 = B(0, 1, v) != 0 is a bitangent exactly when c1 = c2 = 0
     (`square_conditions`); `_count_chart_zeros` counts those lines, and
@@ -526,7 +516,7 @@ def _count_all_bitangents_frame(Bf: TernForm) -> int:
     if c1.is_zero or c2.is_zero:
         raise EliminationDegenerate("chart conditions vanish identically")
     chart = _count_chart_zeros(c1, c2, _coeff_u(a[4], 0)) + _chart_lines_over_a4(a)
-    return chart + _count_bitangents_core(QQ, Bf, (0, 0, 1))
+    return chart + _count_bitangents_core(Bf, (0, 0, 1))
 
 
 def _count_chart_zeros(P: sp.Poly, Q: sp.Poly, a4: sp.Poly) -> int:
@@ -595,13 +585,13 @@ def _chart_lines_over_a4(a) -> int:
     return r1.gcd(N).degree()
 
 
-def _chart_coefficients(Bf: TernForm) -> list[sp.Poly]:
+def _chart_coefficients(Bf) -> list[sp.Poly]:
     """The coefficients a0..a4 of B(x, y, u x + v y) = sum a_i x^(4-i) y^i
-    as polynomials in (u, v) over ZZ; B is integral."""
+    as polynomials in (u, v) over ZZ, for B's int terms Bf."""
     import sympy as sp
 
     a = [{} for _ in range(5)]
-    for (i, j, k), val in Bf.c.items():
+    for (i, j, k), val in Bf:
         # x^i y^j (u x + v y)^k contributes C(k, l) u^(k-l) v^l to a_(j+l)
         for l in range(k + 1):
             key = (k - l, l)

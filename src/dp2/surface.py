@@ -89,7 +89,7 @@ class PointDP2:
 
 
 # ---------------------------------------------------------------------------
-# smoothness certification for a plane quartic (field-generic)
+# smoothness certification for a plane quartic (int terms with a modulus p)
 
 
 def _monomials(d: int) -> list[tuple[int, int, int]]:
@@ -99,13 +99,13 @@ def _monomials(d: int) -> list[tuple[int, int, int]]:
 _SEPTIC_COLUMN = {m: n for n, m in enumerate(_monomials(7))}
 
 
-def _macaulay_rows(B: dict) -> list[list[int]]:
+def _macaulay_rows(B) -> list[list[int]]:
     """The 45 rows x^a y^b z^c * dB/dx_d, a + b + c = 4, of the quartic
-    B = {(i, j, k): int} over the 36 septic monomials."""
+    with int terms B over the 36 septic monomials."""
     rows = []
     for d in range(3):
         partial = {}
-        for e, v in B.items():
+        for e, v in B:
             if e[d]:
                 partial[e[:d] + (e[d] - 1,) + e[d + 1:]] = e[d] * v
         for a, b, c in _monomials(4):
@@ -116,12 +116,13 @@ def _macaulay_rows(B: dict) -> list[list[int]]:
     return rows
 
 
-def _is_smooth_quartic(B: TernForm) -> bool:
-    """Exact smoothness test for a plane quartic over Q or F_p, p >= 5, by
-    the rank of its degree-7 Macaulay matrix (Macaulay 1916; Cox, Little and
-    O'Shea, Using Algebraic Geometry, ch. 3 sec. 4): B is smooth exactly
-    when the 45 products of the quartic monomials with the partials of B
-    span the 36 septic monomials.
+def _is_smooth_quartic(B, p: int = 0) -> bool:
+    """Exact smoothness test for a plane quartic with int terms B over Q
+    (p = 0), or residues over F_p with p >= 5, by the rank of its degree-7
+    Macaulay matrix (Macaulay 1916; Cox, Little and O'Shea, Using Algebraic
+    Geometry, ch. 3 sec. 4): B is smooth exactly when the 45 products of
+    the quartic monomials with the partials of B span the 36 septic
+    monomials.
 
     Soundness.  By Euler's relation 4B = sum x_d dB/dx_d with 4 != 0, a
     singular point is exactly a common zero of the three partials, ternary
@@ -130,28 +131,27 @@ def _is_smooth_quartic(B: TernForm) -> bool:
     (1 + t + t^2)^3, of degree 6, so it is zero in degree 7 and the rank is
     36.  A common zero P kills every row, while some septic monomial does
     not vanish at P, so the rank is below 36.  Rank does not change under
-    field extension.  Over Q the matrix is made integral (scaling B keeps
-    its singular points) and reduced mod successive primes below 2^61: the
-    rank mod p is at most the rank over Q, so rank 36 mod one prime proves
-    B smooth.  If the rank over Q is 36, some 36 x 36 minor M is nonzero,
+    field extension.  Over Q, B is made primitive (scaling keeps its
+    singular points) and the matrix reduced mod successive primes q below
+    2^61: the rank mod q is at most the rank over Q, so rank 36 mod one
+    prime proves B smooth.  If the rank over Q is 36, some 36 x 36 minor M is nonzero,
     and by Hadamard |M| <= H, the product of the 36 largest row norms; once
     the primes tried multiply to more than H, they cannot all divide M, so
     B is singular.  B = 0 gives rank 0."""
-    if B.field.char:
-        rows = _macaulay_rows({e: v.r for e, v in B.c.items()})
-        return len(_row_echelon(rows, B.field.char)[1]) == len(_SEPTIC_COLUMN)
-    ints, _ = content_primitive_ints(list(B.c.values()))
-    rows = _macaulay_rows(dict(zip(B.c, ints)))
+    if p:
+        return len(_row_echelon(_macaulay_rows(B), p)[1]) == len(_SEPTIC_COLUMN)
+    ints, _ = primitive_ints([c for _, c in B])
+    rows = _macaulay_rows([(e, c) for (e, _), c in zip(B, ints)])
     norms = sorted(isqrt(sum(v * v for v in row)) + 1 for row in rows)
     bound = prod(norms[-len(_SEPTIC_COLUMN):])
-    p, tried = 2**61, 1
+    q, tried = 2**61, 1
     while tried <= bound:
-        p -= 1
-        while not is_prime(p):
-            p -= 1
-        if len(_row_echelon(rows, p)[1]) == len(_SEPTIC_COLUMN):
+        q -= 1
+        while not is_prime(q):
+            q -= 1
+        if len(_row_echelon(rows, q)[1]) == len(_SEPTIC_COLUMN):
             return True
-        tried *= p
+        tried *= q
     return False
 
 
@@ -166,8 +166,9 @@ class SurfaceDP2:
     f: TernForm  # degree 2, integer coefficients (as Fractions)
     g: TernForm  # degree 4, integer coefficients
     B: TernForm  # f^2 + 4g, cached
-    f_ints: tuple  # the terms (e, c) of f and of g with c an int
+    f_ints: tuple  # the terms (e, c) of f, g and B with c an int
     g_ints: tuple
+    B_ints: tuple
 
     def equation_at(self, x: int, y: int, z: int, w: int) -> bool:
         """Whether the integer point (x, y, z, w) satisfies w^2 + f w = g."""
@@ -270,10 +271,10 @@ def validate_surface(f: TernForm, g: TernForm) -> SurfaceDP2:
     fn = f.scale(mu)
     gn = g.scale(mu * mu)
     B = fn * fn + gn.scale(Fraction(4))
-    if not _is_smooth_quartic(B):
+    f_ints, g_ints, B_ints = (tuple((e, v.numerator) for e, v in h.c.items()) for h in (fn, gn, B))
+    if not _is_smooth_quartic(B_ints):
         raise SingularBranchCurve("branch quartic f^2 + 4g is singular")
-    f_ints, g_ints = (tuple((e, v.numerator) for e, v in h.c.items()) for h in (fn, gn))
-    return SurfaceDP2(f=fn, g=gn, B=B, f_ints=f_ints, g_ints=g_ints)
+    return SurfaceDP2(f=fn, g=gn, B=B, f_ints=f_ints, g_ints=g_ints, B_ints=B_ints)
 
 
 def on_surface(S: SurfaceDP2, x, y, z, w) -> PointDP2:

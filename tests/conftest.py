@@ -14,6 +14,7 @@ from dp2.exactalg import (
     QQ,
     BinForm,
     Poly,
+    PrimeField,
     TernForm,
     poly_gcd,
     squarefree_factor,
@@ -34,14 +35,12 @@ from dp2.genus1 import neg_wrt, pullback_generic
 from dp2.geometry import (
     SEC_MONOMIALS,
     PhiDomainVerdict,
-    _as_field,
     _det3,
     _osculating_core,
     _pencil_basis,
     _pencil_line,
     _random_unimodular,
     _section_value,
-    _tern_substitute,
     _u_phi_failure,
     classify_point,
     osculating_section,
@@ -114,6 +113,10 @@ def residual_by_group_law(F, f, g, A, B, wP, X, bitangent: str):
     return tuple(R.s * A[i] + R.t * B[i] for i in range(3)) + (R.w,)
 
 
+def _as_field(F, values):
+    return tuple(F.from_int(v) if isinstance(v, int) else v for v in values)
+
+
 def phi_core_by_group_law(F, f, g, P4, Q4):
     """Reference for `geometry._phi_core` with origin "P"."""
     *A, wP = _as_field(F, P4)
@@ -137,7 +140,8 @@ def c_p_point_by_group_law(S: SurfaceDP2, P, param):
 def forms_modp(Sp) -> tuple[TernForm, TernForm]:
     """f and g of the reduction Sp as `TernForm`s over F_p, for the
     references that run on field elements."""
-    return tuple(TernForm(Sp.F, d, {e: Sp.F.from_int(c) for e, c in h})
+    F = PrimeField(Sp.p)
+    return tuple(TernForm(F, d, {e: F.from_int(c) for e, c in h})
                  for d, h in ((2, Sp.f_ints), (4, Sp.g_ints)))
 
 
@@ -231,9 +235,9 @@ def _has_common_projective_root_binary(F, forms) -> bool:
         return True
     if all(F.is_zero(f.c[0]) for f in forms):
         return True
-    g = forms[0].to_poly()
+    g = Poly(F, forms[0].c[::-1])  # t = 1
     for f in forms[1:]:
-        g = poly_gcd(g, f.to_poly())
+        g = poly_gcd(g, Poly(F, f.c[::-1]))
         if g.degree == 0:
             return False
     return g.degree > 0
@@ -275,12 +279,12 @@ def _poly2_resultant_x(F, a, b):
 
 def _smooth_in_frame(F, form):
     """True/False when decidable in this coordinate frame, None to retry."""
-    partials = [form.deriv(0), form.deriv(1), form.deriv(2)]
-    if all(p.is_zero() for p in partials):
+    partials = [partial_derivative(form, var) for var in range(3)]
+    if all(not p.c for p in partials):
         return False
     if _has_common_projective_root_binary(F, [p.restrict_line((1, 0, 0), (0, 1, 0)) for p in partials]):
         return False  # a common zero on the line z = 0
-    nz = [p for p in partials if not p.is_zero()]
+    nz = [p for p in partials if p.c]
     if len(nz) < 2:
         return False
     dicts = []
@@ -316,17 +320,27 @@ def _smooth_in_frame(F, form):
     return True
 
 
+def partial_derivative(form, var: int):
+    """The derivative of the ternary form `form` in its variable `var`."""
+    out = {}
+    for e, val in form.c.items():
+        if e[var]:
+            out[e[:var] + (e[var] - 1,) + e[var + 1:]] = val * form.field.from_int(e[var])
+    return TernForm(form.field, max(form.degree - 1, 0), out)
+
+
 def is_smooth_by_elimination(B) -> bool:
-    """Reference smoothness test for a plane quartic over Q or F_p: the
-    partials' common zeros on z = 0 by gcds of binary forms, then in the
-    chart z = 1 by two resultants in x, each root beta of their gcd checked
-    by a gcd over Q(beta) or F_p(beta); a frame where the resultants vanish
-    identically is left for a seeded random unimodular one."""
+    """Reference smoothness test for a plane quartic `TernForm` over Q or
+    F_p: the partials' common zeros on z = 0 by gcds of binary forms, then
+    in the chart z = 1 by two resultants in x, each root beta of their gcd
+    checked by a gcd over Q(beta) or F_p(beta); a frame where the
+    resultants vanish identically is left for a seeded random unimodular
+    one (`tern_substitute_reference`)."""
     rng = random.Random(11)
     form = B
     for attempt in range(6):
         if attempt > 0:
-            form = _tern_substitute(B, _random_unimodular(rng))
+            form = tern_substitute_reference(B, _random_unimodular(rng))
         verdict = _smooth_in_frame(B.field, form)
         if verdict is not None:
             return verdict
@@ -385,7 +399,7 @@ def tern_substitute_reference(form, m):
     F = form.field
     basis = [TernForm(F, 1, {(1, 0, 0): F.from_int(row[0]), (0, 1, 0): F.from_int(row[1]),
                              (0, 0, 1): F.from_int(row[2])}) for row in m]
-    out = TernForm.zero(F, form.degree)
+    out = TernForm(F, form.degree, {})
     for (i, j, k), val in form.c.items():
         term = TernForm(F, 0, {(0, 0, 0): val})
         for lin, e in zip(basis, (i, j, k)):

@@ -78,7 +78,7 @@ class TestContext:
         `_u0_core`'s primitive vector: 7 ints, lambda > 0."""
         S = load_surface(SURFACE_DIR / f"{name}.json")
         P0 = PointDP2.parse(PINNED_P0[name])
-        vec = _u0_core(S.f_ints, S.g_ints, S.B, P0.coords())
+        vec = _u0_core(S.f_ints, S.g_ints, S.B_ints, P0.coords())
         section = context_for(S, P0).section
         assert section == osculating_section(S, P0) == vec
         assert len(section) == 7 and section[0] > 0 and all(type(c) is int for c in section)

@@ -3,6 +3,7 @@ modular extension-field GCD."""
 
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 import sympy as sp
@@ -35,7 +36,7 @@ from dp2.exactalg import (
 )
 from dp2.exactalg.factor import factor_modp, factor_rational
 from dp2.exactalg.modgcd import _rational_reconstruct, quotient_gcd
-from dp2.exactalg.poly import _nullspace
+from dp2.exactalg.poly import _bin_mul, _nullspace, _radical, _trim
 from dp2.exactalg.quotient import QuotientField
 
 
@@ -330,3 +331,27 @@ class TestNullspace:
                 assert all(0 <= v < p for v in vec)
             else:
                 assert primitive_ints(vec) == (vec, 1)
+
+
+class TestRadical:
+    """`_radical` on int lists against the monic product of
+    `squarefree_factor`'s factors, over Q and mod p, with multiplicities
+    that p divides among those drawn."""
+
+    @seed(23)
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(
+        st.sampled_from([0, 5, 7, 11]),
+        st.lists(st.tuples(st.lists(st.integers(-3, 3), min_size=2, max_size=3), st.integers(1, 12)),
+                 min_size=1, max_size=3),
+        st.integers(1, 4),
+    )
+    def test_matches_squarefree_factor(self, p, factors, unit):
+        F = PrimeField(p) if p else QQ
+        a = [unit]
+        for f, e in factors:
+            assume(len(_trim(f, p)) > 1)
+            for _ in range(e):
+                a = _bin_mul(0, a, f)
+        ref = prod((f for f, _ in squarefree_factor(Poly.from_ints(F, a))), start=Poly.one(F))
+        assert Poly.from_ints(F, _radical(a, p)).monic() == ref

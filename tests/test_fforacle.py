@@ -9,7 +9,7 @@ from conftest import SURFACE_DIR, assert_norm_order, forms_modp, phi_surjectivit
 
 from dp2 import fforacle
 from dp2.errors import BadPrime, UnexpectedDimension
-from dp2.exactalg import PRIME_TEST_BOUND, QQ, TernForm, factor
+from dp2.exactalg import PRIME_TEST_BOUND, QQ, PrimeField, TernForm, factor
 from dp2.exactalg.quotient import QuotientField
 from dp2.fforacle import (
     SurjectivityReport,
@@ -29,7 +29,7 @@ from dp2.fforacle import (
     very_general_exceptions,
 )
 from dp2.geometry import phi
-from dp2.surface import PointDP2, load_surface, validate_surface
+from dp2.surface import PointDP2, _int_value, load_surface, validate_surface
 
 P0 = PointDP2(20, 15, 12, 481)
 Q1 = PointDP2(0, 1, 0, 1)
@@ -123,7 +123,7 @@ class TestEnumerate:
 
     def test_points_satisfy_equation(self, s0):
         Sp = reduce_surface(s0, 7)
-        F, (f, g) = Sp.F, forms_modp(Sp)
+        F, (f, g) = PrimeField(Sp.p), forms_modp(Sp)
         for (x, y, z, w) in Sp.points():
             xe, ye, ze, we = (F.from_int(v) for v in (x, y, z, w))
             assert we * we + f.evaluate(xe, ye, ze) * we == g.evaluate(xe, ye, ze)
@@ -148,12 +148,11 @@ class TestEnumerate:
 
     def test_ramification_iff_disc_zero(self, s0):
         Sp = reduce_surface(s0, 11)
-        F, (f, _) = Sp.F, forms_modp(Sp)
+        F, (f, _) = PrimeField(Sp.p), forms_modp(Sp)
         for (x, y, z, w) in Sp.points():
             xe, ye, ze, we = (F.from_int(v) for v in (x, y, z, w))
-            disc = Sp.B.evaluate(xe, ye, ze)
             on_ram = F.is_zero(2 * we + f.evaluate(xe, ye, ze))
-            assert on_ram == F.is_zero(disc)
+            assert on_ram == (_int_value(Sp.B, x, y, z) % Sp.p == 0)
 
 
 class TestBaseLocus:

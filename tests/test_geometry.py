@@ -14,7 +14,9 @@ from conftest import (
     PolyRing,
     assert_norm_order,
     c_p_point_by_group_law,
+    _as_field,
     forms_modp,
+    partial_derivative,
     phi_core_by_group_law,
     phi_domain_by_classification,
     residual_by_group_law,
@@ -50,7 +52,6 @@ from dp2.fforacle import (
     reduce_surface,
 )
 from dp2.geometry import (
-    _as_field,
     _bitangent_frames,
     _chart_coefficients,
     _chart_lines_over_a4,
@@ -61,8 +62,8 @@ from dp2.geometry import (
     _pencil_basis,
     _pencil_line,
     _phi_core,
+    _pullback,
     _residual_point,
-    _tern_substitute,
     _u0_core,
     c_p_point,
     classify_point,
@@ -281,7 +282,7 @@ def _bitangent_pairs(Sp):
         on = [P for P in Sp.points() if sum(a * x for a, x in zip(L, P)) % p == 0]
         images = sorted({P[:3] for P in on})
         if len(images) >= 2:
-            model = pullback_generic(Sp.F, *forms_modp(Sp), images[0], images[1])
+            model = pullback_generic(PrimeField(p), *forms_modp(Sp), images[0], images[1])
             if classify_model(model) is ModelClass.Reducible:
                 pairs.extend((P, Q) for P in on for Q in on if P[:3] != Q[:3])
     return pairs
@@ -416,7 +417,7 @@ class TestClosedForm:
     @pytest.mark.parametrize("name, p", [("random2", 11), ("s0", 7)])
     def test_phi_core_against_group_law(self, name, p, monkeypatch):
         Sp = reduce_surface(load_surface(SURFACE_DIR / f"{name}.json"), p)
-        F, (fp, gp) = Sp.F, forms_modp(Sp)
+        F, (fp, gp) = PrimeField(p), forms_modp(Sp)
         taken = []
         real = geometry._residual_point
 
@@ -463,7 +464,7 @@ class TestClosedForm:
     def test_fallback_on_random2_mod_11(self, P, Q, R, fibre):
         """phi with 2 w_P + a_0 = 0, and on an irreducible singular fibre."""
         Sp = reduce_surface(load_surface(SURFACE_DIR / "random2.json"), 11)
-        F, (f, g) = Sp.F, forms_modp(Sp)
+        F, (f, g) = PrimeField(Sp.p), forms_modp(Sp)
         *A, wP = _as_field(F, P)
         *B, wQ = _as_field(F, Q)
         model = pullback_generic(F, f, g, A, B)
@@ -488,8 +489,9 @@ def _assert_core_matches_group_law(S, P, Q, normalize):
     for the member of the pencil through kappa(P) on the same line (X = P):
     the same normalized point, or the same exception type and message.
     Returns the outcomes' kinds."""
-    F, ints = S.B.field, (S.f_ints, S.g_ints)
-    p, wP = F.char, F.from_int(P[3])
+    p, ints = getattr(S, "p", 0), (S.f_ints, S.g_ints)
+    F = PrimeField(p) if p else QQ
+    wP = F.from_int(P[3])
     f, g = forms_modp(S) if p else (S.f, S.g)
     cases = [(lambda: _phi_core(*ints, P, Q, p), lambda: phi_core_by_group_law(F, f, g, P, Q))]
     if P[:3] != Q[:3]:
@@ -562,8 +564,8 @@ class TestIntCoreAgainstGroupLaw:
 
 
 class TestTernSubstitute:
-    """Taylor's formula over `restrict_line` against the monomial-product
-    expansion."""
+    """The int pullback, over Q and mod p, against the monomial-product
+    expansion on field elements."""
 
     @seed(12)
     @settings(max_examples=200, deadline=None, database=None)
@@ -577,9 +579,11 @@ class TestTernSubstitute:
     def test_matches_monomial_products(self, p, degree, coeffs, entries, singular):
         F = QQ if p == 0 else PrimeField(p)
         monomials = [(i, j, degree - i - j) for i in range(degree + 1) for j in range(degree + 1 - i)]
-        form = TernForm(F, degree, {m: F.from_int(c) for m, c in zip(monomials, coeffs)})
+        terms = list(zip(monomials, coeffs))
         m = [entries[0:3], entries[3:6], entries[0:3] if singular else entries[6:9]]
-        assert _tern_substitute(form, m) == tern_substitute_reference(form, m)
+        form = TernForm(F, degree, {e: F.from_int(c) for e, c in terms})
+        reference = tern_substitute_reference(form, m)
+        assert dict(_pullback(terms, m, p)) == {e: v.r if p else int(v) for e, v in reference.c.items()}
 
 
 class TestClassification:
@@ -608,7 +612,7 @@ def _count_by_discriminant(F, Bform, p3):
     discriminant D(t) of B on the line through p3 and e1 + t*e2, then test
     B on that line over F[t]/(d) for each irreducible factor d of D."""
     e1, e2 = _pencil_basis(p3)
-    B_ring = Bform.map_coeffs(lambda v: Poly(F, [v]), PolyRing(F))
+    B_ring = TernForm(PolyRing(F), 4, {e: Poly(F, [v]) for e, v in Bform.c.items()})
     pconst = [Poly(F, [F.from_int(v)]) for v in p3]
     moving = [Poly(F, [F.from_int(e1[i]), F.from_int(e2[i])]) for i in range(3)]
     a, b, c, d, e = B_ring.restrict_line(pconst, moving).c
@@ -621,7 +625,7 @@ def _count_by_discriminant(F, Bform, p3):
     for m, _mult in factor_univariate(D.monic()):
         K = QuotientField(m)
         second = [K.from_base(F.from_int(e1[i])) + K.gen * K.from_base(F.from_int(e2[i])) for i in range(3)]
-        BK = Bform.map_coeffs(K.from_base, K)
+        BK = TernForm(K, 4, {e: K.from_base(v) for e, v in Bform.c.items()})
         if square_by_yun(BK.restrict_line([K.from_base(F.from_int(v)) for v in p3], second)):
             count += m.degree
     if square_by_yun(Bform.restrict_line([F.from_int(v) for v in p3], [F.from_int(v) for v in e2])):
@@ -629,11 +633,16 @@ def _count_by_discriminant(F, Bform, p3):
     return count
 
 
-def _both_counts(F, Bform, p3):
+def _both_counts(B, p3, p=0):
+    """The core's count on the int terms B (residues mod p) and the
+    reference's on B as a `TernForm` over Q or F_p; None for
+    EliminationDegenerate."""
+    F = PrimeField(p) if p else QQ
+    form = TernForm(F, 4, {e: F.from_int(c) for e, c in B})
     out = []
-    for count in (_count_bitangents_core, _count_by_discriminant):
+    for count in (lambda: _count_bitangents_core(B, p3, p), lambda: _count_by_discriminant(F, form, p3)):
         try:
-            out.append(count(F, Bform, p3))
+            out.append(count())
         except EliminationDegenerate:
             out.append(None)
     return out
@@ -652,28 +661,29 @@ class TestPencilCount:
 
     @pytest.mark.parametrize("name", sorted(PINNED_P2))
     def test_pinned_points(self, name):
-        B = load_surface(SURFACE_DIR / f"{name}.json").B
+        B = load_surface(SURFACE_DIR / f"{name}.json").B_ints
         counts = set()
         for p3 in PINNED_P2[name]:
-            new, old = _both_counts(QQ, B, p3)
+            new, old = _both_counts(B, p3)
             assert new == old, p3
             counts.add(new)
         assert counts >= {0} and (name != "s0" or 4 in counts)
 
-    @pytest.mark.parametrize("name", ["s0", "s_k"])
-    @pytest.mark.parametrize("p", [5, 7])
+    @pytest.mark.parametrize("p, name", [(5, "s0"), (5, "s_k"), (7, "s0"), (7, "s_k"), (5, "random2")])
     def test_every_point_of_the_plane_mod_p(self, name, p):
         F = PrimeField(p)
-        B = load_surface(SURFACE_DIR / f"{name}.json").B.map_coeffs(F.from_int, F)
+        B = [(e, c % p) for e, c in load_surface(SURFACE_DIR / f"{name}.json").B_ints if c % p]
         points = [(1, y, z) for y in range(p) for z in range(p)] + [(0, 1, z) for z in range(p)] + [(0, 0, 1)]
         counts, singular = set(), []
         for p3 in points:
-            new, old = _both_counts(F, B, p3)
+            new, old = _both_counts(B, p3, p)
             if old is None:
                 # D vanishes identically only at a singular point of B: the
                 # Klein quartic s_k has bad reduction at 7, which the oracle
                 # rejects before counting
-                assert all(F.is_zero(B.deriv(i).evaluate(*_as_field(F, p3))) for i in range(3))
+                form = TernForm(F, 4, {e: F.from_int(c) for e, c in B})
+                partials = (partial_derivative(form, var) for var in range(3))
+                assert all(F.is_zero(d.evaluate(*_as_field(F, p3))) for d in partials)
                 singular.append(p3)
                 continue
             assert new == old, p3
@@ -797,7 +807,7 @@ class TestBitangentFrames:
         else:
             S = load_surface(SURFACE_DIR / f"{name}.json")
         verdicts = []
-        for Bf in _bitangent_frames(S.B):
+        for Bf in _bitangent_frames(S.B_ints):
             try:
                 verdicts.append(_count_all_bitangents_frame(Bf))
             except EliminationDegenerate:
@@ -811,7 +821,7 @@ class TestBitangentFrames:
 
     def test_s0_hyperflex_lines_over_a4(self, s0):
         # a4 = B(0, 1, v) vanishes at v^4 = -1, under the lines z = v y
-        assert _chart_lines_over_a4(_chart_coefficients(s0.B)) == 4
+        assert _chart_lines_over_a4(_chart_coefficients(s0.B_ints)) == 4
 
 
 def _sylvester_subresultant(P, Q, j):
@@ -876,7 +886,7 @@ class TestSubresultantCertificate:
 
     def test_chart_prs_elements_are_sylvester_subresultants(self, sk):
         # the chart conditions of s_k in frame 0: degrees 4 and 3 in u
-        P, Q = sorted(square_conditions(*_chart_coefficients(sk.B)), key=lambda p: -p.degree(_U))
+        P, Q = sorted(square_conditions(*_chart_coefficients(sk.B_ints)), key=lambda p: -p.degree(_U))
         _check_prs_against_sylvester(P, Q, [4, 3, 2, 1, 0])
 
 

@@ -15,7 +15,7 @@ from sympy import nextprime
 
 from dp2.errors import NotOnSurface, SingularBranchCurve, WrongDegrees
 from dp2.exactalg import QQ, PrimeField, TernForm
-from dp2.geometry import _random_unimodular, _tern_substitute
+from dp2.geometry import _pullback, _random_unimodular
 from dp2.surface import (
     PointDP2,
     _is_smooth_quartic,
@@ -37,11 +37,11 @@ PRIME_21 = 100000000000000000039  # the least prime above 10^20
 
 class TestValidate:
     def test_s0_valid(self, s0):
-        assert s0.f.is_zero()
-        assert s0.B.coeff(4, 0, 0) == 4
+        assert not s0.f.c
+        assert s0.B.c[(4, 0, 0)] == 4
 
     def test_sk_valid(self, sk):
-        assert sk.g.coeff(3, 1, 0) == 1
+        assert sk.g.c[(3, 1, 0)] == 1
 
     def test_singular_branch_rejected(self):
         g = TernForm(QQ, 4, {(4, 0, 0): Fraction(1)})
@@ -78,7 +78,7 @@ class TestValidate:
             (4, 0, 0): Fraction(1), (0, 4, 0): Fraction(1), (0, 0, 4): Fraction(PRIME_21),
         }))
         assert time.perf_counter() - start < 1
-        assert S.g.coeff(0, 0, 4) == PRIME_21
+        assert S.g.c[(0, 0, 4)] == PRIME_21
 
     def test_large_prime_scaling_normalises_back(self, random_surfaces):
         for S in random_surfaces:
@@ -129,7 +129,8 @@ def _quartic(family: str, rng) -> TernForm:
         line = _form(rng, 1, binary=True)
         q = _form(rng, 2, binary=True) if family == "node" else line * line
         B = z * z * q + z * _form(rng, 3, binary=True) + _form(rng, 4, binary=True)
-        return _tern_substitute(B, _random_unimodular(rng))
+        frame = _pullback(_int_terms(B), _random_unimodular(rng))
+        return TernForm(QQ, 4, {e: Fraction(c) for e, c in frame})
     if family == "pair":
         n, c = _form(rng, 2, binary=True), Fraction(rng.randint(-3, 3))
         return z * z * _form(rng, 2) + z * n * _form(rng, 1) + (n * n).scale(c)
@@ -139,6 +140,11 @@ def _quartic(family: str, rng) -> TernForm:
         return _form(rng, 2) * _form(rng, 2)
     conic = _form(rng, 2)
     return (conic * conic).scale(Fraction(rng.choice((-2, -1, 1, 3))))
+
+
+def _int_terms(B: TernForm) -> list:
+    """The terms (e, c) of a form with integral Fraction coefficients, c an int."""
+    return [(e, int(v)) for e, v in B.c.items()]
 
 
 SMOOTHNESS_FAMILIES = ("random", "node", "cusp", "pair", "cubic_line", "conic_conic", "double_conic")
@@ -152,12 +158,13 @@ class TestSmoothness:
         """The Macaulay rank test and the elimination reference agree over
         Q and over F_5, ..., F_17; every family but "random" is singular."""
         B = _quartic(family, random.Random(n))
-        smooth = _is_smooth_quartic(B)
+        smooth = _is_smooth_quartic(_int_terms(B))
         assert smooth == is_smooth_by_elimination(B)
         assert not smooth or family == "random"
         for p in (5, 7, 11, 13, 17):
-            Bp = B.map_coeffs(PrimeField(p).from_int, PrimeField(p))
-            assert _is_smooth_quartic(Bp) == is_smooth_by_elimination(Bp), p
+            Bp = TernForm(PrimeField(p), 4, {e: PrimeField(p).from_int(v) for e, v in B.c.items()})
+            residues = [(e, c % p) for e, c in _int_terms(B) if c % p]
+            assert _is_smooth_quartic(residues, p) == is_smooth_by_elimination(Bp), p
 
     def test_huge_smooth_quartic_validates_fast(self):
         # 300-digit coefficients: one elimination mod one prime suffices
