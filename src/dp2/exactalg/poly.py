@@ -1,6 +1,7 @@
 """Dense univariate polynomials over a field adapter, binary and ternary
-homogeneous forms, subresultant GCD and Musser squarefree decomposition; on
-ints over Q or mod p, row reduction and univariate gcd, division and radical.
+homogeneous forms and Musser squarefree decomposition; on ints over Q or mod
+p, row reduction and univariate gcd (GCDHEU over Q), division and radical;
+the subresultant PRS over Z[v], as lists of int lists.
 
 Univariate coefficients are stored ascending (c[i] is the coefficient of t^i).
 Binary forms follow the opposite, classical convention: coefficient i belongs
@@ -10,8 +11,9 @@ to s^(d-i) t^i.  Ternary forms are sparse maps from exponent triples.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from itertools import zip_longest
-from math import gcd as igcd, lcm
+from math import gcd as igcd, isqrt, lcm
 
 from ..errors import WrongDegree, ZeroPolynomial
 from .field import RationalField
@@ -148,56 +150,15 @@ class Poly:
 # GCD and squarefree machinery
 
 
-def _prem(a: list[int], b: list[int]) -> list[int]:
-    """Pseudo-remainder lc(b)^(deg a - deg b + 1) * a mod b over Z."""
-    r = list(a)
-    d = len(a) - len(b)
-    lb = b[-1]
-    for _ in range(d + 1):
-        if len(r) < len(b):
-            r = [lb * x for x in r]
-            continue
-        k = len(r) - len(b)
-        lr = r[-1]
-        r = [lb * x for x in r[:-1]]
-        for i, y in enumerate(b[:-1]):
-            r[k + i] -= lr * y
-        while r and r[-1] == 0:
-            r.pop()
-    return r
-
-
-def _subresultant_gcd_int(a, b) -> tuple[int, ...]:
-    """Primitive GCD of primitive integer polynomials via the subresultant PRS."""
-    if len(a) < len(b):
-        a, b = b, a
-    if not b:
-        return a
-    g, h = 1, 1
-    while True:
-        d = len(a) - len(b)
-        r = _prem(a, b)
-        if not r:
-            return primitive_ints(b)[0]
-        if len(r) == 1:
-            return (1,)
-        div = g * h**d
-        a, b = b, [n // div for n in r]
-        g = a[-1]
-        if d > 0:
-            h = g**d // h ** (d - 1)
-
-
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic GCD.  Over Q, via the subresultant remainder sequence (no
-    intermediate coefficient blowup beyond subresultant bounds); over other
-    fields, by monic Euclid."""
+    """Monic GCD.  Over Q, by `_gcd_ints` on the primitive int parts; over
+    other fields, by monic Euclid."""
     if a.is_zero():
         return b.monic()
     if b.is_zero():
         return a.monic()
     if isinstance(a.field, RationalField):
-        g = _subresultant_gcd_int(content_primitive_ints(a.c)[0], content_primitive_ints(b.c)[0])
+        g = _gcd_ints(content_primitive_ints(a.c)[0], content_primitive_ints(b.c)[0])
         return Poly.from_ints(a.field, g).monic()
     while not b.is_zero():
         a, b = b, a % b
@@ -407,11 +368,11 @@ def square_conditions(a0, a1, a2, a3, a4):
     The coefficients of t^4, s t^3, s^2 t^2 fix c = a4 and h = t^2 + b s t
     + e s^2 with b = a3 / (2 a4), e = (4 a4 a2 - a3^2) / (8 a4^2); c1 and c2
     are those of s^3 t and s^4 in q - a4 h^2, times 8 a4^2 and 64 a4^3.
-    Uses only +, - and *, so the a_i may be field elements, `Poly`s or
-    sympy `Poly`s."""
-    c1 = 8 * a4 * a4 * a1 - 4 * a4 * a2 * a3 + a3 * a3 * a3
-    h = 4 * a4 * a2 - a3 * a3
-    return c1, 64 * a4 * a4 * a4 * a0 - h * h
+    The a_i, c1 and c2 are polynomials, int lists (`_sum_of_products`);
+    `is_square_quartic` evaluates the same c1, c2 on scalars."""
+    h = _sum_of_products((4, a4, a2), (-1, a3, a3))
+    c1 = _sum_of_products((8, a4, a4, a1), (-4, a4, a2, a3), (1, a3, a3, a3))
+    return c1, _sum_of_products((64, a4, a4, a4, a0), (-1, h, h))
 
 
 def is_square_binform(q: BinForm) -> bool:
@@ -425,11 +386,13 @@ def is_square_binform(q: BinForm) -> bool:
 
 
 def is_square_quartic(c, is_zero) -> bool:
-    """`is_square_binform` on coefficients a0..a4 under the zero test `is_zero`."""
+    """`is_square_binform` on coefficients a0..a4 under the zero test
+    `is_zero`: with a4 != 0, the c1 = c2 = 0 of `square_conditions`."""
     a0, a1, a2, a3, a4 = c
     if is_zero(a4):
         return is_zero(a3) and is_zero(a1 * a1 - 4 * a0 * a2)
-    return all(is_zero(v) for v in square_conditions(a0, a1, a2, a3, a4))
+    h = 4 * a4 * a2 - a3 * a3
+    return is_zero(8 * a4 * a4 * a1 - 4 * a4 * a2 * a3 + a3 * a3 * a3) and is_zero(64 * a4 * a4 * a4 * a0 - h * h)
 
 
 def primitive_ints(ints) -> tuple[tuple[int, ...], int]:
@@ -539,8 +502,9 @@ def _trim(a, p: int = 0) -> list[int]:
 
 def _divmod_ints(a, b, p: int = 0) -> tuple[list[int], list[int]]:
     """(q, r) with a = q b + r and deg r < deg b, for a, b without trailing
-    zeros, b nonzero: mod p, or over Z for p = 0 when b is primitive and
-    divides a over Q, so that q is integral (Gauss's lemma)."""
+    zeros, b nonzero: mod p, or over Z for p = 0 when q is integral, as when
+    b divides a over Z, or b is primitive and divides a over Q (Gauss's
+    lemma); then each step's division by lc(b) is exact."""
     r, q = list(a), [0] * max(len(a) - len(b) + 1, 0)
     inv, nb = pow(b[-1], -1, p) if p else 0, len(b) - 1
     for k in range(len(q) - 1, -1, -1):
@@ -550,17 +514,82 @@ def _divmod_ints(a, b, p: int = 0) -> tuple[list[int], list[int]]:
     return q, _trim(r[:nb], p)
 
 
+_HEU_TRIES = 6  # values of xi GCDHEU tries before `_prs`, as sympy's heugcd does
+
+
 def _gcd_ints(a, b, p: int = 0) -> list[int]:
-    """A gcd of the int polynomials a, b, [] when both are zero: over Q the
-    primitive one, by `_subresultant_gcd_int` on their primitive parts; mod
-    p the monic one, by Euclid."""
+    """A gcd of the int polynomials a, b, [] when both are zero: mod p the
+    monic one, by Euclid; over Q the primitive one (`primitive_ints`), by
+    GCDHEU (Char, Geddes and Gonnet, J. Symb. Comp. 7, 1989) on their
+    primitive parts, and after _HEU_TRIES values of xi by the last element
+    of their `_prs`.
+
+    GCDHEU, for a, b primitive of positive degree and m the least of their
+    max-norms: for an int xi >= 2 m + 2, h has as coefficients the
+    symmetric xi-adic digits, in (-xi/2, xi/2], of gamma = gcd(a(xi),
+    b(xi)), so h(xi) = gamma.  If pp(h) divides a and b, it is their gcd G:
+    then pp(h) divides G, say G = pp(h) c, and G(xi) divides gamma =
+    cont(h) pp(h)(xi), so c(xi) divides cont(h); gamma != 0, since the
+    polynomial f of norm m has its roots z below 1 + m <= xi/2 in absolute
+    value (Cauchy's bound).  If c had degree >= 1, it would divide f, and
+    |c(xi)| >= prod |xi - z| over its roots > (xi/2)^deg c >= xi/2 >=
+    |cont(h)|.  So c = +-1, G and pp(h) being primitive.  Divisibility is
+    checked by multiplying the quotient back."""
     a, b = _trim(a, p), _trim(b, p)
-    if not p:
-        return list(_subresultant_gcd_int(primitive_ints(a)[0], primitive_ints(b)[0]))
-    while b:
-        a, b = b, _divmod_ints(a, b, p)[1]
-    inv = pow(a[-1], -1, p) if a else 0
-    return [v * inv % p for v in a]
+    if p:
+        while b:
+            a, b = b, _divmod_ints(a, b, p)[1]
+        inv = pow(a[-1], -1, p) if a else 0
+        return [v * inv % p for v in a]
+    a, b = sorted((list(primitive_ints(a)[0]), list(primitive_ints(b)[0])), key=len, reverse=True)
+    if len(b) < 2:
+        return a if not b else [1]
+    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 2
+    for _ in range(_HEU_TRIES):
+        gamma, h = igcd(*(reduce(lambda acc, v: acc * xi + v, reversed(f), 0) for f in (a, b))), []
+        while gamma:
+            d = gamma % xi
+            d -= xi if d > xi // 2 else 0
+            h.append(d)
+            gamma = (gamma - d) // xi
+        h = list(primitive_ints(h)[0])
+        if all(_bin_mul(0, _divmod_ints(f, h)[0], h) == f for f in (a, b)):
+            return h
+        xi = 73794 * xi * isqrt(isqrt(xi)) // 27011
+    last = _prs([[v] if v else [] for v in a], [[v] if v else [] for v in b])[-1]
+    return list(primitive_ints([c[0] if c else 0 for c in last])[0])
+
+
+def _prs(a, b) -> list:
+    """The subresultant PRS a, b, F_3, ..., F_k of polynomials in u over
+    Z[v], given as lists in u of int lists in v, b != 0 and deg a >= deg b
+    (Brown and Traub, JACM 18, 1971): F_(i+1) = prem(F_(i-1), F_i) /
+    (g_i h_i^(d_i)) up to the last nonzero one, where d_i = deg F_(i-1) -
+    deg F_i, g_2 = h_2 = 1, and for i >= 3 g_i = lc(F_(i-1)) and h_i =
+    h_(i-1)^(1 - d_(i-1)) g_i^(d_(i-1)).  Each F_i, i >= 3, is +-S_j, the
+    j-th subresultant of a and b with j = deg F_(i-1) - 1, so every division
+    is exact in Z[v] and `_divmod_ints` performs it.
+    Res_u(a, b) is 0 when deg F_k > 0 and +-F_k when deg F_k = 0 and
+    deg F_(k-1) = 1.  On constant coefficients, [n] or [], this is the PRS
+    over Z, and F_k is a gcd of a and b."""
+    seq, g, h = [a, b], [1], [1]
+    while True:
+        a, b = seq[-2:]
+        d, nb = len(a) - len(b), len(b) - 1
+        r = list(a)
+        for k in range(d, -1, -1):
+            t = r[k + nb]
+            r = [_trim(_bin_mul(0, b[-1], c)) for c in r]
+            for i, y in enumerate(b):
+                r[k + i] = _trim(_sum_of_products((1, r[k + i]), (-1, t, y)))
+        r = _trim(r[:nb])
+        if not r:
+            return seq
+        div = _sum_of_products((1, g, *[h] * d))
+        seq.append([_divmod_ints(c, div)[0] for c in r])
+        g = b[-1]
+        if d:
+            h = _divmod_ints(_sum_of_products((1, *[g] * d)), _sum_of_products((1, *[h] * (d - 1))))[0]
 
 
 def _radical(a, p: int = 0) -> list[int]:
@@ -621,12 +650,6 @@ class TernForm:
 
     def scale(self, k):
         return TernForm(self.field, self.degree, {key: v * k for key, v in self.c.items()})
-
-    def restrict_line(self, p1, p2) -> BinForm:
-        """Binary form B(s*p1 + t*p2) of the same degree; p1, p2 are
-        coordinate triples over the coefficient field (or ints)."""
-        out = _restrict(self.field, list(self.c.items()), self.degree, p1, p2)
-        return BinForm(self.field, self.degree, out)
 
     def __eq__(self, other):
         return isinstance(other, TernForm) and self.degree == other.degree and self.c == other.c

@@ -20,11 +20,11 @@ from .errors import ReducibleModel, SingularHit, SingularOrigin
 from .exactalg import (
     BinForm,
     RationalField,
-    TernForm,
     content_primitive_ints,
     disc_binary_quartic,
     is_square_binform,
 )
+from .exactalg.poly import _expand_linear
 
 
 class ModelClass(enum.Enum):
@@ -96,9 +96,14 @@ class QuarticModel:
         return not (F.is_zero(ds) and F.is_zero(dt))
 
 
-def pullback_generic(F, f: TernForm, g: TernForm, A, B) -> QuarticModel:
-    """Restrict the surface to the line parametrized by (s:t) |-> sA + tB."""
-    return QuarticModel(a=f.restrict_line(A, B), b=g.restrict_line(A, B))
+def pullback_generic(F, f, g, A, B) -> QuarticModel:
+    """Restrict the surface to the line parametrized by (s:t) |-> sA + tB:
+    f, g are its int terms (e, c) and A, B int triples, ints over Q and
+    residues mod p, restricted by `_expand_linear` on ints; each coefficient
+    is then mapped into F once."""
+    lins = list(zip(A, B))
+    a, b = (BinForm.from_ints(F, n, _expand_linear(h, lins, n, 0)) for h, n in ((f, 2), (g, 4)))
+    return QuarticModel(a=a, b=b)
 
 
 def classify_model(M: QuarticModel) -> ModelClass:

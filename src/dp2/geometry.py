@@ -4,8 +4,9 @@ curves, generalized Eckardt) and the U_phi / U_inv membership tests.
 
 phi, C_P, the sections of |-2K_X| and the count of bitangents through a point
 run on int terms with a modulus p (0 for Q), which the finite-field oracle
-calls on residues; only origin "Q" runs on a field adapter.  The public API
-wraps them for Q.
+calls on residues; only origin "Q" runs its group law on a field adapter,
+from the same int terms.  The count of all 28 bitangents eliminates in
+Z[u, v], on lists in u of int lists in v.  The public API wraps them for Q.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from math import comb, gcd
-from typing import TYPE_CHECKING
 
 from .errors import (
     BadParameter,
@@ -26,12 +26,9 @@ from .errors import (
     SingularOrigin,
 )
 from .exactalg import QQ, PrimeField, primitive_ints, square_conditions
-from .exactalg.poly import (_bin_mul, _expand_linear, _gcd_ints, _nullspace, _radical, _sum_of_products,
-                             _tern_mul, is_square_quartic)
+from .exactalg.poly import (_bin_mul, _divmod_ints, _expand_linear, _gcd_ints, _nullspace, _prs, _radical,
+                             _sum_of_products, _tern_mul, _trim, is_square_quartic)
 from .surface import PointDP2, PointP2, SurfaceDP2, _int_value, kappa, on_ramification, on_surface
-
-if TYPE_CHECKING:
-    import sympy as sp
 
 # fixed ordering of the |-2K_X| section basis: w, then the degree-2 monomials
 SEC_MONOMIALS = [(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1)]
@@ -220,8 +217,8 @@ def _residual_point(f, g, A, B, wP, X, bitangent: str, p: int = 0):
 
 
 def _residual_core(f, g, A, B, wP, X, bitangent: str, p: int = 0):
-    """`_residual_point` with f, g `TernForm`s over Q or F_p by the group law
-    of `genus1`, imported only here, with origin iota(X): the same R (the
+    """`_residual_point` on the same inputs by the group law of `genus1`,
+    imported only here, in Q or F_p with origin iota(X): the same R (the
     class has degree 1) and errors, but for a singular hit's message."""
     from .genus1 import lin_comb, pullback_generic
 
@@ -253,8 +250,7 @@ def phi(S: SurfaceDP2, P: PointDP2, Q: PointDP2, origin: str = "P") -> PointDP2:
     """The unique point R of E_{P,Q} with (R) ~ 2(iota(P)) - (Q)."""
     if origin not in ("P", "Q"):
         raise ValueError(f"origin must be 'P' or 'Q', got {origin!r}")
-    f, g = (S.f_ints, S.g_ints) if origin == "P" else (S.f, S.g)
-    return on_surface(S, *_phi_core(f, g, P.coords(), Q.coords(), origin=origin))
+    return on_surface(S, *_phi_core(S.f_ints, S.g_ints, P.coords(), Q.coords(), origin=origin))
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +367,7 @@ def _count_bitangents_core(B, p3, p: int = 0) -> int:
     C(s, r, t r) = sum a_i(t) s^(4-i) r^i, a_i collecting the coefficients
     of s^(4-i) r^(i-k) u^k at t^k, and B on the second is C(s, 0, u), whose
     coefficient of s^(4-i) u^i is that of t^i in a_i.  Let c1, c2 be the
-    `square_conditions` of the a_i (here on int lists), and G = gcd(c1, c2).
+    `square_conditions` of the a_i, and G = gcd(c1, c2).
 
     1. Every square member is a root of G: with a4(t) != 0, c1 = c2 = 0 is
        the square test itself; with a4(t) = 0, c1 = a3^3 and c2 = -a3^4,
@@ -390,9 +386,7 @@ def _count_bitangents_core(B, p3, p: int = 0) -> int:
     for (_i, j, k), v in _pullback(B, [(p3[i], e1[i], e2[i]) for i in range(3)], p):
         a[j + k][k] = v
     a0, a1, a2, a3, a4 = a
-    h = _sum_of_products((4, a4, a2), (-1, a3, a3))
-    c1 = _sum_of_products((8, a4, a4, a1), (-4, a4, a2, a3), (1, a3, a3, a3))
-    G = _gcd_ints(c1, _sum_of_products((64, a4, a4, a4, a0), (-1, h, h)), p)
+    G = _gcd_ints(*square_conditions(*a), p)
     if not G:
         raise EliminationDegenerate("square conditions vanish along the pencil")
     H = _radical(G, p)
@@ -471,9 +465,10 @@ def phi_domain(S: SurfaceDP2, P: PointDP2, Q: PointDP2) -> PhiDomainVerdict:
 
 
 # ---------------------------------------------------------------------------
-# all 28 bitangents (the one use of sympy, imported on first call)
+# all 28 bitangents
 
 _BITANGENT_FRAMES = 6  # coordinate frames tried before giving up
+_V_SPAN = 17  # `_packed` puts u = t^17, v = t
 
 
 def count_all_bitangents(S: SurfaceDP2) -> int:
@@ -509,19 +504,21 @@ def _count_all_bitangents_frame(Bf) -> int:
     """Bitangents of B, with int terms Bf in one frame: the lines z = u x + v y, plus those
     through (0:0:1).  With B(x, y, u x + v y) = sum a_i x^(4-i) y^i, a line
     with a4 = B(0, 1, v) != 0 is a bitangent exactly when c1 = c2 = 0
-    (`square_conditions`); `_count_chart_zeros` counts those lines, and
-    `_chart_lines_over_a4` the bitangents over the roots of a4."""
+    (`square_conditions`, on the a_i packed by `_packed`); `_count_chart_zeros`
+    counts those lines, and `_chart_lines_over_a4` the bitangents over the
+    roots of a4."""
     a = _chart_coefficients(Bf)
-    c1, c2 = square_conditions(*a)
-    if c1.is_zero or c2.is_zero:
+    c1, c2 = (_unpacked(c) for c in square_conditions(*map(_packed, a)))
+    if not c1 or not c2:
         raise EliminationDegenerate("chart conditions vanish identically")
-    chart = _count_chart_zeros(c1, c2, _coeff_u(a[4], 0)) + _chart_lines_over_a4(a)
+    chart = _count_chart_zeros(c1, c2, a[4][0] if a[4] else []) + _chart_lines_over_a4(a)
     return chart + _count_bitangents_core(Bf, (0, 0, 1))
 
 
-def _count_chart_zeros(P: sp.Poly, Q: sp.Poly, a4: sp.Poly) -> int:
-    """Common zeros (u, v) of P, Q in ZZ[u, v] with a4(v) != 0, or
-    `EliminationDegenerate` where the certificate below does not apply.
+def _count_chart_zeros(P, Q, a4) -> int:
+    """Common zeros (u, v) of P, Q in Z[u, v], lists in u of int lists in v,
+    with a4(v) != 0, a4 an int list, or `EliminationDegenerate` where the
+    certificate below does not apply.
 
     Order P, Q so that deg_u P >= deg_u Q; let R = Res_u(P, Q), S_j the
     j-th subresultant in u, psc_j its coefficient of u^j, and r0 the
@@ -535,70 +532,70 @@ def _count_chart_zeros(P: sp.Poly, Q: sp.Poly, a4: sp.Poly) -> int:
        is the j-th subresultant of P(u, v), Q(u, v), whose gcd has degree
        the least j with psc_j(v) != 0.  R(v) = 0 and psc_1(v) != 0 make the
        gcd linear: exactly one common zero over v.
-    3. In sympy's subresultant PRS P, Q, F_3, ... each F_i, and Q too if
-       deg_u P = deg_u Q + 1, is S_(k-1) up to a nonzero rational factor, k
-       the degree of the element before it (the tests check this against
-       Sylvester determinants).  So the element of degree 1 after one of
-       degree 2 is S_1, and psc_1 is its leading coefficient in u.
+    3. In the subresultant PRS P, Q, F_3, ... of `_prs` each F_i is +-S_j,
+       j one less than the degree of the element before it (the tests check
+       this against Sylvester determinants).  So the element of degree 1
+       after one of degree 2 is +-S_1, and psc_1 is its leading coefficient
+       in u, and the last element, of degree 0 after it, is +-R.
 
     For P, Q = c1, c2, c1 = a3^3 and c2 = -a3^4 over a root of a4, so psc_1
     vanishes there: that is why those roots are divided out."""
-    import sympy as sp
-
-    P, Q = sorted((P, Q), key=lambda p: p.degree(0), reverse=True)
-    R, prs = sp.resultant(P, Q, includePRS=True)
-    if R.is_zero:
+    P, Q = sorted((P, Q), key=len, reverse=True)
+    prs = _prs(P, Q)
+    if len(prs[-1]) > 1:
         raise EliminationDegenerate("resultant in the dual chart vanishes")
-    if [p.degree(0) for p in prs[-3:]] != [2, 1, 0]:
+    if [len(F) - 1 for F in prs[-3:]] != [2, 1, 0]:
         raise EliminationDegenerate("subresultant PRS does not end in degrees 2, 1, 0")
-    r = R.sqf_part()
-    r0 = r.quo(r.gcd(a4))
-    lcs = _coeff_u(P, P.degree(0)) * _coeff_u(Q, Q.degree(0)) * _coeff_u(prs[-2], 1)
-    if r0.gcd(lcs).degree() > 0:
+    r = _radical(prs[-1][0])
+    r0 = _divmod_ints(r, _gcd_ints(r, a4))[0]
+    if len(_gcd_ints(r0, _sum_of_products((1, P[-1], Q[-1], prs[-2][1])))) > 1:
         raise EliminationDegenerate("a root of the resultant is a root of a leading coefficient")
-    return r0.degree()
+    return len(r0) - 1
 
 
 def _chart_lines_over_a4(a) -> int:
-    """The bitangents z = u x + v y with a4(v) = 0: a3 = 0 there, and
-    a1^2 - 4 a0 a2 vanishes (the residual quadratic is a square).
-    a3 = alpha(v) u + beta(v).  At a root v of r = rad a4, a3 has the one
-    root u = -beta/alpha if alpha(v) != 0, none if only alpha(v) = 0, and
-    vanishes if beta(v) = 0 too (raised).  So the candidates lie over the
-    roots of r1 = r / gcd(r, alpha), one each.  With a1^2 - 4 a0 a2 =
-    sum d_k u^k of degree m in u, N = sum d_k (-beta)^k alpha^(m-k) is
-    alpha^m times its value there, so deg gcd(r1, N) of them are
-    bitangents."""
-    a4 = _coeff_u(a[4], 0)
-    if a4.is_zero:
+    """The bitangents z = u x + v y with a4(v) = 0, for the a_i of
+    `_chart_coefficients`: a3 = 0 there, and a1^2 - 4 a0 a2 vanishes (the
+    residual quadratic is a square).  a3 = alpha(v) u + beta(v).  At a root
+    v of r = rad a4, a3 has the one root u = -beta/alpha if alpha(v) != 0,
+    none if only alpha(v) = 0, and vanishes if beta(v) = 0 too (raised).  So
+    the candidates lie over the roots of r1 = r / gcd(r, alpha), one each.
+    With a1^2 - 4 a0 a2 = sum d_k u^k of degree m in u, N = sum d_k
+    (-beta)^k alpha^(m-k) is alpha^m times its value there, so
+    deg gcd(r1, N) of them are bitangents."""
+    if not a[4]:
         raise EliminationDegenerate("a4 vanishes identically")
-    r = a4.sqf_part()
-    alpha, beta = _coeff_u(a[3], 1), _coeff_u(a[3], 0)
-    if r.gcd(alpha).gcd(beta).degree() > 0:
+    r = _radical(a[4][0])
+    beta, alpha = (a[3] + [[], []])[:2]
+    if len(_gcd_ints(_gcd_ints(r, alpha), beta)) > 1:
         raise EliminationDegenerate("a3 vanishes along a root of a4")
-    r1 = r.quo(r.gcd(alpha))
-    disc2 = a[1] ** 2 - 4 * a[0] * a[2]
-    N, alpha_pow = alpha.zero, alpha.one
-    for k in range(disc2.degree(0), -1, -1):
-        N = N * -beta + _coeff_u(disc2, k) * alpha_pow
-        alpha_pow = alpha_pow * alpha
-    return r1.gcd(N).degree()
+    r1 = _divmod_ints(r, _gcd_ints(r, alpha))[0]
+    a0, a1, a2 = map(_packed, a[:3])
+    N, alpha_pow = [], [1]
+    for d in reversed(_unpacked(_sum_of_products((1, a1, a1), (-4, a0, a2)))):
+        N = _sum_of_products((-1, N, beta), (1, d, alpha_pow))
+        alpha_pow = _bin_mul(0, alpha_pow, alpha)
+    return len(_gcd_ints(r1, N)) - 1
 
 
-def _chart_coefficients(Bf) -> list[sp.Poly]:
+def _chart_coefficients(Bf) -> list:
     """The coefficients a0..a4 of B(x, y, u x + v y) = sum a_i x^(4-i) y^i
-    as polynomials in (u, v) over ZZ, for B's int terms Bf."""
-    import sympy as sp
-
-    a = [{} for _ in range(5)]
+    for B's int terms Bf, as polynomials in (u, v) over Z: lists in u of
+    int lists in v, trimmed."""
+    a = [[[0] * 5 for _ in range(5)] for _ in range(5)]
     for (i, j, k), val in Bf:
         # x^i y^j (u x + v y)^k contributes C(k, l) u^(k-l) v^l to a_(j+l)
         for l in range(k + 1):
-            key = (k - l, l)
-            a[j + l][key] = a[j + l].get(key, 0) + val * comb(k, l)
-    return [sp.Poly.from_dict(t, *sp.symbols("_u _v"), domain=sp.ZZ) for t in a]
+            a[j + l][k - l][l] += val * comb(k, l)
+    return [_trim([_trim(c) for c in ai]) for ai in a]
 
 
-def _coeff_u(p: sp.Poly, n: int) -> sp.Poly:
-    """Coefficient of u^n in p, a polynomial in (u, v), as a polynomial in v."""
-    return p.from_dict({(j,): c for (i, j), c in p.terms() if i == n}, p.gens[1], domain=p.domain)
+def _packed(P) -> list[int]:
+    """P(t^17, t) as an int list: products pack while of degree <= 16 in v,
+    as c1, c2 and a1^2 - 4 a0 a2 are (the a_i have degree <= 4 in v)."""
+    return [v for c in P for v in c + [0] * (_V_SPAN - len(c))]
+
+
+def _unpacked(c) -> list:
+    """The polynomial in (u, v) that `_packed` maps to c."""
+    return _trim([_trim(c[i:i + _V_SPAN]) for i in range(0, len(c), _V_SPAN)])

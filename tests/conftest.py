@@ -101,7 +101,9 @@ def _fibre_points(model, wP, X):
 def residual_by_group_law(F, f, g, A, B, wP, X, bitangent: str):
     """Reference for `geometry._residual_point`: the point
     R ~ 2(iota(P)) - (X) by the group law with origin iota(P) on every
-    fibre, as the core computed it before its closed form."""
+    fibre, as the core computed it before its closed form.  f, g are the
+    surface's int terms and A, B int triples (residues mod p); wP and X are
+    in F."""
     model = pullback_generic(F, f, g, A, B)
     iota_P, Xc = _fibre_points(model, wP, X)
     try:
@@ -118,13 +120,13 @@ def _as_field(F, values):
 
 
 def phi_core_by_group_law(F, f, g, P4, Q4):
-    """Reference for `geometry._phi_core` with origin "P"."""
-    *A, wP = _as_field(F, P4)
-    *B, wQ = _as_field(F, Q4)
+    """Reference for `geometry._phi_core` with origin "P", on int terms and
+    int points (residues mod p)."""
+    (*A, wP), (*B, wQ) = P4, Q4
     cross = (A[1] * B[2] - A[2] * B[1], A[2] * B[0] - A[0] * B[2], A[0] * B[1] - A[1] * B[0])
-    if all(F.is_zero(v) for v in cross):
+    if all(F.is_zero(F.from_int(v)) for v in cross):
         raise SameImage("kappa(P) = kappa(Q)")
-    return residual_by_group_law(F, f, g, A, B, wP, (F.zero, F.one, wQ),
+    return residual_by_group_law(F, f, g, A, B, F.from_int(wP), (F.zero, F.one, F.from_int(wQ)),
                                  "the line through kappa(P), kappa(Q) is a bitangent")
 
 
@@ -132,7 +134,7 @@ def c_p_point_by_group_law(S: SurfaceDP2, P, param):
     """Reference for `geometry.c_p_point`."""
     A, B = _pencil_line(P.xyz(), param)
     wP = Fraction(P.w)
-    R = residual_by_group_law(QQ, S.f, S.g, A, B, wP, (QQ.one, QQ.zero, wP),
+    R = residual_by_group_law(QQ, S.f_ints, S.g_ints, A, B, wP, (QQ.one, QQ.zero, wP),
                               "pencil member is a bitangent line")
     return on_surface(S, *R)
 
@@ -282,7 +284,7 @@ def _smooth_in_frame(F, form):
     partials = [partial_derivative(form, var) for var in range(3)]
     if all(not p.c for p in partials):
         return False
-    if _has_common_projective_root_binary(F, [p.restrict_line((1, 0, 0), (0, 1, 0)) for p in partials]):
+    if _has_common_projective_root_binary(F, [restrict_line_reference(p, (1, 0, 0), (0, 1, 0)) for p in partials]):
         return False  # a common zero on the line z = 0
     nz = [p for p in partials if p.c]
     if len(nz) < 2:

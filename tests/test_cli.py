@@ -265,7 +265,7 @@ class TestVerify:
 
 
 # run in a fresh interpreter: the six commands on pinned surfaces, then the
-# bitangent count, the one path that still loads sympy; genus1 is loaded by
+# count of all 28 bitangents, none of which loads sympy; genus1 is loaded by
 # verify, the last command, alone
 IMPORT_GUARD = """
 import contextlib, io, sys
@@ -286,6 +286,7 @@ assert "sympy" not in sys.modules, "a CLI command imported sympy"
 from dp2.geometry import count_all_bitangents
 from dp2.surface import load_surface
 assert count_all_bitangents(load_surface("surfaces/random2.json")) == 28
+assert "sympy" not in sys.modules, "the bitangent count imported sympy"
 """
 
 

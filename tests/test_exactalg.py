@@ -4,6 +4,7 @@ modular extension-field GCD."""
 import random
 from fractions import Fraction
 from math import prod
+from unittest import mock
 
 import pytest
 import sympy as sp
@@ -14,7 +15,7 @@ from conftest import (
     square_by_yun,
     substitute_reference,
 )
-from hypothesis import assume, given, seed, settings
+from hypothesis import assume, example, given, seed, settings
 from hypothesis import strategies as st
 
 from dp2.errors import WrongDegree
@@ -36,7 +37,8 @@ from dp2.exactalg import (
 )
 from dp2.exactalg.factor import factor_modp, factor_rational
 from dp2.exactalg.modgcd import _rational_reconstruct, quotient_gcd
-from dp2.exactalg.poly import _bin_mul, _nullspace, _radical, _trim
+from dp2.exactalg import poly
+from dp2.exactalg.poly import _bin_mul, _gcd_ints, _nullspace, _radical, _restrict, _trim
 from dp2.exactalg.quotient import QuotientField
 
 
@@ -153,8 +155,8 @@ class TestBinForm:
 
     def test_restrict_line(self):
         B = TernForm(QQ, 4, {(4, 0, 0): Fraction(1), (0, 4, 0): Fraction(1), (0, 0, 4): Fraction(1)})
-        q = B.restrict_line((Fraction(1), Fraction(0), Fraction(0)), (Fraction(0), Fraction(1), Fraction(0)))
-        assert q.c == [Fraction(1), Fraction(0), Fraction(0), Fraction(0), Fraction(1)]
+        q = _restrict(QQ, list(B.c.items()), 4, (Fraction(1), Fraction(0), Fraction(0)), (0, 1, 0))
+        assert q == [Fraction(1), Fraction(0), Fraction(0), Fraction(0), Fraction(1)]
 
 
 # Yun's method needs multiplicities below the characteristic: F_3 is left out
@@ -228,7 +230,7 @@ def restrictions(draw):
 @given(restrictions())
 def test_restriction_kernel_matches_reference(case):
     form, p1, p2, binary, m = case
-    assert form.restrict_line(p1, p2) == restrict_line_reference(form, p1, p2)
+    assert _restrict(form.field, list(form.c.items()), form.degree, p1, p2) == restrict_line_reference(form, p1, p2).c
     assert binary.substitute(m) == substitute_reference(binary, m)
 
 
@@ -355,3 +357,42 @@ class TestRadical:
                 a = _bin_mul(0, a, f)
         ref = prod((f for f, _ in squarefree_factor(Poly.from_ints(F, a))), start=Poly.one(F))
         assert Poly.from_ints(F, _radical(a, p)).monic() == ref
+
+
+def _gcd_reference(a, b) -> list[int]:
+    """The primitive part of sympy's gcd over ZZ of the int lists a, b."""
+    t = sp.Symbol("t")
+    a, b = (sp.Poly(list(reversed(f)) or [0], t, domain=sp.ZZ) for f in (a, b))
+    return list(primitive_ints(_trim([int(c) for c in reversed(a.gcd(b).all_coeffs())]))[0])
+
+
+@st.composite
+def gcd_pairs(draw):
+    """(g c1, g c2) for polynomials g, c1, c2 with small or 100-digit
+    coefficients; a c_i of length 0 or 1 makes a zero or constant input,
+    and the cofactors are coprime except in rare draws."""
+    coeff = st.integers(-5, 5) | st.integers(-(10**100), 10**100)
+    g, c1, c2 = (draw(st.lists(coeff, max_size=n)) for n in (4, 6, 6))
+    return _bin_mul(0, g, c1), _bin_mul(0, g, c2)
+
+
+class TestGcdInts:
+    """`_gcd_ints` over Q, primitive: GCDHEU, and the `_prs` fallback it
+    takes after _HEU_TRIES values of xi, against sympy's gcd over ZZ, up to
+    sign."""
+
+    @seed(24)
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(gcd_pairs())
+    @example(([0, 1, 1], [2, 1, 1]))  # t^2 + t, t^2 + t + 2: both values even at every xi
+    @example(([], []))
+    @example(([0, 0], [3, 6]))
+    @example(([7], [0, 0, 5]))
+    @example((_bin_mul(0, [10**99 + 7, -(10**100), 3], [1, 1]), _bin_mul(0, [10**99 + 7, -(10**100), 3], [2, -1])))
+    def test_matches_sympy(self, pair):
+        ref = _gcd_reference(*pair)
+        for tries in (6, 0):
+            with mock.patch.object(poly, "_HEU_TRIES", tries):
+                ours = _gcd_ints(*pair)
+            assert ours in (ref, [-v for v in ref]), tries
+            assert ours == list(primitive_ints(ours)[0])

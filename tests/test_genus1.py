@@ -21,31 +21,31 @@ from dp2.genus1 import (
 class TestPullback:
     def test_s0_line_z0(self, s0):
         # (s:t) -> (s:t:0): a = 0, b = s^4 + t^4
-        M = pullback_generic(QQ, s0.f, s0.g, (1, 0, 0), (0, 1, 0))
+        M = pullback_generic(QQ, s0.f_ints, s0.g_ints, (1, 0, 0), (0, 1, 0))
         assert all(c == 0 for c in M.a.c)
         assert M.b.c == [Fraction(1), 0, 0, 0, Fraction(1)]
 
     def test_sk_line_x0(self, sk):
         # (s:t) -> (0:s:t): a = 0, b = s^3 t
-        M = pullback_generic(QQ, sk.f, sk.g, (0, 1, 0), (0, 0, 1))
+        M = pullback_generic(QQ, sk.f_ints, sk.g_ints, (0, 1, 0), (0, 0, 1))
         assert all(c == 0 for c in M.a.c)
         assert M.b.c == [Fraction(0), Fraction(1), 0, 0, 0]
 
 
 class TestClassify:
     def test_smooth(self, s0):
-        M = pullback_generic(QQ, s0.f, s0.g, (1, 0, 0), (0, 1, 0))
+        M = pullback_generic(QQ, s0.f_ints, s0.g_ints, (1, 0, 0), (0, 1, 0))
         assert classify_model(M) is ModelClass.Smooth
 
     def test_singular_fiber(self, sk):
         # b = s^3 t has a double root pattern: q = 4 s^3 t, disc = 0, not square
-        M = pullback_generic(QQ, sk.f, sk.g, (0, 1, 0), (0, 0, 1))
+        M = pullback_generic(QQ, sk.f_ints, sk.g_ints, (0, 1, 0), (0, 0, 1))
         assert classify_model(M) is ModelClass.IrreducibleSingular
 
 
 class TestWeierstrass:
     def _model(self, s0):
-        return pullback_generic(QQ, s0.f, s0.g, (1, 0, 0), (0, 1, 0))
+        return pullback_generic(QQ, s0.f_ints, s0.g_ints, (1, 0, 0), (0, 1, 0))
 
     def test_forward_backward_round_trip(self, s0):
         M = self._model(s0)
@@ -75,7 +75,7 @@ class TestGroupLaw:
     def test_neg_wrt_definition(self, s0):
         # R = neg_wrt(O, Q) satisfies (R) ~ 2(O) - (Q); applying it twice
         # returns Q
-        M = pullback_generic(QQ, s0.f, s0.g, (1, 0, 0), (0, 1, 0))
+        M = pullback_generic(QQ, s0.f_ints, s0.g_ints, (1, 0, 0), (0, 1, 0))
         O = M.point(1, 0, 1)
         Q = M.point(0, 1, 1)
         R = neg_wrt(M, O, Q)
@@ -83,13 +83,13 @@ class TestGroupLaw:
         assert neg_wrt(M, O, R) == Q
 
     def test_neg_wrt_fixes_origin(self, s0):
-        M = pullback_generic(QQ, s0.f, s0.g, (1, 0, 0), (0, 1, 0))
+        M = pullback_generic(QQ, s0.f_ints, s0.g_ints, (1, 0, 0), (0, 1, 0))
         O = M.point(1, 0, 1)
         assert neg_wrt(M, O, O) == O
 
     def test_lin_comb_origin_independence(self, s0):
         # sum of coefficients 1 => origin does not matter
-        M = pullback_generic(QQ, s0.f, s0.g, (1, 0, 0), (0, 1, 0))
+        M = pullback_generic(QQ, s0.f_ints, s0.g_ints, (1, 0, 0), (0, 1, 0))
         O1 = M.point(1, 0, 1)
         O2 = M.point(1, 0, -1)
         Q = M.point(0, 1, 1)

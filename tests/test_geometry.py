@@ -20,6 +20,7 @@ from conftest import (
     phi_core_by_group_law,
     phi_domain_by_classification,
     residual_by_group_law,
+    restrict_line_reference,
     section_at,
     seeded_random_surface,
     square_by_yun,
@@ -51,6 +52,7 @@ from dp2.fforacle import (
     reduce_point,
     reduce_surface,
 )
+from dp2.exactalg.poly import _prs, _trim
 from dp2.geometry import (
     _bitangent_frames,
     _chart_coefficients,
@@ -59,12 +61,14 @@ from dp2.geometry import (
     _count_bitangents_core,
     _count_chart_zeros,
     _osculating_core,
+    _packed,
     _pencil_basis,
     _pencil_line,
     _phi_core,
     _pullback,
     _residual_point,
     _u0_core,
+    _unpacked,
     c_p_point,
     classify_point,
     complete_unimodular,
@@ -237,7 +241,7 @@ class TestPencilLine:
         A, B = _pencil_line((1, 0, 0), (2, 4))
         e1, e2 = complete_unimodular((1, 0, 0))
         assert A == (1, 0, 0) and B == tuple(a + 2 * b for a, b in zip(e1, e2))
-        assert s0.g.evaluate(*A) == s0.g.restrict_line(A, B).evaluate(1, 0)
+        assert s0.g.evaluate(*A) == restrict_line_reference(s0.g, A, B).evaluate(1, 0)
 
 
 PHI_BITANGENT = "the line through kappa(P), kappa(Q) is a bitangent"
@@ -262,9 +266,8 @@ def _outcome(fn):
 
 
 def _phi_mod_p(Sp, P, Q, origin):
-    """`_phi_core` on X(F_p) with the forms that `origin` takes."""
-    f, g = (Sp.f_ints, Sp.g_ints) if origin == "P" else forms_modp(Sp)
-    return _phi_core(f, g, P, Q, Sp.p, origin)
+    """`_phi_core` on X(F_p) with origin "P" or "Q"."""
+    return _phi_core(Sp.f_ints, Sp.g_ints, P, Q, Sp.p, origin)
 
 
 def _residues(R):
@@ -282,7 +285,7 @@ def _bitangent_pairs(Sp):
         on = [P for P in Sp.points() if sum(a * x for a, x in zip(L, P)) % p == 0]
         images = sorted({P[:3] for P in on})
         if len(images) >= 2:
-            model = pullback_generic(PrimeField(p), *forms_modp(Sp), images[0], images[1])
+            model = pullback_generic(PrimeField(p), Sp.f_ints, Sp.g_ints, images[0], images[1])
             if classify_model(model) is ModelClass.Reducible:
                 pairs.extend((P, Q) for P in on for Q in on if P[:3] != Q[:3])
     return pairs
@@ -417,7 +420,7 @@ class TestClosedForm:
     @pytest.mark.parametrize("name, p", [("random2", 11), ("s0", 7)])
     def test_phi_core_against_group_law(self, name, p, monkeypatch):
         Sp = reduce_surface(load_surface(SURFACE_DIR / f"{name}.json"), p)
-        F, (fp, gp) = PrimeField(p), forms_modp(Sp)
+        F, (fp, gp) = PrimeField(p), (Sp.f_ints, Sp.g_ints)
         taken = []
         real = geometry._residual_point
 
@@ -464,9 +467,8 @@ class TestClosedForm:
     def test_fallback_on_random2_mod_11(self, P, Q, R, fibre):
         """phi with 2 w_P + a_0 = 0, and on an irreducible singular fibre."""
         Sp = reduce_surface(load_surface(SURFACE_DIR / "random2.json"), 11)
-        F, (f, g) = PrimeField(Sp.p), forms_modp(Sp)
-        *A, wP = _as_field(F, P)
-        *B, wQ = _as_field(F, Q)
+        F, (f, g) = PrimeField(Sp.p), (Sp.f_ints, Sp.g_ints)
+        (*A, wP), (*B, _) = P, Q
         model = pullback_generic(F, f, g, A, B)
         assert classify_model(model) is fibre
         assert F.is_zero(wP + wP + model.a.c[0]) == (fibre is ModelClass.Smooth)
@@ -479,7 +481,7 @@ class TestClosedForm:
         outcome = _outcome_any(lambda: _residual_point(s0.f_ints, s0.g_ints, A, B, P0.w, (0, 1, Q1.w + 1), ""))
         assert outcome == ("ValueError", "(0:1:2) not on the quartic model")
         X = (QQ.zero, QQ.one, QQ.from_int(Q1.w + 1))
-        assert outcome == _outcome_any(lambda: residual_by_group_law(QQ, s0.f, s0.g, A, B, P0.w, X, ""))
+        assert outcome == _outcome_any(lambda: residual_by_group_law(QQ, s0.f_ints, s0.g_ints, A, B, P0.w, X, ""))
 
 
 def _assert_core_matches_group_law(S, P, Q, normalize):
@@ -492,12 +494,11 @@ def _assert_core_matches_group_law(S, P, Q, normalize):
     p, ints = getattr(S, "p", 0), (S.f_ints, S.g_ints)
     F = PrimeField(p) if p else QQ
     wP = F.from_int(P[3])
-    f, g = forms_modp(S) if p else (S.f, S.g)
-    cases = [(lambda: _phi_core(*ints, P, Q, p), lambda: phi_core_by_group_law(F, f, g, P, Q))]
+    cases = [(lambda: _phi_core(*ints, P, Q, p), lambda: phi_core_by_group_law(F, *ints, P, Q))]
     if P[:3] != Q[:3]:
         cases.append((
             lambda: _residual_point(*ints, P[:3], Q[:3], P[3], (1, 0, P[3]), PENCIL_BITANGENT, p),
-            lambda: residual_by_group_law(F, f, g, P[:3], Q[:3], wP, (F.one, F.zero, wP), PENCIL_BITANGENT),
+            lambda: residual_by_group_law(F, *ints, P[:3], Q[:3], wP, (F.one, F.zero, wP), PENCIL_BITANGENT),
         ))
     kinds = set()
     for core, law in cases:
@@ -615,7 +616,7 @@ def _count_by_discriminant(F, Bform, p3):
     B_ring = TernForm(PolyRing(F), 4, {e: Poly(F, [v]) for e, v in Bform.c.items()})
     pconst = [Poly(F, [F.from_int(v)]) for v in p3]
     moving = [Poly(F, [F.from_int(e1[i]), F.from_int(e2[i])]) for i in range(3)]
-    a, b, c, d, e = B_ring.restrict_line(pconst, moving).c
+    a, b, c, d, e = restrict_line_reference(B_ring, pconst, moving).c
     I = 12 * (a * e) - 3 * (b * d) + c * c
     J = 72 * (a * c * e) + 9 * (b * c * d) - 27 * (a * d * d) - 27 * (e * b * b) - 2 * (c * c * c)
     D = 4 * (I * I * I) - J * J  # 27 times the discriminant
@@ -626,9 +627,9 @@ def _count_by_discriminant(F, Bform, p3):
         K = QuotientField(m)
         second = [K.from_base(F.from_int(e1[i])) + K.gen * K.from_base(F.from_int(e2[i])) for i in range(3)]
         BK = TernForm(K, 4, {e: K.from_base(v) for e, v in Bform.c.items()})
-        if square_by_yun(BK.restrict_line([K.from_base(F.from_int(v)) for v in p3], second)):
+        if square_by_yun(restrict_line_reference(BK, [K.from_base(F.from_int(v)) for v in p3], second)):
             count += m.degree
-    if square_by_yun(Bform.restrict_line([F.from_int(v) for v in p3], [F.from_int(v) for v in e2])):
+    if square_by_yun(restrict_line_reference(Bform, p3, e2)):
         count += 1
     return count
 
@@ -837,8 +838,18 @@ def _sylvester_subresultant(P, Q, j):
     return sp.expand(S)
 
 
-def _uv(expr):
-    return sp.Poly(expr, _U, _V)
+def _uv(expr) -> list:
+    """The polynomial expr in (u, v) over Z as a list in u of int lists in v."""
+    P = sp.Poly(expr, _U, _V)
+    out = [[0] * (P.degree(_V) + 1) for _ in range(P.degree(_U) + 1)]
+    for (i, j), c in P.terms():
+        out[i][j] = int(c)
+    return _trim([_trim(c) for c in out])
+
+
+def _expr(P):
+    """The sympy expression of a polynomial in (u, v) given by `_uv`."""
+    return sum((c * _U**i * _V**j for i, cs in enumerate(P) for j, c in enumerate(cs)), sp.Integer(0))
 
 
 class TestSubresultantCertificate:
@@ -848,35 +859,35 @@ class TestSubresultantCertificate:
     def test_two_common_zeros_over_one_v(self):
         # at v = 0: u^3 - u and u^2 - 1 share u = 1 and u = -1
         with pytest.raises(EliminationDegenerate, match="leading coefficient"):
-            _count_chart_zeros(_uv(_U**3 - _U + _V), _uv(_U**2 - 1 + _V * _U), sp.Poly(1, _V))
+            _count_chart_zeros(_uv(_U**3 - _U + _V), _uv(_U**2 - 1 + _V * _U), [1])
 
     def test_leading_coefficient_drop(self):
         # at v = 0, P drops to u^2 - 1 = Q
         with pytest.raises(EliminationDegenerate, match="leading coefficient"):
-            _count_chart_zeros(_uv(_V * _U**3 + _U**2 - 1), _uv(_U**2 - 1), sp.Poly(1, _V))
+            _count_chart_zeros(_uv(_V * _U**3 + _U**2 - 1), _uv(_U**2 - 1), [1])
 
     def test_prs_tail_with_a_gap(self):
         P, Q = _uv(_U**3 + _V), _uv(_U)
-        assert [p.degree(_U) for p in sp.resultant(P, Q, includePRS=True)[1]] == [3, 1, 0]
+        assert [len(F) - 1 for F in _prs(P, Q)] == [3, 1, 0]
         with pytest.raises(EliminationDegenerate, match="PRS"):
-            _count_chart_zeros(P, Q, sp.Poly(1, _V))
+            _count_chart_zeros(P, Q, [1])
 
     @pytest.mark.parametrize("a4", [1, _V, _V - 1, (_V - 1) ** 2 * (_V + 5)])
     def test_normal_pair_matches_brute_force(self, a4):
         # R = -v^2 (v - 1) (v + 3) (2 v + 1): every root is rational, so the
         # common zeros are the roots in u of the gcd over each root in v
-        P, Q = _uv(_U**3 + _V * _U - 2 * _V**2), _uv(_U**2 + (_V - 1) * _U - _V)
-        R = sp.resultant(P, Q)
-        roots = sp.roots(R.as_expr(), _V)
-        assert sum(roots.values()) == R.degree()
+        P, Q = _U**3 + _V * _U - 2 * _V**2, _U**2 + (_V - 1) * _U - _V
+        R = sp.resultant(P, Q, _U)
+        roots = sp.roots(R, _V)
+        assert sum(roots.values()) == sp.degree(R, _V)
         brute = 0
         for v in roots:
             if sp.sympify(a4).subs(_V, v) != 0:
-                g = sp.gcd(P.as_expr().subs(_V, v), Q.as_expr().subs(_V, v))
+                g = sp.gcd(P.subs(_V, v), Q.subs(_V, v))
                 brute += len(sp.roots(g, _U))
         assert brute >= 3
         # given as (Q, P): the count orders the pair by degree in u itself
-        assert _count_chart_zeros(Q, P, sp.Poly(a4, _V)) == brute
+        assert _count_chart_zeros(_uv(Q), _uv(P), _uv(a4)[0]) == brute
 
     def test_prs_elements_are_sylvester_subresultants(self):
         # a degree gap after P
@@ -886,14 +897,18 @@ class TestSubresultantCertificate:
 
     def test_chart_prs_elements_are_sylvester_subresultants(self, sk):
         # the chart conditions of s_k in frame 0: degrees 4 and 3 in u
-        P, Q = sorted(square_conditions(*_chart_coefficients(sk.B_ints)), key=lambda p: -p.degree(_U))
-        _check_prs_against_sylvester(P, Q, [4, 3, 2, 1, 0])
+        c1, c2 = (_unpacked(c) for c in square_conditions(*map(_packed, _chart_coefficients(sk.B_ints))))
+        _check_prs_against_sylvester(*sorted((c1, c2), key=len, reverse=True), [4, 3, 2, 1, 0])
 
 
 def _check_prs_against_sylvester(P, Q, degrees):
-    R, prs = sp.resultant(P, Q, includePRS=True)
-    assert [p.degree(_U) for p in prs] == degrees
-    for j, F in ((2, prs[-3]), (1, prs[-2]), (0, prs[-1])):
-        ratio = sp.cancel(_sylvester_subresultant(P, Q, j) / F.as_expr())
-        assert ratio.is_Rational and ratio != 0
-    assert R.as_expr() == _sylvester_subresultant(P, Q, 0)
+    """Each element F_i, i >= 3, of `_prs(P, Q)` is exactly +-S_j, j one less
+    than the degree of the element before it; the last is +-S_0, the
+    resultant."""
+    prs = _prs(P, Q)
+    assert [len(F) - 1 for F in prs] == degrees
+    Ps, Qs = (sp.Poly(_expr(F), _U, _V) for F in (P, Q))
+    for before, F in zip(prs[1:], prs[2:]):
+        S = _sylvester_subresultant(Ps, Qs, len(before) - 2)
+        assert sp.expand(_expr(F) - S) == 0 or sp.expand(_expr(F) + S) == 0
+    assert sp.expand(_expr(prs[-1]) ** 2 - sp.resultant(Ps, Qs).as_expr() ** 2) == 0
