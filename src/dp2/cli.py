@@ -37,12 +37,13 @@ EXIT_USAGE = 1
 EXIT_DOMAIN = 2
 EXIT_DEGENERATE = 3
 
-# `oracle` enumerates all p^2 + p + 1 points of P^2(F_p), 3-5 us each on a two-vCPU
-# Xeon guest (the command: 0.4 s at p = 211, 9 s at p = 997); a larger prime is a usage error
+# `oracle` enumerates all p^2 + p + 1 points of P^2(F_p), 6-8 us each on a two-vCPU
+# Xeon guest (the command on random2: 0.4-0.6 s at p = 211, 2.5-2.9 s at p = 503,
+# 11 s at p = 997); a larger prime is a usage error
 MAX_ORACLE_PRIME = 1000
 
-# `generate` tries one cover parameter per unit of budget, 0.5 ms each for f2
-# and 4.3 ms for f6 on random2 on the same guest (budget 400): under a minute
+# `generate` tries one cover parameter per unit of budget, 0.15 ms each for f2
+# and 2.5 ms for f6 on random2 on the same guest (budget 400): under a minute
 # at the cap, which keeps the parameter list small
 MAX_GENERATE_BUDGET = 10_000
 
@@ -156,7 +157,7 @@ def cmd_phi(args) -> int:
     except DP2Error as exc:
         rec["error"] = {"type": type(exc).__name__, "message": str(exc)}
         _emit([rec], args.format)
-        return EXIT_DEGENERATE if isinstance(exc, _DEGENERATE) else EXIT_DOMAIN
+        return EXIT_DOMAIN
     rec["result"] = str(R)
     _emit([rec], args.format)
     return EXIT_OK
@@ -208,7 +209,7 @@ def cmd_generate(args) -> int:
         {
             "point": str(gp.point),
             "height": gp.height,
-            "cover": gp.cover,
+            "cover": args.cover,
             "params": str(gp.params),
         }
         for gp in points
@@ -220,12 +221,7 @@ def cmd_generate(args) -> int:
             "cover": args.cover,
             "budget": args.budget,
             "seed": args.seed,
-            "rng": stats.rng,
-            "attempted": stats.attempted,
-            "succeeded": stats.succeeded,
-            "failed": stats.failed,
-            "distinct": stats.distinct,
-            "filtered": stats.filtered,
+            **asdict(stats),
             "rank_minus2K_first30": covers.rank_minus2K(sample) if sample else 0,
             "rank_minusK_first30": covers.rank_minusK(sample) if sample else 0,
         }
@@ -293,11 +289,8 @@ def cmd_oracle(args) -> int:
                 rec["base_locus_confirms_phi"] = None
                 rec["base_locus_note"] = str(exc)
         if p <= fforacle._SWEEP_CAP:
-            try:
-                rep = fforacle.phi_surjectivity(Sp)
-                rec["surjectivity"] = {**asdict(rep), "coverage": rep.coverage}
-            except BadPrime as exc:
-                rec["surjectivity_note"] = str(exc)
+            rep = fforacle.phi_surjectivity(Sp)
+            rec["surjectivity"] = {**asdict(rep), "coverage": rep.coverage}
         records.append(rec)
     records.append({"instance": instance})
     _emit(records, args.format)

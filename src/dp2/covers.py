@@ -52,7 +52,6 @@ class ParamTuple:
 class GeneratedPoint:
     point: PointDP2
     height: int
-    cover: str
     params: ParamTuple
 
 
@@ -174,12 +173,12 @@ def in_u_inv(ctx: CoverContext, Q: PointDP2) -> bool:
 
 @dataclass(frozen=True)
 class GenerationStats:
+    rng: str
     attempted: int
     succeeded: int
     failed: int
     distinct: int
     filtered: int
-    rng: str = _RNG_NAME
 
 
 def _sample_params(rng: random.Random, budget: int, arity: int) -> list[ParamTuple]:
@@ -232,9 +231,10 @@ def generate_points_with_stats(
         if h > height_bound:
             filtered += 1
             continue
-        seen[P] = GeneratedPoint(point=P, height=h, cover=cover, params=pt)
+        seen[P] = GeneratedPoint(point=P, height=h, params=pt)
     out = sorted(seen.values(), key=lambda gp: (gp.height, gp.point.coords()))
     stats = GenerationStats(
+        rng=_RNG_NAME,
         attempted=budget,
         succeeded=succeeded,
         failed=budget - succeeded,

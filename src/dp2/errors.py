@@ -13,10 +13,6 @@ class WrongDegree(DP2Error):
     pass
 
 
-class WrongDegrees(DP2Error):
-    pass
-
-
 class SingularBranchCurve(DP2Error):
     pass
 
@@ -34,11 +30,7 @@ class BitangentLine(DP2Error):
 
 
 class SingularHit(DP2Error):
-    """Chord-tangent arithmetic ran into the singular point of the fiber."""
-
-
-class SingularOrigin(DP2Error):
-    pass
+    """The fiber's singular point met as an endpoint, origin or chord-tangent step."""
 
 
 class ReducibleModel(DP2Error):

@@ -7,7 +7,7 @@ over the parametrized line L.  Completing the square (v = 2w + a) gives
 v^2 = q := a^2 + 4b, a binary quartic.  The engine converts the quartic to a
 long Weierstrass cubic with a chosen smooth origin, runs chord-tangent
 arithmetic there, and transports divisor-class computations back.  Everything
-is generic over a field adapter (Q, F_p, or Q[t]/(d)).
+is generic over a field adapter (Q or F_p).
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import enum
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .errors import ReducibleModel, SingularHit, SingularOrigin
+from .errors import ReducibleModel, SingularHit
 from .exactalg import (
     BinForm,
     RationalField,
@@ -250,7 +250,7 @@ def to_weierstrass(M: QuarticModel, O: CurvePoint) -> WeierstrassData:
     if not M.contains(O):
         raise ValueError("origin not on the model")
     if not M.is_smooth_at(O):
-        raise SingularOrigin("origin is the singular point of the fiber")
+        raise SingularHit("origin is the singular point of the fiber")
     v0 = 2 * O.w + M.a.evaluate(O.s, O.t)
     two = F.from_int(2)
     if F.is_zero(v0):
@@ -267,7 +267,7 @@ def to_weierstrass(M: QuarticModel, O: CurvePoint) -> WeierstrassData:
         if not F.is_zero(q0):
             raise AssertionError("q(0) must vanish at a ramified origin")
         if F.is_zero(q1):
-            raise SingularOrigin("origin is the singular point of the fiber")
+            raise SingularHit("origin is the singular point of the fiber")
         a2 = q2
         a4 = q1 * q3
         a6 = q1 * q1 * q4

@@ -23,7 +23,6 @@ from .errors import (
     ReducibleModel,
     SameImage,
     SingularHit,
-    SingularOrigin,
 )
 from .exactalg import QQ, PrimeField, primitive_ints, square_conditions
 from .exactalg.poly import (_bin_mul, _divmod_ints, _expand_linear, _gcd_ints, _nullspace, _prs, _radical,
@@ -231,8 +230,6 @@ def _residual_core(f, g, A, B, wP, X, bitangent: str, p: int = 0):
         Rc = lin_comb(model, iota_X, [(2, iota_P), (-1, Xc)])
     except ReducibleModel as exc:
         raise BitangentLine(bitangent) from exc
-    except SingularOrigin as exc:
-        raise SingularHit(str(exc)) from exc
     return tuple(Rc.s * A[i] + Rc.t * B[i] for i in range(3)) + (Rc.w,)
 
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import gcd as igcd
 from math import isqrt, prod
 
-from .errors import NotOnSurface, SingularBranchCurve, WrongDegrees
+from .errors import NotOnSurface, SingularBranchCurve, WrongDegree
 from .exactalg import QQ, TernForm, content_primitive_ints, is_prime, primitive_ints
 from .exactalg.poly import _row_echelon
 
@@ -266,7 +266,7 @@ def _square_cover(b: int) -> int:
 def validate_surface(f: TernForm, g: TernForm) -> SurfaceDP2:
     """Normalize and certify a surface w^2 + f w = g."""
     if f.degree != 2 or g.degree != 4:
-        raise WrongDegrees(f"need deg f = 2 and deg g = 4, got {f.degree}, {g.degree}")
+        raise WrongDegree(f"need deg f = 2 and deg g = 4, got {f.degree}, {g.degree}")
     mu = _normalization_scalar(f, g)
     fn = f.scale(mu)
     gn = g.scale(mu * mu)

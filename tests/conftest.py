@@ -27,8 +27,6 @@ from dp2.errors import (
     NotVeryGeneral,
     ReducibleModel,
     SameImage,
-    SingularHit,
-    SingularOrigin,
 )
 from dp2.fforacle import SurjectivityReport, bitangents_through_modp, on_ramification_modp, phi_modp
 from dp2.genus1 import neg_wrt, pullback_generic
@@ -110,8 +108,6 @@ def residual_by_group_law(F, f, g, A, B, wP, X, bitangent: str):
         R = neg_wrt(model, iota_P, Xc)
     except ReducibleModel as exc:
         raise BitangentLine(bitangent) from exc
-    except SingularOrigin as exc:
-        raise SingularHit(str(exc)) from exc
     return tuple(R.s * A[i] + R.t * B[i] for i in range(3)) + (R.w,)
 
 

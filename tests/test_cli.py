@@ -238,6 +238,19 @@ class TestOracle:
         assert code == 0
         assert parse_jsonl(out)[1:] == [{"instance": {"error": "no good prime"}}]
 
+    def test_good_prime_above_the_sweep_cap(self, capsys, monkeypatch):
+        def sweep(*args):
+            raise AssertionError("swept above the cap")
+
+        monkeypatch.setattr(fforacle, "phi_surjectivity", sweep)
+        assert 37 > fforacle._SWEEP_CAP
+        code, out, _ = run(capsys, "oracle", "--surface", R2, "--primes", "37")
+        assert code == 0
+        rec = parse_jsonl(out)[0]
+        assert rec["p"] == 37 and rec["good"] is True
+        assert {"N_p", "weil_band_ok", "base_locus_confirms_phi"} <= rec.keys()
+        assert "surjectivity" not in rec and "surjectivity_note" not in rec
+
     def test_bad_prime_list(self, capsys):
         code, _, _ = run(capsys, "oracle", "--surface", R2, "--primes", "2,x")
         assert code == 1

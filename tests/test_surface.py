@@ -13,7 +13,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from sympy import nextprime
 
-from dp2.errors import NotOnSurface, SingularBranchCurve, WrongDegrees
+from dp2.errors import NotOnSurface, SingularBranchCurve, WrongDegree
 from dp2.exactalg import QQ, PrimeField, TernForm
 from dp2.geometry import _pullback, _random_unimodular
 from dp2.surface import (
@@ -49,7 +49,7 @@ class TestValidate:
             validate_surface(TernForm(QQ, 2, {}), g)
 
     def test_wrong_degrees(self):
-        with pytest.raises(WrongDegrees):
+        with pytest.raises(WrongDegree):
             validate_surface(TernForm(QQ, 3, {}), TernForm(QQ, 4, {}))
 
     def test_normalization_rescaling(self, s0):
