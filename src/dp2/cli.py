@@ -37,9 +37,9 @@ EXIT_USAGE = 1
 EXIT_DOMAIN = 2
 EXIT_DEGENERATE = 3
 
-# `oracle` enumerates all p^2 + p + 1 points of P^2(F_p), 6-8 us each on a two-vCPU
-# Xeon guest (the command on random2: 0.4-0.6 s at p = 211, 2.5-2.9 s at p = 503,
-# 11 s at p = 997); a larger prime is a usage error
+# `oracle` enumerates all p^2 + p + 1 points of P^2(F_p), 7-14 us each on a two-vCPU
+# Xeon guest (the command on random2: 0.3-0.6 s at p = 211, 2.0-3.2 s at p = 503,
+# 9-14 s at p = 997); a larger prime is a usage error
 MAX_ORACLE_PRIME = 1000
 
 # `generate` tries one cover parameter per unit of budget, 0.15 ms each for f2
